@@ -20,7 +20,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional
+from typing import Mapping, Optional
 
 from sympy import isprime
 
@@ -112,17 +112,11 @@ class CharacterTable:
             if n % c.element_order == 0 and (include_identity or c.element_order > 1)
         ]
 
-    def element_orders(self) -> list[int]:
-        return sorted({c.element_order for c in self.classes})
-
     def character_by_name(self, name: str) -> Character:
         for ch in self.characters:
             if ch.name == name:
                 return ch
         raise TableError(f"table {self.group_name!r} has no character named {name!r}")
-
-    def characters_by_name(self, names: Iterable[str]) -> list[Character]:
-        return [self.character_by_name(n) for n in names]
 
     # -- power maps ----------------------------------------------------------
 
@@ -529,15 +523,6 @@ class PAChain:
 
     def is_nonnegative(self) -> bool:
         return all(v >= 0 for ent in self.entries.values() for v in ent.values())
-
-    def tuple_form(self, table: CharacterTable) -> tuple[int, ...]:
-        """Flatten in canonical order: divisors ascending, classes canonical."""
-        out: list[int] = []
-        for m in self.levels():
-            ent = self.entries[m]
-            for c in table.classes_of_order_dividing(m):
-                out.append(ent.get(c.name, 0))
-        return tuple(out)
 
 
 def check_chain_shape(table: CharacterTable, chain: PAChain) -> None:

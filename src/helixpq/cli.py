@@ -218,7 +218,7 @@ def _cmd_pq(args) -> int:
     report = pqmod.pq_check(
         table, chars,
         cap=_default_cap(args), pairs=pairs,
-        congruences=args.congruences, jobs=args.jobs,
+        congruences=args.congruences,
         assume_coverage=args.assume_coverage,
     )
     if args.format == "json":
@@ -283,9 +283,6 @@ def main(argv=None) -> int:
     p_pq.add_argument("--pairs", help="restrict to pairs, e.g. '2,3;3,11'")
     p_pq.add_argument("--cap", type=int)
     p_pq.add_argument("--congruences", choices=("power", "none"), default="power")
-    p_pq.add_argument("--jobs", type=int, default=1,
-                      help="worker bound (pairs are independent; the current "
-                           "runner executes them sequentially)")
     p_pq.add_argument("--assume-coverage", action="store_true",
                       help="accept a partial table, asserting its class list "
                            "covers the element orders of the requested pairs")

@@ -36,7 +36,6 @@ __all__ = [
     "cyc_zero",
     "cyc_rational",
     "root_of_unity",
-    "cyc_arith",
     "galois_apply",
     "rational_trace",
     "root_trace_table",
@@ -358,9 +357,6 @@ class CycValue:
 
     __rmul__ = __mul__
 
-    def conjugate(self) -> "CycValue":
-        return galois_apply(self, -1)
-
     # -- plumbing ------------------------------------------------------------
 
     def __eq__(self, other):
@@ -397,16 +393,6 @@ def root_of_unity(order: int, power: int = 1) -> CycValue:
     if order <= 0:
         raise ValueError(f"order must be positive, got {order}")
     return CycValue(order, {power % order: Rat(1)})
-
-
-def cyc_arith(a: CycValue, b: CycValue, op: str) -> CycValue:
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise ValueError(f"unknown op {op!r} (want add/sub/mul)")
 
 
 def galois_apply(value: CycValue, k: int) -> CycValue:

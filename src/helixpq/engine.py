@@ -36,6 +36,17 @@ of a fixed element order, which eliminates the power maps entirely
 where eps~_o is the sum of the partial augmentations over the classes
 of element order exactly o.
 
+One generator builds every system.  The joint system
+(`build_chain_system`) has unknowns at every level m > 1 dividing n and
+the rows of every level; the trace term of u^d enters as an integer
+block on the level-(n/d) unknowns, the correlation of the value's
+coefficients with the traces of the roots of unity of that level.  The
+flat system of order n (`build_system`) is the joint system's top level
+with the lower levels fixed: the same blocks, weighted by the fixed
+partial augmentations, fold into the constants.  Character values are
+algebraic integers, so every block is integral and rows are built in
+integer arithmetic.
+
 Systems are solved by exact integer enumeration (`lattice`).  Orders
 are solved recursively: the chains of u^p for each prime p | n are
 enumerated first, compatible combinations fix the power data, and each
@@ -50,7 +61,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
+from functools import partial
 from typing import Mapping, Optional, Sequence, Union
 
 from .chartab import (
@@ -60,7 +71,7 @@ from .chartab import (
     TableError,
     check_chain_shape,
 )
-from .cyclo import cyc_zero, divisors, prime_divisors, root_trace_table, terms_at_level
+from .cyclo import divisors, prime_divisors, root_trace_table, terms_at_level
 from .lattice import (
     DEFAULT_CAP,
     EnumerationResult,
@@ -162,45 +173,25 @@ def _resolve_chars(
     return out
 
 
-def _as_int(x: Fraction, what: str) -> int:
-    if x.denominator != 1:
-        raise EngineError(f"{what} came out non-integral ({x}); table data is corrupt")
-    return int(x)
-
-
 def _key_order(table: CharacterTable, key: str) -> int:
     if key.startswith(AGGREGATE_PREFIX):
         return int(key[len(AGGREGATE_PREFIX):])
     return table.class_by_name(key).element_order
 
 
-def _entry_value(ch: Character, entry: Mapping[str, int], table: CharacterTable):
-    """chi evaluated on a unit with the given (possibly aggregated) augmentations."""
-    total = cyc_zero()
-    for key, eps in entry.items():
-        if not eps:
-            continue
-        if key.startswith(AGGREGATE_PREFIX):
-            o = int(key[len(AGGREGATE_PREFIX):])
-            vals = {ch.values.get(c.name) for c in table.classes if c.element_order == o}
-            if None in vals:
-                raise EngineError(
-                    f"character {ch.name!r} lacks a value on some class of order {o}"
-                )
-            if len(vals) != 1:
-                raise EngineError(
-                    f"character {ch.name!r} is not constant on the order-{o} classes; "
-                    f"the aggregated entry {key!r} is meaningless for it"
-                )
-            total = total + eps * vals.pop()
-        else:
-            v = ch.values.get(key)
-            if v is None:
-                raise TableError(
-                    f"character {ch.name!r} has no value on class {key!r}"
-                )
-            total = total + eps * v
-    return total
+def _common_value(table: CharacterTable, ch: Character, o: int, misuse: str):
+    """The value of ch shared by every class of element order o."""
+    vals = {ch.values.get(c.name) for c in table.classes if c.element_order == o}
+    if None in vals:
+        raise EngineError(
+            f"character {ch.name!r} lacks a value on some class of order {o}"
+        )
+    if len(vals) != 1:
+        raise EngineError(
+            f"character {ch.name!r} is not constant on the order-{o} classes; "
+            f"{misuse}"
+        )
+    return vals.pop()
 
 
 def build_system(
@@ -222,182 +213,10 @@ def build_system(
     `collapse_order=s` replaces the order-s unknowns by one aggregated
     unknown named "~s" under the same constancy requirement.
     """
-    n = int(order)
-    if n < 2:
-        raise EngineError(f"unit order must be at least 2, got {n}")
-    if congruences not in ("power", "none"):
-        raise EngineError(f"congruences must be 'power' or 'none', got {congruences!r}")
-    chars = _resolve_chars(table, characters)
-    if not chars:
-        raise EngineError("need at least one character")
-    for ch in chars:
-        if ch.characteristic and n % ch.characteristic == 0:
-            raise EngineError(
-                f"character {ch.name!r} has characteristic {ch.characteristic}, "
-                f"which divides the unit order {n}"
-            )
-    support = table.classes_of_order_dividing(n)
-    if not support:
-        raise EngineError(
-            f"table {table.group_name!r} has no classes of order dividing {n}"
-        )
-    powers = {int(m): dict(v) for m, v in (powers or {}).items()}
-    missing = [m for m in divisors(n) if 1 < m < n and m not in powers]
-    if missing:
-        raise EngineError(f"missing partial augmentations for power orders {missing}")
-
-    # -- variables ------------------------------------------------------------
-    agg_name = None
-    if collapse_order is not None:
-        s = int(collapse_order)
-        agg_name = f"{AGGREGATE_PREFIX}{s}"
-        covered = [c for c in support if c.element_order == s]
-        if not covered:
-            raise EngineError(f"no classes of order {s} to collapse")
-        for ch in chars:
-            vals = {ch.values.get(c.name) for c in covered}
-            if None in vals:
-                raise EngineError(
-                    f"character {ch.name!r} lacks a value on some order-{s} class"
-                )
-            if len(vals) != 1:
-                raise EngineError(
-                    f"character {ch.name!r} is not constant on the order-{s} "
-                    f"classes; cannot collapse them"
-                )
-    variables: list[str] = []
-    var_rep: dict[str, str] = {}
-    var_order: dict[str, int] = {}
-    for c in support:
-        if agg_name is not None and c.element_order == collapse_order:
-            if agg_name not in var_order:
-                variables.append(agg_name)
-                var_rep[agg_name] = c.name
-                var_order[agg_name] = c.element_order
-            continue
-        variables.append(c.name)
-        var_rep[c.name] = c.name
-        var_order[c.name] = c.element_order
-    nvars = len(variables)
-
-    # -- multiplicity rows ----------------------------------------------------
-    trace_tab = {m: root_trace_table(m) for m in divisors(n)}
-    rows: list[Row] = []
-    for ch in chars:
-        coef_terms = []
-        for v in variables:
-            val = ch.values.get(var_rep[v])
-            if val is None:
-                raise EngineError(
-                    f"character {ch.name!r} has no value on class {var_rep[v]!r}"
-                )
-            if not val.is_integral():
-                raise EngineError(
-                    f"character {ch.name!r} value on {var_rep[v]!r} is not an "
-                    f"algebraic integer"
-                )
-            coef_terms.append(terms_at_level(val, n))
-        const_terms: list[tuple[int, list]] = [(1, [(0, Fraction(ch.degree))])]
-        for m in divisors(n):
-            if m == 1 or m == n:
-                continue  # m is the order of the proper power u^(n/m)
-            val = _entry_value(ch, powers[m], table)
-            const_terms.append((m, terms_at_level(val, m)))
-        for k in range(n):
-            tab_n = trace_tab[n]
-            coeffs = tuple(
-                _as_int(
-                    sum((c * tab_n[(e - k) % n] for e, c in terms), Fraction(0)),
-                    f"coefficient of {v} in {ch.name}, k={k}",
-                )
-                for v, terms in zip(variables, coef_terms)
-            )
-            base = Fraction(0)
-            for lvl, terms in const_terms:
-                tab = trace_tab[lvl]
-                base += sum((c * tab[(e - k) % lvl] for e, c in terms), Fraction(0))
-            const = _as_int(base, f"constant of {ch.name}, k={k}")
-            prov = f"{ch.name}:mult[{k}]"
-            rows.append(Row(coeffs, const, "ge", None, prov))
-            rows.append(Row(coeffs, const, "cong", n, prov + f"%{n}"))
-
-    ones = tuple(1 for _ in range(nvars))
-    rows.append(Row(ones, -1, "eq", None, "augmentation"))
-
-    # -- prime-power congruences ----------------------------------------------
-    mode: dict[int, str] = {}
-    if congruences == "power":
-        for p in prime_divisors(n):
-            prows, pmode = _power_congruence_rows(
-                table, n, p, variables, var_order, powers, agg_name
-            )
-            rows.extend(prows)
-            mode[p] = pmode
-
-    if dedupe:
-        seen = set()
-        kept = []
-        for r in rows:
-            key = (r.kind, r.coeffs, r.const, r.modulus)
-            if key not in seen:
-                seen.add(key)
-                kept.append(r)
-        rows = kept
-
-    return ConstraintSystem(
-        table_name=table.group_name,
-        unit_order=n,
-        variables=tuple(variables),
-        rows=rows,
-        character_names=tuple(ch.name for ch in chars),
-        congruence_mode=mode,
+    return _build(
+        table, characters, order, powers or {},
+        congruences=congruences, collapse_order=collapse_order, dedupe=dedupe,
     )
-
-
-def _power_congruence_rows(table, n, p, variables, var_order, powers, agg_name):
-    """Rows for the prime p, in class mode when resolvable, else order mode."""
-    m = n // p
-    nvars = len(variables)
-    sub = powers.get(m, {})  # empty exactly when m == 1
-
-    class_mode = agg_name is None and not any(
-        k.startswith(AGGREGATE_PREFIX) for k in sub
-    )
-    pclass = {}
-    if class_mode:
-        for v in variables:
-            tgt = table.power_class(v, p)
-            if tgt is None:
-                class_mode = False
-                break
-            pclass[v] = tgt
-
-    rows = []
-    if class_mode:
-        targets = table.classes_of_order_dividing(m, include_identity=True)
-        for c in targets:
-            coeffs = tuple(1 if pclass[v] == c.name else 0 for v in variables)
-            if c.element_order == 1:
-                rhs = 1 if m == 1 else 0
-            else:
-                rhs = int(sub.get(c.name, 0))
-            rows.append(Row(coeffs, -rhs, "cong", p, f"power[{p}]:{c.name}"))
-        return rows, "class"
-
-    for o in divisors(m):
-        if o == 1:
-            rhs = 1 if m == 1 else 0
-        else:
-            rhs = sum(
-                int(eps) for key, eps in sub.items() if _key_order(table, key) == o
-            )
-        lift = o * p
-        coeffs = tuple(
-            1 if var_order[v] == lift or (o % p and var_order[v] == o) else 0
-            for v in variables
-        )
-        rows.append(Row(coeffs, -rhs, "cong", p, f"power[{p}]:order[{o}]"))
-    return rows, "order"
 
 
 def build_chain_system(
@@ -418,6 +237,21 @@ def build_chain_system(
     bounds flow across levels, which matters when some proper power is
     badly underdetermined on its own.
     """
+    return _build(
+        table, characters, order, None,
+        congruences=congruences, collapse_order=None, dedupe=dedupe,
+    )
+
+
+def _build(table, characters, order, powers, *, congruences, collapse_order, dedupe):
+    """The row generator behind `build_system` and `build_chain_system`.
+
+    With `powers=None` (joint) every level m > 1 dividing the order has
+    free columns "m:<class>" and its own rows, tagged "@m".  Otherwise
+    `powers` fixes every lower level, only the top level has columns and
+    rows, and the fixed levels enter the constants with the same integer
+    blocks the joint system puts on their columns.
+    """
     n = int(order)
     if n < 2:
         raise EngineError(f"unit order must be at least 2, got {n}")
@@ -432,150 +266,173 @@ def build_chain_system(
                 f"character {ch.name!r} has characteristic {ch.characteristic}, "
                 f"which divides the unit order {n}"
             )
-
+    joint = powers is None
     levels = [m for m in divisors(n) if m > 1]
-    level_classes: dict[int, list[str]] = {}
-    for m in levels:
-        support = table.classes_of_order_dividing(m)
-        if not support:
+    free_levels = levels if joint else [n]
+    support = {}
+    for m in free_levels:
+        support[m] = table.classes_of_order_dividing(m)
+        if not support[m]:
             raise EngineError(
                 f"table {table.group_name!r} has no classes of order dividing {m}"
             )
-        level_classes[m] = [c.name for c in support]
-    variables: list[str] = []
-    index: dict[tuple[int, str], int] = {}
-    for m in levels:
-        for cname in level_classes[m]:
-            index[(m, cname)] = len(variables)
-            variables.append(f"{m}:{cname}")
-    nvars = len(variables)
+    fixed: dict[int, dict[str, int]] = {}
+    if not joint:
+        powers = {int(m): dict(v) for m, v in powers.items()}
+        missing = [m for m in levels if m < n and m not in powers]
+        if missing:
+            raise EngineError(f"missing partial augmentations for power orders {missing}")
+        fixed = {m: powers[m] for m in levels if m < n}
 
-    trace_tab = {m: root_trace_table(m) for m in divisors(n)}
-    term_cache: dict[tuple[str, int, str], list] = {}
+    # -- columns: (level, class name or aggregated "~s") ----------------------
+    agg = None
+    if collapse_order is not None:
+        s = int(collapse_order)
+        agg = f"{AGGREGATE_PREFIX}{s}"
+        if not any(c.element_order == s for c in support[n]):
+            raise EngineError(f"no classes of order {s} to collapse")
+    columns = list(dict.fromkeys(
+        (m, agg if agg is not None and c.element_order == s else c.name)
+        for m in free_levels
+        for c in support[m]
+    ))
 
-    def terms(ch, lvl, cname):
-        key = (ch.name, lvl, cname)
-        if key not in term_cache:
-            val = ch.values.get(cname)
-            if val is None:
+    def value(ch, key, free):
+        if key.startswith(AGGREGATE_PREFIX):
+            misuse = ("cannot collapse them" if free else
+                      f"the aggregated entry {key!r} is meaningless for it")
+            return _common_value(table, ch, _key_order(table, key), misuse)
+        val = ch.values.get(key)
+        if val is None:
+            raise (EngineError if free else TableError)(
+                f"character {ch.name!r} has no value on class {key!r}"
+            )
+        if free and not val.is_integral():
+            raise EngineError(
+                f"character {ch.name!r} value on {key!r} is not an algebraic integer"
+            )
+        return val
+
+    blocks: dict[tuple[int, int, str], tuple[int, ...]] = {}
+
+    def block(ci, level, key, free):
+        """Tr(chi(key) * zeta_level^-k) for k = 0..level-1: the entries of
+        one column, or one fixed class, in the rows of a level it divides."""
+        memo = (ci, level, key)
+        if memo not in blocks:
+            ch = chars[ci]
+            terms = terms_at_level(value(ch, key, free), level)
+            if any(c.denominator != 1 for _, c in terms):
                 raise EngineError(
-                    f"character {ch.name!r} has no value on class {cname!r}"
+                    f"character {ch.name!r} value on {key!r} has a non-integral "
+                    f"term; table data is corrupt"
                 )
-            if not val.is_integral():
-                raise EngineError(
-                    f"character {ch.name!r} value on {cname!r} is not an "
-                    f"algebraic integer"
-                )
-            term_cache[key] = terms_at_level(val, lvl)
-        return term_cache[key]
+            tab = root_trace_table(level)
+            blocks[memo] = tuple(
+                sum(c.numerator * tab[(e - k) % level] for e, c in terms)
+                for k in range(level)
+            )
+        return blocks[memo]
 
+    # -- multiplicity and augmentation rows -----------------------------------
     rows: list[Row] = []
-    for m in levels:
-        subs = [l for l in divisors(m) if l > 1]
-        for ch in chars:
+    for m in free_levels:
+        tag = f"@{m}" if joint else ""
+        for ci, ch in enumerate(chars):
+            cols = [
+                (l, block(ci, l, key, True) if m % l == 0 else None)
+                for l, key in columns
+            ]
+            consts = [ch.degree] * m
+            for l, entry in fixed.items():
+                for key, eps in entry.items():
+                    if eps:
+                        fb = block(ci, l, key, False)
+                        for k in range(m):
+                            consts[k] += eps * fb[k % l]
             for k in range(m):
-                coeffs = [0] * nvars
-                for l in subs:
-                    tab = trace_tab[l]
-                    for cname in level_classes[l]:
-                        acc = sum(
-                            (c * tab[(e - k) % l] for e, c in terms(ch, l, cname)),
-                            Fraction(0),
-                        )
-                        coeffs[index[(l, cname)]] += _as_int(
-                            acc, f"coefficient of {l}:{cname} in {ch.name}, k={k}"
-                        )
-                prov = f"{ch.name}:mult[{k}]@{m}"
-                row = tuple(coeffs)
-                rows.append(Row(row, ch.degree, "ge", None, prov))
-                rows.append(Row(row, ch.degree, "cong", m, prov + f"%{m}"))
-        aug = tuple(
-            1 if v in {index[(m, c)] for c in level_classes[m]} else 0
-            for v in range(nvars)
-        )
-        rows.append(Row(aug, -1, "eq", None, f"augmentation@{m}"))
+                coeffs = tuple(0 if b is None else b[k % l] for l, b in cols)
+                prov = f"{ch.name}:mult[{k}]{tag}"
+                rows.append(Row(coeffs, consts[k], "ge", None, prov))
+                rows.append(Row(coeffs, consts[k], "cong", m, prov + f"%{m}"))
+        aug = tuple(int(l == m) for l, _ in columns)
+        rows.append(Row(aug, -1, "eq", None, f"augmentation{tag}"))
 
+    # -- prime-power congruences ----------------------------------------------
     mode: dict[int, str] = {}
     if congruences == "power":
-        for m in levels:
+        for m in free_levels:
             for p in prime_divisors(m):
-                prows, pmode = _joint_power_rows(
-                    table, m, p, level_classes, index, nvars
+                prows, pmode = _power_rows(
+                    table, columns, m, p, fixed.get(m // p), f"@{m}" if joint else ""
                 )
                 rows.extend(prows)
                 if mode.get(p) != "order":  # report the weakest level's mode
                     mode[p] = pmode
 
     if dedupe:
-        seen = set()
-        kept = []
+        first: dict[tuple, Row] = {}
         for r in rows:
-            key = (r.kind, r.coeffs, r.const, r.modulus)
-            if key not in seen:
-                seen.add(key)
-                kept.append(r)
-        rows = kept
+            first.setdefault((r.kind, r.coeffs, r.const, r.modulus), r)
+        rows = list(first.values())
 
     return ConstraintSystem(
         table_name=table.group_name,
         unit_order=n,
-        variables=tuple(variables),
+        variables=tuple(f"{m}:{key}" if joint else key for m, key in columns),
         rows=rows,
         character_names=tuple(ch.name for ch in chars),
         congruence_mode=mode,
     )
 
 
-def _joint_power_rows(table, m, p, level_classes, index, nvars):
-    """Prime-power congruences at one level of the joint system: the
-    level-(m/p) data enters with coefficient -1 instead of as constants."""
+def _power_rows(table, columns, m, p, sub, tag):
+    """Congruences of level m for the prime p.  Each row sums the level-m
+    columns whose p-th powers land on one target and subtracts the
+    level-m/p data on that target: columns with coefficient -1, or, when
+    that level is fixed to `sub`, constants.  The targets are classes
+    when every level-m column has a resolvable p-th power class ("class"
+    mode), else element orders ("order" mode)."""
     l = m // p
-    names = level_classes[m]
-
-    pclass = {}
-    class_mode = True
-    for cname in names:
-        tgt = table.power_class(cname, p)
-        if tgt is None:
-            class_mode = False
-            break
-        pclass[cname] = tgt
+    own = [key for lv, key in columns if lv == m]
+    class_mode = not any(
+        key.startswith(AGGREGATE_PREFIX) for key in own + list(sub or ())
+    )
+    if class_mode:
+        image = {key: table.power_class(key, p) for key in own}
+        class_mode = None not in image.values()
+    # a target is a class name or an element order; `group` maps a
+    # level-m/p key to its target, `image` a level-m key
+    group = (lambda key: key) if class_mode else partial(_key_order, table)
+    if class_mode:
+        targets = [
+            (c.name, c.name, c.element_order == 1)
+            for c in table.classes_of_order_dividing(l, include_identity=True)
+        ]
+    else:
+        targets = [(o, f"order[{o}]", o == 1) for o in divisors(l)]
+        image = {
+            key: group(key) // p if group(key) % p == 0 else group(key)
+            for key in own
+        }
 
     rows = []
-    if class_mode:
-        targets = table.classes_of_order_dividing(l, include_identity=True)
-        for c in targets:
-            coeffs = [0] * nvars
-            for cname in names:
-                if pclass[cname] == c.name:
-                    coeffs[index[(m, cname)]] += 1
-            if c.element_order == 1:
-                const = -1 if l == 1 else 0
-            else:
-                coeffs[index[(l, c.name)]] -= 1
-                const = 0
-            rows.append(
-                Row(tuple(coeffs), const, "cong", p, f"power[{p}]:{c.name}@{m}")
-            )
-        return rows, "class"
-
-    for o in divisors(l):
-        coeffs = [0] * nvars
-        for cname in names:
-            co = table.class_by_name(cname).element_order
-            if co == o * p or (o % p and co == o):
-                coeffs[index[(m, cname)]] += 1
-        if o == 1:
+    for target, label, unit in targets:
+        coeffs = [0] * len(columns)
+        for i, (lv, key) in enumerate(columns):
+            if lv == m and image[key] == target:
+                coeffs[i] += 1
+            elif lv == l and group(key) == target:
+                coeffs[i] -= 1
+        const = 0
+        if unit:
             const = -1 if l == 1 else 0
-        else:
-            for cname in level_classes[l]:
-                if table.class_by_name(cname).element_order == o:
-                    coeffs[index[(l, cname)]] -= 1
-            const = 0
+        elif sub is not None:
+            const = -sum(int(eps) for key, eps in sub.items() if group(key) == target)
         rows.append(
-            Row(tuple(coeffs), const, "cong", p, f"power[{p}]:order[{o}]@{m}")
+            Row(tuple(coeffs), const, "cong", p, f"power[{p}]:{label}{tag}")
         )
-    return rows, "order"
+    return rows, "class" if class_mode else "order"
 
 
 # ---------------------------------------------------------------------------
@@ -614,50 +471,6 @@ def _merge_chain_levels(combo: Sequence[PAChain]) -> Optional[dict[int, dict[str
     return merged
 
 
-def _solve_order_joint(
-    table: CharacterTable,
-    chars: Sequence[Character],
-    n: int,
-    *,
-    congruences: str,
-    cap: int,
-    reason: str,
-) -> SolutionSet:
-    names = tuple(ch.name for ch in chars)
-    system = build_chain_system(table, chars, n, congruences=congruences)
-    res = system.solve(cap=cap)
-    if res.status == "infinite":
-        ray = {v: r for v, r in zip(system.variables, res.ray) if r}
-        return SolutionSet(
-            table.group_name, n, "infinite", (), names,
-            strategy="joint",
-            congruence_modes=tuple(sorted(set(system.congruence_mode.values()))),
-            detail=f"{reason}; the joint system admits an integer ray",
-            ray=ray,
-        )
-    chains = []
-    for pt in res.points:
-        entries: dict[int, dict[str, int]] = {}
-        for v, x in zip(system.variables, pt):
-            lvl, cname = v.split(":", 1)
-            entries.setdefault(int(lvl), {})[cname] = x
-        chains.append(PAChain(unit_order=n, entries=entries))
-    chains.sort(key=_chain_key)
-    capped = res.status == "capped"
-    return SolutionSet(
-        table_name=table.group_name,
-        unit_order=n,
-        status="capped" if capped else "finite",
-        chains=tuple(chains),
-        character_names=names,
-        strategy="joint",
-        congruence_modes=tuple(sorted(set(system.congruence_mode.values()))),
-        combos=0,
-        detail=(f"{reason}; joint enumeration stopped beyond {cap} chains"
-                if capped else f"solved jointly across levels ({reason})"),
-    )
-
-
 def solve_order(
     table: CharacterTable,
     characters: Sequence[Union[str, Character]],
@@ -675,94 +488,36 @@ def solve_order(
     """
     n = int(order)
     chars = _resolve_chars(table, characters)
-    names = tuple(ch.name for ch in chars)
     if store is None:
         store = {}
     if n in store:
         return store[n]
     cap = DEFAULT_CAP if cap is None else int(cap)
 
-    sub_orders = sorted({n // p for p in prime_divisors(n)} - {1})
-    sub_chain_sets = []
-    for m in sub_orders:
+    subs: list[tuple[int, SolutionSet]] = []
+    joint_reason = None
+    for m in sorted({n // p for p in prime_divisors(n)} - {1}):
         ss = solve_order(
             table, chars, m, congruences=congruences, cap=cap, store=store
         )
         if ss.status == "capped":
             # a proper power is badly underdetermined on its own; solve
             # the whole chain as one system so the level-n rows prune it
-            out = _solve_order_joint(
-                table, chars, n, congruences=congruences, cap=cap,
-                reason=f"order-{m} power alone exceeded the cap",
-            )
-            store[n] = out
-            return out
+            joint_reason = f"order-{m} power alone exceeded the cap"
+            break
+        subs.append((m, ss))
         if ss.status != "finite":
-            out = SolutionSet(
-                table.group_name, n, ss.status, (), names,
-                detail=f"chains of the order-{m} power could not be enumerated "
-                       f"({ss.status})",
-                ray=ss.ray,
-            )
-            store[n] = out
-            return out
-        sub_chain_sets.append(ss.chains)
-
-    combo_bound = math.prod(len(s) for s in sub_chain_sets)
-    if combo_bound > _JOINT_COMBO_LIMIT:
-        out = _solve_order_joint(
-            table, chars, n, congruences=congruences, cap=cap,
-            reason=f"{combo_bound} power-chain combinations",
-        )
-        store[n] = out
-        return out
-
-    chains: list[PAChain] = []
-    status = "finite"
-    modes: set[str] = set()
-    combos = 0
-    detail = None
-    ray = None
-    for combo in itertools.product(*sub_chain_sets):
-        merged = _merge_chain_levels(combo)
-        if merged is None:
-            continue
-        combos += 1
-        system = build_system(
-            table, chars, n, merged, congruences=congruences
-        )
-        modes.update(system.congruence_mode.values())
-        res = system.solve(cap=cap)
-        if res.status == "infinite":
-            status = "infinite"
-            detail = "a top-level system admits an integer ray"
-            ray = {v: r for v, r in zip(system.variables, res.ray) if r}
-            chains = []
             break
-        for pt in res.points:
-            entries = {m: dict(ent) for m, ent in merged.items()}
-            entries[n] = {v: x for v, x in zip(system.variables, pt)}
-            chains.append(PAChain(unit_order=n, entries=entries))
-        if res.status == "capped" or len(chains) > cap:
-            status = "capped"
-            detail = f"enumeration stopped beyond {cap} chains"
-            break
+    else:
+        combo_bound = math.prod(len(ss.chains) for _, ss in subs)
+        if combo_bound > _JOINT_COMBO_LIMIT:
+            joint_reason = f"{combo_bound} power-chain combinations"
 
-    chains.sort(key=_chain_key)
-    out = SolutionSet(
-        table_name=table.group_name,
-        unit_order=n,
-        status=status,
-        chains=tuple(chains),
-        character_names=names,
-        strategy="plain",
-        congruence_modes=tuple(sorted(modes)),
-        combos=combos,
-        detail=detail,
-        ray=ray,
+    store[n] = _solve_combos(
+        table, chars, n, subs,
+        congruences=congruences, cap=cap, joint_reason=joint_reason,
     )
-    store[n] = out
-    return out
+    return store[n]
 
 
 def solve_s_constant(
@@ -786,7 +541,6 @@ def solve_s_constant(
         raise EngineError(f"need two distinct primes, got s={s}, t={t}")
     n = s * t
     chars = _resolve_chars(table, characters)
-    names = tuple(ch.name for ch in chars)
     if any(c.element_order == n for c in table.classes):
         raise EngineError(
             f"table {table.group_name!r} has classes of order {n}; the "
@@ -799,49 +553,95 @@ def solve_s_constant(
             )
 
     sub_t = solve_order(table, chars, t, congruences=congruences, cap=cap)
-    if sub_t.status != "finite":
-        return SolutionSet(
-            table.group_name, n, sub_t.status, (), names,
-            strategy=f"collapse[{s}]",
-            detail=f"chains of the order-{t} power could not be enumerated "
-                   f"({sub_t.status})",
-            ray=sub_t.ray,
-        )
+    return _solve_combos(
+        table, chars, n, [(t, sub_t)],
+        congruences=congruences, cap=DEFAULT_CAP if cap is None else int(cap),
+        collapse=s,
+    )
 
-    agg = f"{AGGREGATE_PREFIX}{s}"
-    cap_eff = DEFAULT_CAP if cap is None else int(cap)
+
+def _solve_combos(
+    table: CharacterTable,
+    chars: Sequence[Character],
+    n: int,
+    subs: Sequence[tuple[int, SolutionSet]],
+    *,
+    congruences: str,
+    cap: int,
+    collapse: Optional[int] = None,
+    joint_reason: Optional[str] = None,
+) -> SolutionSet:
+    """Chains of order n from the chain sets `subs` of its proper powers.
+
+    The first sub-order whose set is not finite decides the result.  Else
+    each compatible combination of sub-chains fixes the lower levels of
+    one flat system (with the order-`collapse` classes aggregated, and
+    its power entry fixed to "~s": 1), or, given `joint_reason`, one joint
+    system over all levels replaces the combinations.
+    """
+    names = tuple(ch.name for ch in chars)
+    strategy = (
+        "joint" if joint_reason is not None
+        else "plain" if collapse is None
+        else f"collapse[{collapse}]"
+    )
+    for m, ss in subs:
+        if ss.status != "finite":
+            return SolutionSet(
+                table.group_name, n, ss.status, (), names,
+                strategy=strategy,
+                detail=f"chains of the order-{m} power could not be enumerated "
+                       f"({ss.status})",
+                ray=ss.ray,
+            )
+
+    def systems():
+        if joint_reason is not None:
+            yield None, build_chain_system(table, chars, n, congruences=congruences)
+            return
+        for combo in itertools.product(*(ss.chains for _, ss in subs)):
+            fixed = _merge_chain_levels(combo)
+            if fixed is None:
+                continue
+            if collapse is not None:
+                fixed[collapse] = {f"{AGGREGATE_PREFIX}{collapse}": 1}
+            yield fixed, build_system(
+                table, chars, n, fixed,
+                congruences=congruences, collapse_order=collapse,
+            )
+
     chains: list[PAChain] = []
     status = "finite"
     modes: set[str] = set()
     combos = 0
     detail = None
     ray = None
-    for chain_t in sub_t.chains:
-        powers = {t: dict(chain_t.entry(t)), s: {agg: 1}}
-        combos += 1
-        system = build_system(
-            table, chars, n, powers,
-            congruences=congruences, collapse_order=s,
-        )
+    for fixed, system in systems():
+        combos += fixed is not None
         modes.update(system.congruence_mode.values())
         res = system.solve(cap=cap)
         if res.status == "infinite":
             status = "infinite"
-            detail = "a top-level system admits an integer ray"
+            detail = ("a top-level system" if joint_reason is None else
+                      f"{joint_reason}; the joint system") + " admits an integer ray"
             ray = {v: r for v, r in zip(system.variables, res.ray) if r}
             chains = []
             break
         for pt in res.points:
-            entries = {
-                t: dict(chain_t.entry(t)),
-                s: {agg: 1},
-                n: {v: x for v, x in zip(system.variables, pt)},
-            }
+            entries = {m: dict(ent) for m, ent in (fixed or {}).items()}
+            for v, x in zip(system.variables, pt):
+                # joint variables are named "<level>:<class>"
+                lvl, cname = v.split(":", 1) if fixed is None else (n, v)
+                entries.setdefault(int(lvl), {})[cname] = x
             chains.append(PAChain(unit_order=n, entries=entries))
-        if res.status == "capped" or len(chains) > cap_eff:
+        if res.status == "capped" or len(chains) > cap:
             status = "capped"
-            detail = f"enumeration stopped beyond {cap_eff} chains"
+            detail = ("enumeration" if joint_reason is None else
+                      f"{joint_reason}; joint enumeration") + f" stopped beyond {cap} chains"
             break
+    else:
+        if joint_reason is not None:
+            detail = f"solved jointly across levels ({joint_reason})"
 
     chains.sort(key=_chain_key)
     return SolutionSet(
@@ -850,7 +650,7 @@ def solve_s_constant(
         status=status,
         chains=tuple(chains),
         character_names=names,
-        strategy=f"collapse[{s}]",
+        strategy=strategy,
         congruence_modes=tuple(sorted(modes)),
         combos=combos,
         detail=detail,

@@ -293,20 +293,10 @@ def _tidy(poly: Polyhedron, integer: bool):
 def variable_bounds(poly: Polyhedron) -> Bounds:
     """Exact rational extrema of each coordinate over the linear relaxation."""
     ok, ineqs, eqs, _ = _tidy(poly, integer=False)
-    if not ok:
+    bounds = _bounds_raw(poly.dim, ineqs, eqs) if ok else "infeasible"
+    if bounds == "infeasible":
         return Bounds("infeasible", [], [])
-    lower: list[Optional[Rat]] = []
-    upper: list[Optional[Rat]] = []
-    for i in range(poly.dim):
-        obj = [0] * poly.dim
-        obj[i] = 1
-        up = _lp_max(poly.dim, ineqs, eqs, obj)
-        if up[0] == "infeasible":
-            return Bounds("infeasible", [], [])
-        obj[i] = -1
-        low = _lp_max(poly.dim, ineqs, eqs, obj)
-        upper.append(up[1] if up[0] == "optimal" else None)
-        lower.append(-low[1] if low[0] == "optimal" else None)
+    lower, upper, _ = bounds
     return Bounds("ok", lower, upper)
 
 
@@ -605,9 +595,7 @@ def _bounds_raw(dim, ineqs, eqs):
             ray = ray or tuple(-x for x in low[1])
         else:
             lo.append(-low[1])
-    if ray is not None:
-        return lo, hi, ray
-    return lo, hi, None
+    return lo, hi, ray
 
 
 # ---------------------------------------------------------------------------

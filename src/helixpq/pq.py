@@ -152,8 +152,6 @@ def pq_check(
     cap: Optional[int] = None,
     pairs: Optional[Sequence] = None,
     congruences: str = "power",
-    jobs: int = 1,  # pairs are independent; current runner is sequential
-    plain_class_limit: int = PLAIN_CLASS_LIMIT,
     assume_coverage: bool = False,
 ) -> PQReport:
     """Screen every missing prime-graph edge for order-p*q torsion units.
@@ -164,7 +162,7 @@ def pq_check(
     {p,q} to either a character list or {"characters": [...],
     "collapse": s} to force the aggregated strategy on the prime s.
     Without an override, a pair where some side has more than
-    `plain_class_limit` classes is solved with that side aggregated,
+    `PLAIN_CLASS_LIMIT` classes is solved with that side aggregated,
     using the characters constant there.  `assume_coverage` lets a
     partial table through `prime_graph`, asserting its class list
     covers all element orders relevant to the requested pairs.
@@ -192,7 +190,6 @@ def pq_check(
                 table, base_chars, p, q,
                 plan.get(frozenset((p, q)), {}),
                 cap=cap, congruences=congruences,
-                plain_class_limit=plain_class_limit,
             )
         )
     verdict = (
@@ -208,8 +205,7 @@ def pq_check(
     )
 
 
-def _check_pair(table, base_chars, p, q, plan, *, cap, congruences,
-                plain_class_limit) -> PairReport:
+def _check_pair(table, base_chars, p, q, plan, *, cap, congruences) -> PairReport:
     n = p * q
     collapse = plan.get("collapse")
     strategy = "plain" if collapse is None else f"collapse[{collapse}]"
@@ -227,7 +223,7 @@ def _check_pair(table, base_chars, p, q, plan, *, cap, congruences,
         if collapse is None and "characters" not in plan:
             np_ = sum(1 for c in table.classes if c.element_order == p)
             nq_ = sum(1 for c in table.classes if c.element_order == q)
-            if max(np_, nq_) > plain_class_limit:
+            if max(np_, nq_) > PLAIN_CLASS_LIMIT:
                 collapse = p if np_ >= nq_ else q
                 strategy = f"collapse[{collapse}]"
                 chars = [ch for ch in chars if _constant_on(table, ch, collapse)]

@@ -1,11 +1,15 @@
 """Constraint construction and exact enumeration for torsion-unit chains."""
 
+import hashlib
+import json
+
 import pytest
 
 from helixpq import datasets
 from helixpq.chartab import PAChain, TableError, parse_table
 from helixpq.engine import (
     EngineError,
+    Row,
     build_chain_system,
     build_system,
     classify_chain,
@@ -44,6 +48,16 @@ def psp_aut():
 @pytest.fixture(scope="module")
 def l3():
     return datasets.load_embedded("l3_17_aut_partial")
+
+
+@pytest.fixture(scope="module")
+def psl2_3f_eta():
+    return datasets.load_embedded("psl2_3f_eta")
+
+
+@pytest.fixture(scope="module")
+def pgl2_3f_rows():
+    return datasets.load_embedded("pgl2_3f_rows")
 
 
 # --- system construction ------------------------------------------------------
@@ -255,6 +269,57 @@ def test_joint_fourier_row_sum(psl2_16):
             assert sum(r.const for r in rows) == m * degree, (name, m)
 
 
+# (table fixture, unit order, fixed powers, sha256 of the flat rows); the
+# digests come from the Fraction-based builders, so they pin the integer
+# generator to the rows those produced
+FLAT_CASES = [
+    ("psl2_32", 6, POWERS_6,
+     "7f4faaa319bed9c371d17ef34cd28c1fdedbf8bd59b0e1ed737906684fcda887"),
+    ("psp", 10, {2: {"2a": -1, "2b": 2}, 5: {"5a": 1}},
+     "2bb8cf86c3f3e56d6c41fb72e5df4380eec5c0bf63ab97f31a105bd0e44414e8"),
+    ("pgl2_3f_rows", 6, {2: {"2a": 2, "2b": -1}, 3: {"3a": 1}},
+     "56942055267658f9f08cc026073b6e2a57d845b18be0ee1f504e813ad9747c39"),
+]
+COLLAPSE_DIGEST = "86b55be527ee961734cb6e57cd1f0246a1eb42dd4c8067f8a19f16b6b0a3a1e9"
+
+
+def _rows_digest(rows):
+    blob = json.dumps(
+        [[list(r.coeffs), r.const, r.kind, r.modulus, r.provenance] for r in rows]
+    )
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def test_flat_rows_are_joint_top_level_with_powers_fixed(request, psl2_32):
+    for name, n, powers, digest in FLAT_CASES:
+        table = request.getfixturevalue(name)
+        chars = list(table.characters)
+        flat = build_system(table, chars, n, powers, dedupe=False)
+        joint = build_chain_system(table, chars, n, dedupe=False)
+        col = {v: i for i, v in enumerate(joint.variables)}
+        top = [col[f"{n}:{v}"] for v in flat.variables]
+        substituted = []
+        for r in joint.rows:
+            if r.provenance.split("%")[0].rsplit("@", 1)[1] != str(n):
+                continue
+            const = r.const + sum(
+                r.coeffs[col[f"{m}:{c}"]] * eps
+                for m, entry in powers.items()
+                for c, eps in entry.items()
+            )
+            substituted.append(Row(
+                tuple(r.coeffs[i] for i in top), const, r.kind, r.modulus,
+                r.provenance.replace(f"@{n}", ""),
+            ))
+        assert flat.rows == substituted, name
+        assert _rows_digest(flat.rows) == digest, name
+    collapsed = build_system(
+        psl2_32, ["st"], 62, {2: {"2a": 1}, 31: {"~31": 1}},
+        collapse_order=31, dedupe=False,
+    )
+    assert _rows_digest(collapsed.rows) == COLLAPSE_DIGEST
+
+
 def test_build_chain_system_rejects_tiny_order(psl2_16):
     with pytest.raises(EngineError, match="at least 2"):
         build_chain_system(psl2_16, list(psl2_16.characters), 1)
@@ -283,10 +348,13 @@ def test_collapse_requires_constancy(psl2_32):
 
 # --- verification ---------------------------------------------------------------
 
-def test_solutions_round_trip_through_verify(psl2_32):
-    sol = solve_order(psl2_32, list(psl2_32.characters), 6)
+@pytest.mark.parametrize("name", ["psl2_32", "psl2_3f_eta", "pgl2_3f_rows"])
+def test_solutions_round_trip_through_verify(request, name):
+    table = request.getfixturevalue(name)
+    sol = solve_order(table, list(table.characters), 6)
+    assert sol.chains
     for chain in sol.chains:
-        report = verify_chain(psl2_32, list(psl2_32.characters), chain)
+        report = verify_chain(table, list(table.characters), chain)
         assert report.ok and not report.failures
         assert report.rows_checked > 0
 

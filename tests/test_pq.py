@@ -153,12 +153,6 @@ def test_monotonicity_adding_characters_never_grows_solutions():
         assert tup(sol_full) <= tup(sol_half), (family, q)
 
 
-def test_jobs_parameter_accepted(psl2_16):
-    a = report_to_dict(pq_check(psl2_16, jobs=1))
-    b = report_to_dict(pq_check(psl2_16, jobs=4))
-    assert a == b
-
-
 # --- rendering --------------------------------------------------------------------
 
 def test_report_serialization(psl2_16):
