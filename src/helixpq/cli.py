@@ -229,10 +229,7 @@ def _cmd_pq(args) -> int:
     bad = [r for r in report.pairs if r.outcome == "error"]
     if bad:
         return 1
-    undecidable = [
-        r for r in report.pairs
-        if r.outcome == "infinite" or (r.detail or "").startswith("enumeration capped")
-    ]
+    undecidable = [r for r in report.pairs if r.status in ("infinite", "capped")]
     return 2 if undecidable else 0
 
 

@@ -12,6 +12,12 @@ canonical form that makes equality a dictionary comparison:
 The power basis is an integral basis for Q(zeta_N), so a value is an
 algebraic integer exactly when all stored coefficients are integers.
 
+The conductor is lowered one prime p at a time.  When p^2 | N, Q(zeta_{N/p})
+is spanned by the basis powers divisible by p.  When p || N, the relative
+trace from Q(zeta_N) down to Q(zeta_{N/p}), divided by p - 1, projects onto
+the subfield in closed form; the value lies there iff the projection leaves
+it unchanged.
+
 Only the representation is clever; the public API is plain: build values out
 of roots of unity and rationals, combine with +, -, *, apply Galois
 automorphisms, and take traces down to Q.  Traces accept an optional ambient
@@ -143,60 +149,50 @@ def root_trace_table(n: int) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# subfield descent: rewriting a value at conductor n over Q(zeta_{n/p})
+# subfield descent: projecting a value at conductor n onto Q(zeta_{n/p})
 
 
-def _matrix_inverse(m: list[list[Rat]]) -> list[list[Rat]]:
-    k = len(m)
-    aug = [list(row) + [Rat(i == j) for j in range(k)] for i, row in enumerate(m)]
-    for col in range(k):
-        piv = next(r for r in range(col, k) if aug[r][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = Rat(1) / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(k):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [row[k:] for row in aug]
+def _reduce(n: int, raw: Mapping[int, Rat]) -> dict[int, Rat]:
+    """sum c * zeta_n^e on the power basis of Q(zeta_n); zeros dropped."""
+    d = euler_phi(n)
+    rows = _reduction_rows(n)
+    acc: dict[int, Rat] = {}
+    for e, c in raw.items():
+        if not c:
+            continue
+        e %= n
+        if e < d:
+            acc[e] = acc.get(e, Rat(0)) + c
+        else:
+            for j, rc in enumerate(rows[e]):
+                if rc:
+                    acc[j] = acc.get(j, Rat(0)) + c * rc
+    return {j: acc[j] for j in sorted(acc) if acc[j]}
 
 
-@lru_cache(maxsize=None)
-def _subfield_solver(n: int, p: int):
-    """Solver for membership of Q(zeta_n)-values in Q(zeta_{n/p}), p || n.
-
-    Returns solve(vec) -> coefficient dict over zeta_{n/p}, or None when the
-    value does not lie in the subfield.  zeta_{n/p} = zeta_n^p, so we solve
-    the linear system whose columns are the reduced powers zeta_n^{p*j}.
-    """
+def _descend(n: int, p: int, vec: Mapping[int, Rat]) -> dict[int, Rat] | None:
+    """The reduced value `vec` at conductor n as a dict over zeta_m, m = n/p,
+    or None when it does not lie in Q(zeta_m)."""
     m = n // p
-    dm, dn = euler_phi(m), euler_phi(n)
-    rows_n = _reduction_rows(n)
-    cols = [rows_n[(p * j) % n] for j in range(dm)]  # dm columns, each len dn
-
-    # pick dm coordinate rows on which the columns are invertible
-    work = [list(c) for c in cols]
-    pivots: list[int] = []
-    for r in range(dm):
-        piv = next(i for i in range(dn) if i not in pivots and work[r][i] != 0)
-        pivots.append(piv)
-        for r2 in range(r + 1, dm):
-            if work[r2][piv]:
-                f = Rat(work[r2][piv], work[r][piv])
-                work[r2] = [a - f * b for a, b in zip(work[r2], work[r])]
-    square = [[Rat(cols[j][i]) for j in range(dm)] for i in pivots]
-    inv = _matrix_inverse(square)
-
-    def solve(vec: list[Rat]):
-        rhs = [vec[i] for i in pivots]
-        x = [sum(inv[i][j] * rhs[j] for j in range(dm)) for i in range(dm)]
-        # verify on all dn coordinates (pivot rows only prove consistency there)
-        for i in range(dn):
-            if sum(x[j] * cols[j][i] for j in range(dm)) != vec[i]:
-                return None
-        return {j: x[j] for j in range(dm) if x[j]}
-
-    return solve
+    if m % p == 0:
+        # Phi_n(x) = Phi_m(x^p): the subfield basis is the exponents
+        # divisible by p, so membership is a support condition.
+        if all(j % p == 0 for j in vec):
+            return {j // p: c for j, c in vec.items()}
+        return None
+    # p does not divide m: zeta_n^e = zeta_m^{e*x} * zeta_p^{e*y} with
+    # x = p^-1 mod m.  Gal(Q(zeta_n)/Q(zeta_m)) ~ (Z/p)^* moves only the
+    # zeta_p part, so the relative trace over p - 1 keeps zeta_m^{e*x} when
+    # p | e and turns it into -zeta_m^{e*x}/(p-1) otherwise.  This projection
+    # fixes Q(zeta_m), so the value lies there iff it is its own projection.
+    x = pow(p, -1, m)
+    out: dict[int, Rat] = {}
+    for e, c in vec.items():
+        j = e * x % m
+        out[j] = out.get(j, Rat(0)) + (c if e % p == 0 else -c / (p - 1))
+    if _reduce(n, {p * j: c for j, c in out.items()}) != vec:  # zeta_m = zeta_n^p
+        return None
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -206,56 +202,26 @@ def _subfield_solver(n: int, p: int):
 def _canonical_parts(n: int, raw: Mapping[int, Rat]) -> tuple[int, dict[int, Rat]]:
     if n <= 0:
         raise ValueError(f"conductor must be positive, got {n}")
-    folded: dict[int, Rat] = {}
-    for e, c in raw.items():
-        if not c:
-            continue
-        e %= n
-        folded[e] = folded.get(e, Rat(0)) + c
-
     while n % 4 == 2:  # zeta_{2m} = -zeta_m^{(m+1)/2}, m odd
         m = n // 2
         nxt: dict[int, Rat] = {}
-        for e, c in folded.items():
+        for e, c in raw.items():
             e2 = (e * (m + 1) // 2) % m if e % 2 else (e // 2) % m
             c2 = -c if e % 2 else c
             nxt[e2] = nxt.get(e2, Rat(0)) + c2
-        n, folded = m, nxt
+        n, raw = m, nxt
 
-    d = euler_phi(n)
-    vec = [Rat(0)] * d
-    rows = _reduction_rows(n)
-    for e, c in folded.items():
-        if not c:
-            continue
-        if e < d:
-            vec[e] += c
-        else:
-            for j, rc in enumerate(rows[e]):
-                if rc:
-                    vec[j] += c * rc
-
-    support = [j for j, c in enumerate(vec) if c]
-    if not support:
+    vec = _reduce(n, raw)
+    if not vec:
         return 1, {}
-    if support == [0]:
+    if list(vec) == [0]:  # rational, n == 1 included
         return 1, {0: vec[0]}
-    if n == 1:
-        return 1, {0: vec[0]}
-
     # descend to a proper subfield where possible, one prime at a time
     for p in prime_divisors(n):
-        m = n // p
-        if m % p == 0:
-            # Phi_n(x) = Phi_m(x^p): the subfield basis is the exponents
-            # divisible by p, so membership is a support condition.
-            if all(j % p == 0 for j in support):
-                return _canonical_parts(m, {j // p: vec[j] for j in support})
-        else:
-            sol = _subfield_solver(n, p)(vec)
-            if sol is not None:
-                return _canonical_parts(m, sol)
-    return n, {j: vec[j] for j in support}
+        sub = _descend(n, p, vec)
+        if sub is not None:
+            return _canonical_parts(n // p, sub)
+    return n, vec
 
 
 # ---------------------------------------------------------------------------

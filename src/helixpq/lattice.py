@@ -592,7 +592,7 @@ def _bounds_raw(dim, ineqs, eqs):
         low = _lp_max(dim, ineqs, eqs, obj)
         if low[0] == "unbounded":
             lo.append(None)
-            ray = ray or tuple(-x for x in low[1])
+            ray = ray or low[1]
         else:
             lo.append(-low[1])
     return lo, hi, ray

@@ -106,6 +106,7 @@ class PairReport:
     character_names: tuple[str, ...] = ()
     congruence_modes: tuple[str, ...] = ()
     detail: Optional[str] = None
+    status: Optional[str] = None  # the solve's SolutionSet.status; None on error
 
 
 @dataclass
@@ -263,7 +264,7 @@ def _check_pair(table, base_chars, p, q, plan, *, cap, congruences) -> PairRepor
     else:
         outcome, detail = "ruled_out", sol.detail
     return PairReport(
-        p=p, q=q, outcome=outcome,
+        p=p, q=q, outcome=outcome, status=sol.status,
         count=len(sol.chains),
         nontrivial=sum(1 for c in sol.chains if classify_chain(c) == "nontrivial"),
         sample=sol.chains[:3],

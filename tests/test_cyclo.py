@@ -164,6 +164,17 @@ def cyc_values(draw):
 
 
 @settings(max_examples=150, deadline=None)
+@given(cyc_values(), st.sampled_from([2, 3, 4, 5, 6, 9, 10, 12]))
+def test_value_written_at_a_multiple_of_its_conductor_descends(a, k):
+    # zeta_N^e = zeta_{kN}^{ke}: the same value handed in at conductor kN,
+    # so canonicalisation has to descend through every prime of k
+    n = a.conductor
+    lifted = CycValue(k * n, {k * e: c for e, c in a.terms.items()})
+    assert lifted == a
+    assert (lifted.conductor, lifted.terms) == (a.conductor, a.terms)
+
+
+@settings(max_examples=150, deadline=None)
 @given(cyc_values(), cyc_values())
 def test_trace_is_additive(a, b):
     import math

@@ -101,8 +101,47 @@ def test_unbounded_ray_reported():
     assert res.status == "infinite"
     x, y = res.ray
     assert x == y and x != 0
-    # the ray really stays inside the polyhedron from a witness point
-    assert x > 0 or (-x, -y) == (abs(x), abs(y))
+    # x is unbounded above only, so the ray must point up
+    assert x > 0
+
+
+def _satisfies(poly, x):
+    return (
+        all(sum(a * v for a, v in zip(row, x)) + c >= 0 for row, c in poly.ineqs)
+        and all(sum(a * v for a, v in zip(row, x)) + c == 0 for row, c in poly.eqs)
+        and all((sum(a * v for a, v in zip(row, x)) + c) % m == 0
+                for row, c, m in poly.congruences)
+    )
+
+
+@pytest.mark.parametrize(
+    "poly",
+    [
+        # x <= 5: unbounded below only
+        Polyhedron(dim=1, ineqs=[((-1,), 5)]),
+        # x <= 5, x - 2 <= y <= x: both coordinates unbounded below
+        Polyhedron(dim=2, ineqs=[((-1, 0), 5), ((1, -1), 0), ((-1, 1), 2)]),
+        # x >= -3, y <= x, y >= x - 1: unbounded above
+        Polyhedron(dim=2, ineqs=[((1, 0), 3), ((1, -1), 0), ((-1, 1), 1)]),
+        # as the second, with x + y = 1 (mod 4)
+        Polyhedron(
+            dim=2,
+            ineqs=[((-1, 0), 5), ((1, -1), 0), ((-1, 1), 2)],
+            congruences=[((1, 1), -1, 4)],
+        ),
+    ],
+    ids=["below_1d", "below_2d", "above_2d", "below_congruence"],
+)
+def test_ray_certificate_stays_inside_from_a_witness(poly):
+    res = enumerate_integer_points(poly)
+    assert res.status == "infinite"
+    # every witness in the box, so those on the boundary are among them
+    witnesses = oracle_enumerate(poly, [(-6, 6)] * poly.dim)
+    assert witnesses
+    for witness in witnesses:
+        for t in (1, 2, 3):
+            moved = tuple(w + t * r for w, r in zip(witness, res.ray))
+            assert _satisfies(poly, moved), (witness, res.ray, t)
 
 
 def test_identical_columns_collapse_to_lineality():

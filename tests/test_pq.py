@@ -135,6 +135,15 @@ def test_cap_marks_pair_undecided(psl2_16):
     assert r.detail.startswith("enumeration capped")
 
 
+def test_pair_carries_the_solve_status_without_rendering_it(psl2_16):
+    capped = pq_check(psl2_16, pairs=[(2, 3)], cap=1)
+    decided = pq_check(psl2_16, pairs=[(2, 3)])
+    assert capped.pair(2, 3).status == "capped"
+    assert decided.pair(2, 3).status == "finite"
+    # the field only feeds the CLI's exit code; pq output stays as it was
+    assert "status" not in report_to_dict(capped)["pairs"][0]
+
+
 def test_monotonicity_adding_characters_never_grows_solutions():
     # solving with more characters can only remove chains
     from helixpq.engine import solve_order

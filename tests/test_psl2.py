@@ -1,5 +1,8 @@
 """Generated PSL(2,q)/PGL(2,q) tables: structure, known values, power maps."""
 
+import hashlib
+import json
+
 import pytest
 
 from helixpq.chartab import render_table, validate
@@ -155,3 +158,39 @@ def test_brauer3_rejected_for_odd_psl():
 
 def test_generation_is_deterministic():
     assert render_table(gen_table("pgl2", 9)) == render_table(gen_table("pgl2", 9))
+
+
+# sha256 of `json.dumps(render_table(gen_table(family, q)), indent=1)`, the
+# text `helixpq gen` writes, for the 24 acceptance tables, recorded at 3680958
+TABLE_DIGESTS = {
+    ("psl2", 4): "da5cf0de2bdccfa8492466f62332e4f4af60679191234bb9d74529c16d11393d",
+    ("psl2", 5): "1940569fc9d6254a25a670caa7e677cbdea56455b554d6c31c1816725d25d214",
+    ("psl2", 7): "b7d26f3af7c6e4d1d60f9b4c118bceaf4da9df3c63bba0d13c56033aa4afaed9",
+    ("psl2", 8): "2a6fffe5c63e3f6777ae0c57de7ec2794bf6133d8f9a5236e494dca0781a8e8c",
+    ("psl2", 9): "c4291d3e2ec141e327a1d969c8cab853d10f2c6f9108a6bade90af019a905283",
+    ("psl2", 11): "88c4d33c74838de5015059a1a981f3620c9f68fe4abc5c8259ee359c6fe68a49",
+    ("psl2", 13): "efef4b8ae8b4476d3c986f47f97458d4aa21791481674ff1a4198570fbac26c9",
+    ("psl2", 16): "01c8849eb2897e7923ec7b8bc22a3361a37029a1615c02d67d9170ec51c796bb",
+    ("psl2", 25): "f5d77fd4799d9654df18329d7a5b7915e6b23f58ea7c4ad024bdfeaab28a5fa7",
+    ("psl2", 27): "75088b0ca2d6c847c54a8923c4a72c2d90ea237ace9a7e1b26ce2e8373241cb7",
+    ("psl2", 32): "04ad2b00e5d517eebf0be82d21c4faecc738f96a51254163e7d5f8e8b97e34f6",
+    ("psl2", 49): "a042f29428b6b3ee4f6ab5072aa2641f0d68b17659eb3faae6d352f58825d7aa",
+    ("pgl2", 4): "bc315b5481c2dd55f51b2948ef14279a7355548227a144a6a0f35476d3bfdad4",
+    ("pgl2", 5): "4cfe7e03835bd6bea4c86ff580fe80a2e10a4284a9c012a367eeb9da9db76b23",
+    ("pgl2", 7): "fb03419442c74e78b48e99cca0fede6a5e71e3a5ffe6ea1e7aa1d96a46f5e2ad",
+    ("pgl2", 8): "33445c19ef1ac08cbb144ac32d4b368d138aaaeafc3e7c590cd2017d2463b983",
+    ("pgl2", 9): "cefd62177815757da270e8078d4d9b20aa9fdeca1472c5d98d878a3b2e3e7bf1",
+    ("pgl2", 11): "9b4ad3cbdb2d9470923994d93f9eb9f98a04f0e8d5a55edf0a05545f51ee6d2c",
+    ("pgl2", 13): "cf6cffca7579e6cea29faff0060d2b918b991e1fd1ab0f2880294ab2e25a8c08",
+    ("pgl2", 16): "a4fb9b7bcc97e1652382c6e6224838d3830106fc871d9fe2b9e07daad92434bf",
+    ("pgl2", 25): "6ff8001d98db22c14903a33f5049986edd13b3e47232e53a97b13619ea482076",
+    ("pgl2", 27): "b0a2166a5eb61b7b5e9368be66f392e83999c74e19798d04d81339789eb550d3",
+    ("pgl2", 32): "a3516a75888e765fca0b00e6d0060f6a6d94dddb923aa8f0ff8b759f4eb2582e",
+    ("pgl2", 49): "356403da6fe38aee0d1331350dbcb052251f346d9f50b191ff974891d40276fa",
+}
+
+
+@pytest.mark.parametrize("family,q", sorted(TABLE_DIGESTS))
+def test_rendered_tables_are_pinned(family, q):
+    text = json.dumps(render_table(gen_table(family, q)), indent=1)
+    assert hashlib.sha256(text.encode()).hexdigest() == TABLE_DIGESTS[family, q]
