@@ -636,8 +636,15 @@ def _solve_combos(
             chains.append(PAChain(unit_order=n, entries=entries))
         if res.status == "capped" or len(chains) > cap:
             status = "capped"
+            # a finite result has no limit: the chains of all combos passed the cap
+            stop = {
+                "cap": f"beyond {cap} chains",
+                "node_budget": "at the search-node budget",
+                "probe": "without an integer point in the probe windows of "
+                         "an unbounded relaxation",
+            }[res.limit or "cap"]
             detail = ("enumeration" if joint_reason is None else
-                      f"{joint_reason}; joint enumeration") + f" stopped beyond {cap} chains"
+                      f"{joint_reason}; joint enumeration") + f" stopped {stop}"
             break
     else:
         if joint_reason is not None:

@@ -9,7 +9,10 @@ A `Polyhedron` is given by integer rows:
 `variable_bounds` computes, for each coordinate, exact rational extrema of
 the linear relaxation (ignoring congruences) with a two-phase primal simplex
 over `Fraction` using Bland's rule, so it terminates and certifies
-unboundedness with an explicit recession direction.
+unboundedness with an explicit recession direction.  It builds one tableau
+and runs one phase 1 per polyhedron; the 2*dim objectives (max and min of
+each coordinate) are then warm-started, each from the basis the previous
+one left.
 
 `enumerate_integer_points` returns all integer solutions, or reports an
 infinite family (with an integer ray along which solutions repeat: the ray is
@@ -88,10 +91,12 @@ class EnumerationResult:
     status: str  # "finite" | "infinite" | "capped"
     points: list[tuple[int, ...]]
     ray: Optional[tuple[int, ...]] = None
+    # what stopped a capped search: "cap" | "node_budget" | "probe"
+    limit: Optional[str] = None
 
 
 # ---------------------------------------------------------------------------
-# exact two-phase simplex (max c.x, A x <= b, x >= 0; Bland's rule)
+# exact simplex (max c.x, A x <= b, x >= 0; Bland's rule) on one tableau
 
 
 def _pivot(rows, obj, basis, r, e):
@@ -127,105 +132,74 @@ def _run_simplex(rows, obj, basis, ncols):
         _pivot(rows, obj, basis, r, e)
 
 
-def _lp_max(dim, ineqs, eqs, objective):
-    """Maximize objective.x over {a.x + c >= 0} + equalities, x free.
+def _price(rows, basis, cost):
+    """Objective row for maximising cost.x at the current basis: the reduced
+    costs z_j - c_j, then the objective value in the last slot."""
+    obj = [Rat(-c) for c in cost] + [Rat(0)]
+    for row, b in zip(rows, basis):
+        f = cost[b]
+        if f:
+            for j, v in enumerate(row):
+                obj[j] += f * v
+    return obj
 
-    Returns ("optimal", value), ("unbounded", ray) with an integer recession
-    direction of value-increase, or ("infeasible",).
+
+def _feasible_tableau(dim, ineqs, eqs):
+    """Standard form of {a.x + c >= 0, a.x + c == 0}, x free, at a feasible
+    basis: (rows, basis, width), or None when the system is infeasible.
+
+    The columns are x = u - v (u, then v) and one slack per row.  Rows with
+    a negative right-hand side get an artificial; phase 1 runs once, then the
+    artificials are pivoted out of the basis and their columns dropped.
     """
-    # x = u - v with u, v >= 0;  a.x + c >= 0  =>  (-a, a).(u,v) <= c
-    n = 2 * dim
-    A: list[list[int]] = []
-    b: list[int] = []
-    for a, c in ineqs:
-        A.append([-x for x in a] + [x for x in a])
-        b.append(c)
+    # a.x + c >= 0  =>  (-a, a).(u,v) <= c
+    std = [([-x for x in a] + list(a), c) for a, c in ineqs]
     for a, c in eqs:
-        A.append([-x for x in a] + [x for x in a])
-        b.append(c)
-        A.append([x for x in a] + [-x for x in a])
-        b.append(-c)
-    m = len(A)
-    obj_struct = list(objective) + [-x for x in objective]
-
-    width = n + m  # structural + slack; artificials appended as needed
+        std += [([-x for x in a] + list(a), c), (list(a) + [-x for x in a], -c)]
+    n, m = 2 * dim, len(std)
+    width = n + m
+    arts = [i for i, (_, c) in enumerate(std) if c < 0]
+    total = width + len(arts)
     rows: list[list[Rat]] = []
-    basis: list[int] = []
-    art_cols: list[int] = []
-    for i in range(m):
-        row = [Rat(x) for x in A[i]]
-        slack = [Rat(0)] * m
-        slack[i] = Rat(1)
-        rhs = Rat(b[i])
-        if rhs < 0:
-            row = [-x for x in row]
-            slack = [-x for x in slack]
-            rhs = -rhs
-            rows.append(row + slack + [rhs])
-            art_cols.append(len(rows) - 1)  # row index; column assigned below
-            basis.append(-1)  # placeholder
-        else:
-            rows.append(row + slack + [rhs])
-            basis.append(n + i)
-    # append artificial columns
-    n_art = len(art_cols)
-    total = width + n_art
-    for k, ri in enumerate(art_cols):
-        for i, row in enumerate(rows):
-            row.insert(width + k, Rat(1) if i == ri else Rat(0))
-        basis[ri] = width + k
-    for row in rows:
-        assert len(row) == total + 1
+    basis = list(range(n, width))
+    for i, (a, c) in enumerate(std):
+        sgn = -1 if c < 0 else 1
+        rows.append([Rat(sgn * x) for x in a] + [Rat(0)] * (total - n) + [Rat(sgn * c)])
+        rows[i][n + i] = Rat(sgn)
+    for k, i in enumerate(arts):
+        rows[i][width + k] = Rat(1)
+        basis[i] = width + k
+    if not arts:
+        return rows, basis, width
 
-    if n_art:
-        # phase 1: max -(sum of artificials); obj[j] = z_j - c_j
-        cvec = [Rat(0)] * total
-        for k in range(n_art):
-            cvec[width + k] = Rat(-1)
-        obj = [Rat(0)] * (total + 1)
-        for j in range(total + 1):
-            s = sum(rows[i][j] for i in range(m) if basis[i] >= width)
-            obj[j] = -s - (cvec[j] if j < total else 0)
-        res = _run_simplex(rows, obj, basis, total)
-        assert res[0] == "optimal"  # phase 1 is always bounded
-        if obj[-1] != 0:  # leftover infeasibility (value = -sum art < 0)
-            return ("infeasible",)
-        # drive artificials out of the basis where possible
-        for i in range(m):
-            if basis[i] >= width:
-                e = next((j for j in range(width) if rows[i][j] != 0), None)
-                if e is not None:
-                    _pivot(rows, obj, basis, i, e)
-        # drop rows still carrying a basic artificial (they are 0 = 0)
-        keep = [i for i in range(m) if basis[i] < width]
-        rows = [rows[i] for i in keep]
-        basis = [basis[i] for i in keep]
-        m = len(rows)
-    # strip artificial columns
-    for row in rows:
-        del row[width : width + n_art]
-    total = width
-
-    cvec = [Rat(x) for x in obj_struct] + [Rat(0)] * (total - n)
-    obj = [Rat(0)] * (total + 1)
-    for j in range(total + 1):
-        s = sum(cvec[basis[i]] * rows[i][j] for i in range(m))
-        obj[j] = s - (cvec[j] if j < total else 0)
+    # phase 1: max -(sum of artificials)
+    obj = _price(rows, basis, [0] * width + [-1] * len(arts))
     res = _run_simplex(rows, obj, basis, total)
-    if res[0] == "unbounded":
-        e = res[1]
-        direction = [Rat(0)] * total
-        direction[e] = Rat(1)
-        for i in range(m):
-            if rows[i][e]:
-                direction[basis[i]] = -rows[i][e]
-        ray = [direction[j] - direction[dim + j] for j in range(dim)]
-        den = math.lcm(*(f.denominator for f in ray)) if ray else 1
-        iray = [int(f * den) for f in ray]
-        g = math.gcd(*(abs(x) for x in iray)) or 1
-        return ("unbounded", tuple(x // g for x in iray))
-    # objective value: obj[-1] holds z = c_B B^-1 b
-    return ("optimal", obj[-1])
+    assert res[0] == "optimal"  # phase 1 is always bounded
+    if obj[-1] != 0:  # leftover infeasibility (value = -sum art < 0)
+        return None
+    # drive the artificials, all at zero, out of the basis.  Every row has
+    # its own slack, so [A | I] has full row rank and each row keeps a
+    # nonzero entry among the first `width` columns to pivot on.
+    for i in range(m):
+        if basis[i] >= width:
+            e = next(j for j in range(width) if rows[i][j])
+            _pivot(rows, obj, basis, i, e)
+    return [row[:width] + row[-1:] for row in rows], basis, width
+
+
+def _ray(rows, basis, e, dim):
+    """Primitive integer x-direction of the edge along which entering column
+    e increases without bound."""
+    direction = {e: Rat(1)}
+    for row, b in zip(rows, basis):
+        if row[e]:
+            direction[b] = -row[e]
+    ray = [direction.get(j, Rat(0)) - direction.get(dim + j, Rat(0)) for j in range(dim)]
+    den = math.lcm(*(f.denominator for f in ray))
+    iray = [int(f * den) for f in ray]
+    g = math.gcd(*(abs(x) for x in iray)) or 1
+    return tuple(x // g for x in iray)
 
 
 # ---------------------------------------------------------------------------
@@ -308,10 +282,6 @@ def _ceil_div(p: int, q: int) -> int:
     return -((-p) // q)
 
 
-def _floor_div(p: int, q: int) -> int:
-    return p // q
-
-
 class _Budget:
     __slots__ = ("nodes",)
 
@@ -359,13 +329,13 @@ def _dfs_enumerate(dim, ineqs, eqs, congs, lo, hi, cap, budget: _Budget):
                             lo[j] = nl
                             changed = True
                         if is_eq:  # and aj*xj <= -rest_min
-                            nh = _floor_div(-rest_min, aj)
+                            nh = (-rest_min) // aj
                             if nh < hi[j]:
                                 hi[j] = nh
                                 changed = True
                     else:
                         # aj < 0: aj*xj >= -rest_max  <=>  xj <= rest_max/(-aj)
-                        nh = _floor_div(rest_max, -aj)
+                        nh = rest_max // -aj
                         if nh < hi[j]:
                             hi[j] = nh
                             changed = True
@@ -501,8 +471,11 @@ def enumerate_integer_points(poly: Polyhedron, cap: int | None = None) -> Enumer
     * infinite: `ray` is a nonzero integer vector with the property that
       translating any solution by it stays inside all constraints; `points`
       is empty.
-    * capped: the search stopped at the cap/node budget; `points` holds what
-      was found (not necessarily complete).
+    * capped: the search stopped early; `points` holds what was found (not
+      necessarily complete) and `limit` names what stopped it: "cap" (more
+      than `cap` points), "node_budget" (the DFS node budget ran out) or
+      "probe" (the relaxation is unbounded and the probe windows held no
+      integer point, so neither an infinite family nor emptiness is shown).
     """
     cap = DEFAULT_CAP if cap is None else int(cap)
     ok, ineqs, eqs, congs = _tidy(poly, integer=True)
@@ -538,12 +511,13 @@ def enumerate_integer_points(poly: Polyhedron, cap: int | None = None) -> Enumer
             if budget.nodes > _NODE_BUDGET:
                 break
         if found is None:
-            return EnumerationResult("capped", [])
+            limit = "node_budget" if budget.nodes > _NODE_BUDGET else "probe"
+            return EnumerationResult("capped", [], limit=limit)
         lifted_ray = _lift_ray(poly.dim, groups, ray)
         return EnumerationResult("infinite", [], ray=lifted_ray)
 
     ilo = [_ceil_div(b.numerator, b.denominator) for b in lo]
-    ihi = [_floor_div(b.numerator, b.denominator) for b in hi]
+    ihi = [b.numerator // b.denominator for b in hi]
     if any(a > b for a, b in zip(ilo, ihi)):
         return EnumerationResult("finite", [])
 
@@ -556,11 +530,14 @@ def enumerate_integer_points(poly: Polyhedron, cap: int | None = None) -> Enumer
             ray = [0] * poly.dim
             ray[big[0]], ray[big[1]] = 1, -1
             return EnumerationResult("infinite", [], ray=tuple(ray))
-        return EnumerationResult("finite" if exhausted else "capped", [])
+        if not exhausted:
+            return EnumerationResult("capped", [], limit="node_budget")
+        return EnumerationResult("finite", [])
 
     pts, exhausted = _dfs_enumerate(k, pineqs, peqs, pcongs, ilo, ihi, cap, budget)
     if not exhausted:
-        return EnumerationResult("capped", sorted(pts)[:cap])
+        limit = "cap" if len(pts) > cap else "node_budget"
+        return EnumerationResult("capped", sorted(pts)[:cap], limit=limit)
     return EnumerationResult("finite", sorted(pts))
 
 
@@ -573,28 +550,29 @@ def _lift_ray(dim, groups, pray):
 
 def _bounds_raw(dim, ineqs, eqs):
     """Bounds for the already-tidied system; returns 'infeasible' or
-    (lo list, hi list, ray-or-None): lo/hi entries None when unbounded."""
+    (lo list, hi list, ray-or-None): lo/hi entries None when unbounded.
+
+    All 2*dim objectives run on one feasible tableau, each starting from the
+    basis the previous one left, which stays feasible.
+    """
+    tab = _feasible_tableau(dim, ineqs, eqs)
+    if tab is None:
+        return "infeasible"
+    rows, basis, width = tab
     lo: list[Optional[Rat]] = []
     hi: list[Optional[Rat]] = []
     ray = None
     for i in range(dim):
-        obj = [0] * dim
-        obj[i] = 1
-        up = _lp_max(dim, ineqs, eqs, obj)
-        if up[0] == "infeasible":
-            return "infeasible"
-        if up[0] == "unbounded":
-            hi.append(None)
-            ray = ray or up[1]
-        else:
-            hi.append(up[1])
-        obj[i] = -1
-        low = _lp_max(dim, ineqs, eqs, obj)
-        if low[0] == "unbounded":
-            lo.append(None)
-            ray = ray or low[1]
-        else:
-            lo.append(-low[1])
+        for sgn, out in ((1, hi), (-1, lo)):
+            cost = [0] * width
+            cost[i], cost[dim + i] = sgn, -sgn
+            obj = _price(rows, basis, cost)
+            res = _run_simplex(rows, obj, basis, width)
+            if res[0] == "optimal":
+                out.append(sgn * obj[-1])
+            else:
+                out.append(None)
+                ray = ray or _ray(rows, basis, res[1], dim)
     return lo, hi, ray
 
 

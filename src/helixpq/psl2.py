@@ -38,11 +38,12 @@ where PSL = PGL).
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .chartab import Character, CharacterTable, ConjClass
-from .cyclo import CycValue, cyc_rational, root_of_unity, _factor, prime_divisors
+from .cyclo import CycValue, cyc_rational, _factor, prime_divisors
 
 __all__ = ["gen_table", "gen_brauer3", "Psl2Params"]
 
@@ -201,7 +202,8 @@ def _power_maps(ps: Psl2Params, specs: list[_Spec], names) -> dict[_Spec, dict[i
 
 
 def _torus_pair(order: int, expo: int) -> CycValue:
-    return root_of_unity(order, expo) + root_of_unity(order, -expo)
+    # zeta^e + zeta^-e; Counter gives coefficient 2 when 2e = 0 (mod order)
+    return CycValue(order, Counter((expo % order, -expo % order)))
 
 
 def _gauss_sum(p: int) -> CycValue:
@@ -361,10 +363,10 @@ def _brauer3(ps: Psl2Params, specs, names) -> Character:
     for s in specs:
         if s.kind == "id":
             vals[names[s]] = cyc_rational(3)
-        elif s.kind == "split":
-            vals[names[s]] = cyc_rational(1) + _torus_pair(A, s.param)
-        elif s.kind == "nonsplit":
-            vals[names[s]] = cyc_rational(1) + _torus_pair(B, s.param)
+        elif s.kind in ("split", "nonsplit"):
+            # 1 + zeta^l + zeta^-l
+            n = A if s.kind == "split" else B
+            vals[names[s]] = CycValue(n, Counter((0, s.param % n, -s.param % n)))
         # unipotent classes are p-singular: no Brauer value
     return Character(name="brauer3", degree=3, values=vals, characteristic=ps.p)
 

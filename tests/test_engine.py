@@ -202,6 +202,15 @@ def test_cap_interrupts_solve(psl2_32):
     assert sol.detail and "stopped" in sol.detail
 
 
+def test_node_budget_stop_is_named_in_the_detail(psl2_32, monkeypatch):
+    import helixpq.lattice as lat
+
+    monkeypatch.setattr(lat, "_NODE_BUDGET", 3)
+    sol = solve_order(psl2_32, list(psl2_32.characters), 6)
+    assert sol.status == "capped"
+    assert sol.detail == "enumeration stopped at the search-node budget"
+
+
 def test_store_memoizes_sub_orders(psl2_32):
     store = {}
     solve_order(psl2_32, list(psl2_32.characters), 6, store=store)

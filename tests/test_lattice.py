@@ -1,5 +1,6 @@
 """Exact integer-point enumeration over rational polyhedra."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -160,7 +161,7 @@ def test_identical_columns_collapse_to_lineality():
 def test_cap_interrupts_enumeration():
     poly = Polyhedron(dim=1, ineqs=[((1,), 0), ((-1,), 10**7)])
     res = enumerate_integer_points(poly, cap=5)
-    assert res.status == "capped"
+    assert res.status == "capped" and res.limit == "cap"
     assert len(res.points) == 5  # the first cap-many points come back
 
     # exactly cap-many points is still a complete, finite answer
@@ -168,6 +169,18 @@ def test_cap_interrupts_enumeration():
         Polyhedron(dim=1, ineqs=[((1,), 0), ((-1,), 4)]), cap=5
     )
     assert full.status == "finite" and len(full.points) == 5
+
+
+def test_failed_probe_is_named_as_the_limit():
+    # x >= 0 and x both even and odd: the relaxation is unbounded, no
+    # integer point exists, and the probe windows cannot show either
+    poly = Polyhedron(dim=1, ineqs=[((1,), 0)],
+                      congruences=[((1,), 0, 2), ((1,), 1, 2)])
+    res = enumerate_integer_points(poly)
+    assert res.status == "capped" and res.limit == "probe"
+    assert res.points == []
+    assert enumerate_integer_points(
+        Polyhedron(dim=1, ineqs=[((1,), 0), ((-1,), 3)])).limit is None
 
 
 def test_default_cap_is_large():
@@ -202,3 +215,66 @@ def test_enumerator_matches_oracle_randomized():
         assert res.status == "finite", (trial, poly)
         want = oracle_enumerate(poly, [(lo, hi)] * dim)
         assert res.points == want, (trial, poly)
+
+
+# --- variable_bounds against brute-force vertex enumeration --------------------
+# The oracle shares no code with the simplex: every vertex of a bounded
+# polytope is the unique solution of some dim rows made tight.
+
+
+def _solve_square(rows):
+    """The unique x with a.x + c == 0 for every (a, c) in rows, or None."""
+    n = len(rows)
+    m = [[Fraction(v) for v in a] + [Fraction(-c)] for a, c in rows]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if m[r][col]), None)
+        if piv is None:
+            return None
+        m[col], m[piv] = m[piv], m[col]
+        for r in range(n):
+            if r != col and m[r][col]:
+                f = m[r][col] / m[col][col]
+                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
+    return [m[r][n] / m[r][r] for r in range(n)]
+
+
+def _vertex_bounds(dim, ineqs, eqs):
+    """(lower, upper) over the vertices of a bounded polytope, or None when
+    it has no vertex (it is empty)."""
+    def value(a, x):
+        return sum(p * q for p, q in zip(a, x))
+
+    vertices = []
+    for tight in itertools.combinations(ineqs + eqs, dim):
+        x = _solve_square(tight)
+        if (x is not None and all(value(a, x) + c >= 0 for a, c in ineqs)
+                and all(value(a, x) + c == 0 for a, c in eqs)):
+            vertices.append(x)
+    if not vertices:
+        return None
+    return ([min(v[i] for v in vertices) for i in range(dim)],
+            [max(v[i] for v in vertices) for i in range(dim)])
+
+
+def test_variable_bounds_match_vertex_enumeration():
+    rng = random.Random(20261018)
+    statuses = set()
+    for trial in range(200):
+        dim = rng.randint(1, 3)
+        # the box |x_i| <= 6 keeps every polytope bounded
+        ineqs = [(tuple(s if j == k else 0 for j in range(dim)), 6)
+                 for k in range(dim) for s in (1, -1)]
+        eqs = []
+        for _ in range(rng.randint(1, 4)):
+            row = (tuple(rng.randint(-3, 3) for _ in range(dim)), rng.randint(-6, 6))
+            (eqs if rng.random() < 0.3 else ineqs).append(row)
+        poly = Polyhedron(dim=dim, ineqs=ineqs, eqs=eqs)
+        got = variable_bounds(poly)
+        want = _vertex_bounds(dim, ineqs, eqs)
+        if want is None:
+            assert got.status == "infeasible", (trial, poly)
+        else:
+            assert got.status == "ok", (trial, poly)
+            assert (got.lower, got.upper) == want, (trial, poly)
+        statuses.add(got.status)
+    assert statuses == {"ok", "infeasible"}
