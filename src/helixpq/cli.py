@@ -80,7 +80,12 @@ def _default_cap(args) -> int | None:
     if getattr(args, "cap", None) is not None:
         return args.cap
     env = os.environ.get("HELIX_PQ_CAP")
-    return int(env) if env else None
+    if not env:
+        return None
+    try:
+        return int(env)
+    except ValueError:
+        raise ValueError(f"HELIX_PQ_CAP must be an integer, got {env!r}") from None
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -206,15 +211,23 @@ def _cmd_verify(args) -> int:
     return 0 if all_ok else 1
 
 
+def _parse_pair(chunk: str) -> tuple[int, int]:
+    """One `--pairs` chunk: exactly two comma-separated integers."""
+    try:
+        p, q = (int(x) for x in chunk.split(","))
+    except ValueError:
+        raise pqmod.PQError(
+            f"--pairs chunk {chunk!r} is not two comma-separated integers"
+        ) from None
+    return p, q
+
+
 def _cmd_pq(args) -> int:
     table = _load_table(args.table)
     chars = None if args.chars in (None, "all") else _select_chars(table, args.chars)
     pairs = None
     if args.pairs:
-        pairs = [
-            tuple(int(x) for x in chunk.split(","))
-            for chunk in args.pairs.split(";") if chunk.strip()
-        ]
+        pairs = [_parse_pair(chunk) for chunk in args.pairs.split(";") if chunk.strip()]
     report = pqmod.pq_check(
         table, chars,
         cap=_default_cap(args), pairs=pairs,

@@ -453,6 +453,15 @@ class SolutionSet:
     ray: Optional[dict[str, int]] = None
 
 
+def _cap_or_default(cap: Optional[int]) -> int:
+    """DEFAULT_CAP for None, else the cap, which must be nonnegative."""
+    if cap is None:
+        return DEFAULT_CAP
+    if int(cap) < 0:
+        raise EngineError(f"cap must be nonnegative, got {cap}")
+    return int(cap)
+
+
 def _chain_key(chain: PAChain):
     return tuple(
         (m, tuple(sorted(chain.entries[m].items()))) for m in chain.levels()
@@ -487,12 +496,12 @@ def solve_order(
     system is enumerated exactly.
     """
     n = int(order)
+    cap = _cap_or_default(cap)
     chars = _resolve_chars(table, characters)
     if store is None:
         store = {}
     if n in store:
         return store[n]
-    cap = DEFAULT_CAP if cap is None else int(cap)
 
     subs: list[tuple[int, SolutionSet]] = []
     joint_reason = None
@@ -537,6 +546,7 @@ def solve_s_constant(
     The order-s power data collapses to "~s": 1 (its augmentation is 1).
     """
     s, t = int(s), int(t)
+    cap = _cap_or_default(cap)
     if s == t or tuple(prime_divisors(s)) != (s,) or tuple(prime_divisors(t)) != (t,):
         raise EngineError(f"need two distinct primes, got s={s}, t={t}")
     n = s * t
@@ -555,7 +565,7 @@ def solve_s_constant(
     sub_t = solve_order(table, chars, t, congruences=congruences, cap=cap)
     return _solve_combos(
         table, chars, n, [(t, sub_t)],
-        congruences=congruences, cap=DEFAULT_CAP if cap is None else int(cap),
+        congruences=congruences, cap=cap,
         collapse=s,
     )
 

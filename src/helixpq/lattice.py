@@ -8,11 +8,13 @@ A `Polyhedron` is given by integer rows:
 
 `variable_bounds` computes, for each coordinate, exact rational extrema of
 the linear relaxation (ignoring congruences) with a two-phase primal simplex
-over `Fraction` using Bland's rule, so it terminates and certifies
-unboundedness with an explicit recession direction.  It builds one tableau
-and runs one phase 1 per polyhedron; the 2*dim objectives (max and min of
-each coordinate) are then warm-started, each from the basis the previous
-one left.
+using Bland's rule, so it terminates and certifies unboundedness with an
+explicit recession direction.  The tableau is fraction-free (Edmonds'
+integer-preserving elimination): integer entries over one common
+denominator, the basis determinant, so only the returned bounds are
+`Fraction`s.  It builds one tableau and runs one phase 1 per polyhedron;
+the 2*dim objectives (max and min of each coordinate) are then
+warm-started, each from the basis the previous one left.
 
 `enumerate_integer_points` returns all integer solutions, or reports an
 infinite family (with an integer ray along which solutions repeat: the ray is
@@ -96,46 +98,58 @@ class EnumerationResult:
 
 
 # ---------------------------------------------------------------------------
-# exact simplex (max c.x, A x <= b, x >= 0; Bland's rule) on one tableau
+# exact simplex (max c.x, A x <= b, x >= 0; Bland's rule) on one tableau.
+# Entries and the objective row are integers over d = |det B| of the basis
+# B, so rows[i][j] / d is the usual entry; the identity start basis has d = 1.
 
 
-def _pivot(rows, obj, basis, r, e):
+def _pivot(rows, obj, basis, d, r, e):
+    """Pivot on (r, e) and return the new denominator p = |a_re|.  Every other
+    row becomes (a_ij*p - a_ie*a_rj) / d, an exact division; the pivot row
+    keeps its entries, negated first when a_re < 0 so that d stays positive."""
+    if rows[r][e] < 0:
+        rows[r] = [-w for w in rows[r]]
     pr = rows[r]
-    inv = Rat(1) / pr[e]
-    rows[r] = [v * inv for v in pr]
-    pr = rows[r]
+    p = pr[e]
     for i, row in enumerate(rows):
-        if i != r and row[e]:
+        if i != r:
             f = row[e]
-            rows[i] = [v - f * w for v, w in zip(row, pr)]
-    if obj[e]:
-        f = obj[e]
-        for j in range(len(obj)):
-            obj[j] -= f * pr[j]
+            if f:
+                rows[i] = [(v * p - f * w) // d for v, w in zip(row, pr)]
+            elif p != d:
+                rows[i] = [v * p // d for v in row]
+    f = obj[e]
+    obj[:] = [(v * p - f * w) // d for v, w in zip(obj, pr)]
     basis[r] = e
+    return p
 
 
-def _run_simplex(rows, obj, basis, ncols):
-    """Bland's rule loop; returns ('optimal',) or ('unbounded', entering)."""
+def _run_simplex(rows, obj, basis, d, ncols):
+    """Bland's rule loop; returns (d, None) at an optimum, or (d, e) when
+    entering column e increases without bound."""
     while True:
         e = next((j for j in range(ncols) if obj[j] < 0), None)
         if e is None:
-            return ("optimal",)
-        r, best = None, None
+            return d, None
+        r = None
         for i, row in enumerate(rows):
             if row[e] > 0:
-                ratio = row[-1] / row[e]
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[r]):
-                    r, best = i, ratio
+                # row[-1]/row[e] against the best ratio so far; d cancels
+                if r is None:
+                    r = i
+                    continue
+                lhs, rhs = row[-1] * rows[r][e], rows[r][-1] * row[e]
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[r]):
+                    r = i
         if r is None:
-            return ("unbounded", e)
-        _pivot(rows, obj, basis, r, e)
+            return d, e
+        d = _pivot(rows, obj, basis, d, r, e)
 
 
-def _price(rows, basis, cost):
-    """Objective row for maximising cost.x at the current basis: the reduced
-    costs z_j - c_j, then the objective value in the last slot."""
-    obj = [Rat(-c) for c in cost] + [Rat(0)]
+def _price(rows, basis, d, cost):
+    """Objective row (over d) for maximising cost.x at the current basis: the
+    reduced costs z_j - c_j, then the objective value in the last slot."""
+    obj = [-c * d for c in cost] + [0]
     for row, b in zip(rows, basis):
         f = cost[b]
         if f:
@@ -146,7 +160,7 @@ def _price(rows, basis, cost):
 
 def _feasible_tableau(dim, ineqs, eqs):
     """Standard form of {a.x + c >= 0, a.x + c == 0}, x free, at a feasible
-    basis: (rows, basis, width), or None when the system is infeasible.
+    basis: (rows, basis, width, d), or None when the system is infeasible.
 
     The columns are x = u - v (u, then v) and one slack per row.  Rows with
     a negative right-hand side get an artificial; phase 1 runs once, then the
@@ -160,22 +174,22 @@ def _feasible_tableau(dim, ineqs, eqs):
     width = n + m
     arts = [i for i, (_, c) in enumerate(std) if c < 0]
     total = width + len(arts)
-    rows: list[list[Rat]] = []
+    rows: list[list[int]] = []
     basis = list(range(n, width))
     for i, (a, c) in enumerate(std):
         sgn = -1 if c < 0 else 1
-        rows.append([Rat(sgn * x) for x in a] + [Rat(0)] * (total - n) + [Rat(sgn * c)])
-        rows[i][n + i] = Rat(sgn)
+        rows.append([sgn * x for x in a] + [0] * (total - n) + [sgn * c])
+        rows[i][n + i] = sgn
     for k, i in enumerate(arts):
-        rows[i][width + k] = Rat(1)
+        rows[i][width + k] = 1
         basis[i] = width + k
     if not arts:
-        return rows, basis, width
+        return rows, basis, width, 1
 
     # phase 1: max -(sum of artificials)
-    obj = _price(rows, basis, [0] * width + [-1] * len(arts))
-    res = _run_simplex(rows, obj, basis, total)
-    assert res[0] == "optimal"  # phase 1 is always bounded
+    obj = _price(rows, basis, 1, [0] * width + [-1] * len(arts))
+    d, e = _run_simplex(rows, obj, basis, 1, total)
+    assert e is None  # phase 1 is always bounded
     if obj[-1] != 0:  # leftover infeasibility (value = -sum art < 0)
         return None
     # drive the artificials, all at zero, out of the basis.  Every row has
@@ -184,22 +198,20 @@ def _feasible_tableau(dim, ineqs, eqs):
     for i in range(m):
         if basis[i] >= width:
             e = next(j for j in range(width) if rows[i][j])
-            _pivot(rows, obj, basis, i, e)
-    return [row[:width] + row[-1:] for row in rows], basis, width
+            d = _pivot(rows, obj, basis, d, i, e)
+    return [row[:width] + row[-1:] for row in rows], basis, width, d
 
 
-def _ray(rows, basis, e, dim):
+def _ray(rows, basis, d, e, dim):
     """Primitive integer x-direction of the edge along which entering column
-    e increases without bound."""
-    direction = {e: Rat(1)}
+    e increases without bound: d on e, -a_ie on the basic columns."""
+    direction = {e: d}
     for row, b in zip(rows, basis):
         if row[e]:
             direction[b] = -row[e]
-    ray = [direction.get(j, Rat(0)) - direction.get(dim + j, Rat(0)) for j in range(dim)]
-    den = math.lcm(*(f.denominator for f in ray))
-    iray = [int(f * den) for f in ray]
-    g = math.gcd(*(abs(x) for x in iray)) or 1
-    return tuple(x // g for x in iray)
+    ray = [direction.get(j, 0) - direction.get(dim + j, 0) for j in range(dim)]
+    g = math.gcd(*ray) or 1
+    return tuple(x // g for x in ray)
 
 
 # ---------------------------------------------------------------------------
@@ -478,6 +490,8 @@ def enumerate_integer_points(poly: Polyhedron, cap: int | None = None) -> Enumer
       integer point, so neither an infinite family nor emptiness is shown).
     """
     cap = DEFAULT_CAP if cap is None else int(cap)
+    if cap < 0:
+        raise ValueError(f"cap must be nonnegative, got {cap}")
     ok, ineqs, eqs, congs = _tidy(poly, integer=True)
     if not ok:
         return EnumerationResult("finite", [])
@@ -558,7 +572,7 @@ def _bounds_raw(dim, ineqs, eqs):
     tab = _feasible_tableau(dim, ineqs, eqs)
     if tab is None:
         return "infeasible"
-    rows, basis, width = tab
+    rows, basis, width, d = tab
     lo: list[Optional[Rat]] = []
     hi: list[Optional[Rat]] = []
     ray = None
@@ -566,13 +580,13 @@ def _bounds_raw(dim, ineqs, eqs):
         for sgn, out in ((1, hi), (-1, lo)):
             cost = [0] * width
             cost[i], cost[dim + i] = sgn, -sgn
-            obj = _price(rows, basis, cost)
-            res = _run_simplex(rows, obj, basis, width)
-            if res[0] == "optimal":
-                out.append(sgn * obj[-1])
+            obj = _price(rows, basis, d, cost)
+            d, e = _run_simplex(rows, obj, basis, d, width)
+            if e is None:
+                out.append(Rat(sgn * obj[-1], d))
             else:
                 out.append(None)
-                ray = ray or _ray(rows, basis, res[1], dim)
+                ray = ray or _ray(rows, basis, d, e, dim)
     return lo, hi, ray
 
 

@@ -103,6 +103,47 @@ def test_cap_env_var(capsys, monkeypatch):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("solve", "--table", "gen:psl2:5", "--order", "6", "--cap", "-1"),
+    ("solve", "--table", "gen:psl2:32", "--chars", "st", "--order", "62",
+     "--s-constant", "31", "--cap", "-1"),
+    ("pq", "--table", "gen:psl2:5", "--cap", "-1"),
+], ids=["solve", "s_constant", "pq"])
+def test_negative_cap_rejected(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert "cap must be nonnegative, got -1" in err
+
+
+def test_negative_cap_env_var_rejected(capsys, monkeypatch):
+    monkeypatch.setenv("HELIX_PQ_CAP", "-1")
+    code, _, err = run(capsys, "solve", "--table", "gen:psl2:5", "--order", "6")
+    assert code == 1
+    assert "cap must be nonnegative, got -1" in err
+
+
+def test_non_integer_cap_env_var_named(capsys, monkeypatch):
+    monkeypatch.setenv("HELIX_PQ_CAP", "x")
+    code, _, err = run(capsys, "pq", "--table", "gen:psl2:5")
+    assert code == 1
+    assert "HELIX_PQ_CAP must be an integer, got 'x'" in err
+
+
+def test_negative_cap_is_a_typed_api_error():
+    from helixpq import engine, lattice, pq, psl2
+
+    table = psl2.gen_table("psl2", 5)
+    with pytest.raises(engine.EngineError, match="nonnegative"):
+        engine.solve_order(table, table.characters, 6, cap=-1)
+    with pytest.raises(engine.EngineError, match="nonnegative"):
+        engine.solve_s_constant(table, table.characters, 3, 2, cap=-1)
+    with pytest.raises(pq.PQError, match="nonnegative"):
+        pq.pq_check(table, cap=-1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        lattice.enumerate_integer_points(lattice.Polyhedron(dim=1), cap=-1)
+
+
 def test_solve_error_cases(capsys):
     code, _, err = run(capsys, "solve", "--table", "embedded:nope",
                        "--order", "2")
@@ -216,6 +257,15 @@ def test_pq_edge_pair_rejected(capsys):
                        "--pairs", "3,5")
     assert code == 1
     assert "not missing" in err
+
+
+@pytest.mark.parametrize("pairs", ["2", "2,3,5", "2,x;2,3"])
+def test_pq_malformed_pairs_chunk_rejected(capsys, pairs):
+    code, out, err = run(capsys, "pq", "--table", "gen:psl2:16", "--pairs", pairs)
+    assert code == 1
+    assert out == ""
+    chunk = pairs.split(";")[0]
+    assert f"--pairs chunk {chunk!r} is not two comma-separated integers" in err
 
 
 # --- installed entry point ---------------------------------------------------------

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from helixpq import lattice
 from helixpq.lattice import (
     DEFAULT_CAP,
     Bounds,
@@ -256,17 +257,22 @@ def _vertex_bounds(dim, ineqs, eqs):
             [max(v[i] for v in vertices) for i in range(dim)])
 
 
-def test_variable_bounds_match_vertex_enumeration():
-    rng = random.Random(20261018)
+def _check_bounds_against_vertices(seed, trials, max_dim, box, coeff):
+    """variable_bounds on random polytopes inside the box |x_i| <= box, with
+    1-4 extra rows of coefficients and constants in [-coeff, coeff] (~30%
+    equalities), against the vertex oracle; returns the largest bit length
+    of a bound's denominator."""
+    rng = random.Random(seed)
     statuses = set()
-    for trial in range(200):
-        dim = rng.randint(1, 3)
-        # the box |x_i| <= 6 keeps every polytope bounded
-        ineqs = [(tuple(s if j == k else 0 for j in range(dim)), 6)
+    widest = 0
+    for trial in range(trials):
+        dim = rng.randint(1, max_dim)
+        ineqs = [(tuple(s if j == k else 0 for j in range(dim)), box)
                  for k in range(dim) for s in (1, -1)]
         eqs = []
         for _ in range(rng.randint(1, 4)):
-            row = (tuple(rng.randint(-3, 3) for _ in range(dim)), rng.randint(-6, 6))
+            row = (tuple(rng.randint(-coeff, coeff) for _ in range(dim)),
+                   rng.randint(-coeff, coeff))
             (eqs if rng.random() < 0.3 else ineqs).append(row)
         poly = Polyhedron(dim=dim, ineqs=ineqs, eqs=eqs)
         got = variable_bounds(poly)
@@ -276,5 +282,40 @@ def test_variable_bounds_match_vertex_enumeration():
         else:
             assert got.status == "ok", (trial, poly)
             assert (got.lower, got.upper) == want, (trial, poly)
+            assert all(type(b) is Fraction for b in got.lower + got.upper), (trial, poly)
+            widest = max([widest] + [b.denominator.bit_length()
+                                     for b in got.lower + got.upper])
         statuses.add(got.status)
     assert statuses == {"ok", "infeasible"}
+    return widest
+
+
+def test_variable_bounds_match_vertex_enumeration():
+    # the box |x_i| <= 6 keeps every polytope bounded
+    _check_bounds_against_vertices(20261018, 200, 3, 6, 3)
+
+
+def test_variable_bounds_with_large_coefficients_match_vertex_enumeration():
+    # entries up to 10^4 in dims up to 4: bounds have denominators beyond
+    # 40 bits, so the cross products a pivot forms pass 64 bits
+    widest = _check_bounds_against_vertices(20261019, 120, 4, 10**4, 10**4)
+    assert widest > 40
+
+
+def test_redundant_equalities_drive_an_artificial_out(monkeypatch):
+    # x + y = 2, x - y = 0, x = 1: phase 1 ends with an artificial basic at
+    # zero, and driving it out pivots on a negative entry
+    seen = []
+    pivot = lattice._pivot
+
+    def spy(rows, obj, basis, d, r, e):
+        seen.append(rows[r][e])
+        return pivot(rows, obj, basis, d, r, e)
+
+    monkeypatch.setattr(lattice, "_pivot", spy)
+    poly = Polyhedron(dim=2, eqs=[((1, 1), -2), ((1, -1), 0), ((1, 0), -1)])
+    got = variable_bounds(poly)
+    assert got.status == "ok"
+    assert got.lower == got.upper == [Fraction(1), Fraction(1)]
+    assert all(type(b) is Fraction for b in got.lower + got.upper)
+    assert min(seen) < 0
