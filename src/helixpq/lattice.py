@@ -490,8 +490,6 @@ def enumerate_integer_points(poly: Polyhedron, cap: int | None = None) -> Enumer
       integer point, so neither an infinite family nor emptiness is shown).
     """
     cap = DEFAULT_CAP if cap is None else int(cap)
-    if cap < 0:
-        raise ValueError(f"cap must be nonnegative, got {cap}")
     ok, ineqs, eqs, congs = _tidy(poly, integer=True)
     if not ok:
         return EnumerationResult("finite", [])

@@ -31,6 +31,7 @@ from .cyclo import prime_divisors
 from .engine import (
     EngineError,
     SolutionSet,
+    _cap_or_default,
     classify_chain,
     solve_order,
     solve_s_constant,
@@ -168,8 +169,7 @@ def pq_check(
     partial table through `prime_graph`, asserting its class list
     covers all element orders relevant to the requested pairs.
     """
-    if cap is not None and int(cap) < 0:
-        raise PQError(f"cap must be nonnegative, got {cap}")
+    cap = _cap_or_default(cap)
     graph = prime_graph(table, assume_coverage=assume_coverage)
     plan = _normalize_plan(char_plan)
     base_chars = list(table.characters) if characters is None else [

@@ -131,17 +131,15 @@ def test_non_integer_cap_env_var_named(capsys, monkeypatch):
 
 
 def test_negative_cap_is_a_typed_api_error():
-    from helixpq import engine, lattice, pq, psl2
+    from helixpq import engine, pq, psl2
 
     table = psl2.gen_table("psl2", 5)
     with pytest.raises(engine.EngineError, match="nonnegative"):
         engine.solve_order(table, table.characters, 6, cap=-1)
     with pytest.raises(engine.EngineError, match="nonnegative"):
         engine.solve_s_constant(table, table.characters, 3, 2, cap=-1)
-    with pytest.raises(pq.PQError, match="nonnegative"):
+    with pytest.raises(engine.EngineError, match="nonnegative"):
         pq.pq_check(table, cap=-1)
-    with pytest.raises(ValueError, match="nonnegative"):
-        lattice.enumerate_integer_points(lattice.Polyhedron(dim=1), cap=-1)
 
 
 def test_solve_error_cases(capsys):

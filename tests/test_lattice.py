@@ -259,9 +259,9 @@ def _vertex_bounds(dim, ineqs, eqs):
 
 def _check_bounds_against_vertices(seed, trials, max_dim, box, coeff):
     """variable_bounds on random polytopes inside the box |x_i| <= box, with
-    1-4 extra rows of coefficients and constants in [-coeff, coeff] (~30%
-    equalities), against the vertex oracle; returns the largest bit length
-    of a bound's denominator."""
+    1-4 extra rows (coefficients in [-coeff, coeff], constants in [-box, box],
+    ~30% equalities), against the vertex oracle; returns the largest bit
+    length of a bound's denominator."""
     rng = random.Random(seed)
     statuses = set()
     widest = 0
@@ -272,7 +272,7 @@ def _check_bounds_against_vertices(seed, trials, max_dim, box, coeff):
         eqs = []
         for _ in range(rng.randint(1, 4)):
             row = (tuple(rng.randint(-coeff, coeff) for _ in range(dim)),
-                   rng.randint(-coeff, coeff))
+                   rng.randint(-box, box))
             (eqs if rng.random() < 0.3 else ineqs).append(row)
         poly = Polyhedron(dim=dim, ineqs=ineqs, eqs=eqs)
         got = variable_bounds(poly)
