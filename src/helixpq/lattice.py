@@ -24,7 +24,10 @@ every congruence), or gives up honestly at a cap.  The main structural move:
 columns that agree in every row are aggregated (the difference of two such
 variables is never constrained), which removes the lineality space that
 aggregate-style constraint systems produce; after that the enumeration is a
-depth-first interval-propagation search, exact in integers throughout.
+depth-first interval-propagation search, exact in integers throughout.  The
+search splits each row once into sparse lists of its positive and its
+negative coefficients, so a node's propagation sweep touches only nonzero
+entries and never branches on a coefficient's sign.
 
 `oracle_enumerate` is an independent brute-force checker over an explicit
 box, kept free of any machinery above so the two can be tested against each
@@ -304,10 +307,18 @@ class _Budget:
 def _dfs_enumerate(dim, ineqs, eqs, congs, lo, hi, cap, budget: _Budget):
     """All integer points in the box satisfying all rows.
 
-    Returns (points, exhausted) where exhausted=False means the cap or node
-    budget interrupted the search.
+    Each node tightens the box by up to 4 Gauss-Seidel sweeps over the rows,
+    inequalities first; a row is held as (pos, neg, c, is_eq) with pos the
+    pairs (j, a_j) for a_j > 0 and neg the pairs (j, -a_j) for a_j < 0, so a
+    sweep visits only nonzero coefficients.  Returns (points, exhausted)
+    where exhausted=False means the cap or node budget interrupted the search.
     """
     rows = [(a, c, False) for a, c in ineqs] + [(a, c, True) for a, c in eqs]
+    rows = [
+        ([(j, x) for j, x in enumerate(a) if x > 0],
+         [(j, -x) for j, x in enumerate(a) if x < 0], c, is_eq)
+        for a, c, is_eq in rows
+    ]
     points: list[tuple[int, ...]] = []
 
     def propagate(lo, hi):
@@ -316,46 +327,42 @@ def _dfs_enumerate(dim, ineqs, eqs, congs, lo, hi, cap, budget: _Budget):
         while changed and passes < 4:
             changed = False
             passes += 1
-            for a, c, is_eq in rows:
-                mn = c
-                mx = c
-                for j, aj in enumerate(a):
-                    if aj > 0:
-                        mn += aj * lo[j]
-                        mx += aj * hi[j]
-                    elif aj < 0:
-                        mn += aj * hi[j]
-                        mx += aj * lo[j]
+            for pos, neg, c, is_eq in rows:
+                mn = mx = c
+                for j, aj in pos:
+                    mn += aj * lo[j]
+                    mx += aj * hi[j]
+                for j, bj in neg:
+                    mn -= bj * hi[j]
+                    mx -= bj * lo[j]
                 if mx < 0 or (is_eq and mn > 0):
                     return None
-                for j, aj in enumerate(a):
-                    if aj == 0:
-                        continue
-                    # rest = row value minus this variable's contribution
-                    rest_max = mx - (aj * hi[j] if aj > 0 else aj * lo[j])
-                    rest_min = mn - (aj * lo[j] if aj > 0 else aj * hi[j])
-                    # need aj*xj >= -rest_max (for >= 0 resp. == 0 rows)
-                    if aj > 0:
-                        nl = _ceil_div(-rest_max, aj)
-                        if nl > lo[j]:
-                            lo[j] = nl
-                            changed = True
-                        if is_eq:  # and aj*xj <= -rest_min
-                            nh = (-rest_min) // aj
-                            if nh < hi[j]:
-                                hi[j] = nh
-                                changed = True
-                    else:
-                        # aj < 0: aj*xj >= -rest_max  <=>  xj <= rest_max/(-aj)
-                        nh = rest_max // -aj
-                        if nh < hi[j]:
-                            hi[j] = nh
-                            changed = True
-                        if is_eq:  # aj*xj <= -rest_min <=> xj >= rest_min/(-aj)
-                            nl = _ceil_div(rest_min, -aj)
-                            if nl > lo[j]:
-                                lo[j] = nl
-                                changed = True
+                # x_j's own term spans [a_j*lo_j, a_j*hi_j], so the row needs
+                # a_j*x_j >= a_j*hi_j - mx, and an equality also a_j*x_j <=
+                # a_j*lo_j - mn: lo_j >= ceil((a_j*hi_j - mx) / a_j), which is
+                # hi_j - floor(mx / a_j), and hi_j <= lo_j + floor(-mn / a_j)
+                for j, aj in pos:
+                    lj, hj = lo[j], hi[j]
+                    nl = hj - mx // aj
+                    nh = lj + (-mn) // aj if is_eq else hj
+                    if nl > lj:
+                        lo[j] = nl
+                        changed = True
+                    if nh < hj:
+                        hi[j] = nh
+                        changed = True
+                    if lo[j] > hi[j]:
+                        return None
+                for j, bj in neg:  # b_j = -a_j > 0: the same for -x_j
+                    lj, hj = lo[j], hi[j]
+                    nh = lj + mx // bj
+                    nl = hj - (-mn) // bj if is_eq else lj
+                    if nl > lj:
+                        lo[j] = nl
+                        changed = True
+                    if nh < hj:
+                        hi[j] = nh
+                        changed = True
                     if lo[j] > hi[j]:
                         return None
         return lo, hi

@@ -128,12 +128,21 @@ class PQReport:
         return [(r.p, r.q) for r in self.pairs if r.outcome != "ruled_out"]
 
 
+def _as_pair(pair, what: str) -> frozenset:
+    """`pair` as a frozenset of two distinct integers, else a PQError."""
+    try:
+        p, q = (int(x) for x in pair)
+    except (TypeError, ValueError):  # not iterable, not two items, not ints
+        p = q = None
+    if p is None or p == q:
+        raise PQError(f"{what} {pair!r} is not two distinct integers")
+    return frozenset((p, q))
+
+
 def _normalize_plan(char_plan) -> dict[frozenset, dict]:
     plan = {}
     for key, value in (char_plan or {}).items():
-        pair = frozenset(int(x) for x in key)
-        if len(pair) != 2:
-            raise PQError(f"char_plan key {key!r} is not a pair of primes")
+        pair = _as_pair(key, "char_plan key")
         if not isinstance(value, Mapping):
             # bare character list
             value = {"characters": list(value)}
@@ -168,6 +177,8 @@ def pq_check(
     using the characters constant there.  `assume_coverage` lets a
     partial table through `prime_graph`, asserting its class list
     covers all element orders relevant to the requested pairs.
+    `pairs` restricts the screening to the given missing edges; each
+    pair must be two distinct integers.
     """
     cap = _cap_or_default(cap)
     graph = prime_graph(table, assume_coverage=assume_coverage)
@@ -177,7 +188,7 @@ def pq_check(
     ]
     todo = graph.non_edges()
     if pairs is not None:
-        wanted = {frozenset(int(x) for x in pr) for pr in pairs}
+        wanted = {_as_pair(pr, "requested pair") for pr in pairs}
         unknown = wanted - {frozenset(pr) for pr in todo}
         if unknown:
             raise PQError(

@@ -266,6 +266,13 @@ def test_pq_malformed_pairs_chunk_rejected(capsys, pairs):
     assert f"--pairs chunk {chunk!r} is not two comma-separated integers" in err
 
 
+def test_pq_repeated_prime_pair_rejected(capsys):
+    code, out, err = run(capsys, "pq", "--table", "gen:psl2:16", "--pairs", "2,2")
+    assert code == 1
+    assert out == ""
+    assert "requested pair (2, 2) is not two distinct integers" in err
+
+
 # --- installed entry point ---------------------------------------------------------
 
 def test_console_script_runs():

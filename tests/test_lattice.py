@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from helixpq import lattice
+from helixpq.engine import build_chain_system
 from helixpq.lattice import (
     DEFAULT_CAP,
     Bounds,
@@ -16,6 +17,7 @@ from helixpq.lattice import (
     oracle_enumerate,
     variable_bounds,
 )
+from helixpq.psl2 import gen_table
 
 
 def test_box_bounds_exact():
@@ -193,29 +195,64 @@ def test_oracle_box_mismatch_rejected():
         oracle_enumerate(Polyhedron(dim=2), [(0, 1)])
 
 
-def test_enumerator_matches_oracle_randomized():
-    rng = random.Random(20260815)
-    for trial in range(150):
+@pytest.fixture
+def budgets(monkeypatch):
+    """Every DFS node budget made while the test runs, to read node counts:
+    a weaker or stronger propagation rule finds the same points but leaves
+    a different number of nodes."""
+    made = []
+
+    class CountedBudget(lattice._Budget):
+        def __init__(self):
+            super().__init__()
+            made.append(self)
+
+    monkeypatch.setattr(lattice, "_Budget", CountedBudget)
+    return made
+
+
+@pytest.mark.parametrize(
+    "seed, trials, box, coeff, ineq_consts, eq_coeff, eq_const, nodes",
+    [
+        pytest.param(20260815, 150, 6, 3, (-4, 8), 2, 3, 326069, id="coeff3"),
+        # most nonzero coefficients of real systems exceed 1 in size (median
+        # 2, p90 12 over the benchmark's solve ops); large ones exercise the
+        # rounding of propagation steps divided by |a_j| > 1
+        pytest.param(20261018, 60, 4, 40, (-60, 120), 40, 60, 14396, id="coeff40"),
+    ],
+)
+def test_enumerator_matches_oracle_randomized(budgets, seed, trials, box, coeff,
+                                              ineq_consts, eq_coeff, eq_const, nodes):
+    rng = random.Random(seed)
+    for trial in range(trials):
         dim = rng.randint(1, 4)
-        lo, hi = -6, 6
+        lo, hi = -box, box
         ineqs = [(tuple(1 if j == k else 0 for j in range(dim)), -lo) for k in range(dim)]
         ineqs += [(tuple(-1 if j == k else 0 for j in range(dim)), hi) for k in range(dim)]
         for _ in range(rng.randint(0, 3)):
-            a = tuple(rng.randint(-3, 3) for _ in range(dim))
-            ineqs.append((a, rng.randint(-4, 8)))
+            a = tuple(rng.randint(-coeff, coeff) for _ in range(dim))
+            ineqs.append((a, rng.randint(*ineq_consts)))
         eqs = []
         if rng.random() < 0.5:
-            eqs.append((tuple(rng.randint(-2, 2) for _ in range(dim)),
-                        rng.randint(-3, 3)))
+            eqs.append((tuple(rng.randint(-eq_coeff, eq_coeff) for _ in range(dim)),
+                        rng.randint(-eq_const, eq_const)))
         congs = []
         if rng.random() < 0.5:
-            congs.append((tuple(rng.randint(-2, 2) for _ in range(dim)),
+            congs.append((tuple(rng.randint(-eq_coeff, eq_coeff) for _ in range(dim)),
                           rng.randint(-2, 2), rng.choice([2, 3, 4, 6])))
         poly = Polyhedron(dim=dim, ineqs=ineqs, eqs=eqs, congruences=congs)
         res = enumerate_integer_points(poly)
         assert res.status == "finite", (trial, poly)
         want = oracle_enumerate(poly, [(lo, hi)] * dim)
         assert res.points == want, (trial, poly)
+    assert sum(b.nodes for b in budgets) == nodes
+
+
+def test_psl2_25_order_39_search_visits_pinned_node_count(budgets):
+    table = gen_table("psl2", 25)
+    res = build_chain_system(table, list(table.characters), 39).solve()
+    assert res.status == "finite" and res.points == []
+    assert [b.nodes for b in budgets] == [11003]
 
 
 # --- variable_bounds against brute-force vertex enumeration --------------------

@@ -86,6 +86,16 @@ def test_edges_are_never_tested(psl2_16):
         pq_check(psl2_16, pairs=[(3, 5)])
 
 
+@pytest.mark.parametrize("pair", [(2,), (2, 2), (2, 3, 5), ("a", "b")],
+                         ids=["one", "repeated", "three", "not_integers"])
+def test_malformed_pair_rejected(psl2_16, pair):
+    with pytest.raises(PQError) as err:
+        pq_check(psl2_16, pairs=[(2, 3), pair])
+    assert str(err.value) == f"requested pair {pair!r} is not two distinct integers"
+    with pytest.raises(PQError, match="char_plan key"):
+        pq_check(psl2_16, pairs=[(2, 3)], char_plan={pair: ["triv"]})
+
+
 def test_pairs_subset(psl2_16):
     report = pq_check(psl2_16, pairs=[(2, 3)])
     assert [(r.p, r.q) for r in report.pairs] == [(2, 3)]
