@@ -19,12 +19,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Mapping, Optional
 
 from sympy import isprime
 
 from .cyclo import (
+    Coeff,
     CycValue,
     cyc_zero,
     divisors,
@@ -322,19 +322,22 @@ class ValidationReport:
 def _pair_sum(entries: list[tuple[CycValue, CycValue, int]]) -> CycValue:
     """Exact sum of weight * a * conj(b) without per-term canonicalization."""
     lev = 1
-    nonzero = [(a, b, w) for a, b, w in entries if not a.is_zero() and not b.is_zero()]
+    nonzero = [(a, b, w) for a, b, w in entries if a._c and b._c]
     for a, b, _ in nonzero:
-        lev = math.lcm(lev, a.conductor, b.conductor)
-    raw: dict[int, Fraction] = {}
+        lev = math.lcm(lev, a._n, b._n)
+    raw: dict[int, Coeff] = {}
     for a, b, w in nonzero:
-        sa = lev // a.conductor
-        sb = lev // b.conductor
-        for ea, ca in a.terms.items():
-            for eb, cb in b.terms.items():
-                # conj(b): negate its exponent
-                e = (ea * sa - eb * sb) % lev
-                raw[e] = raw.get(e, Fraction(0)) + w * ca * cb
-    return CycValue(lev, raw)
+        sa = lev // a._n
+        sb = lev // b._n
+        # conj(b): negate its exponents
+        bt = [(eb * sb, cb) for eb, cb in b._c.items()]
+        for ea, ca in a._c.items():
+            ea *= sa
+            wca = w * ca
+            for eb, cb in bt:
+                e = (ea - eb) % lev
+                raw[e] = raw.get(e, 0) + wca * cb
+    return CycValue._canonical(lev, raw)
 
 
 def validate(table: CharacterTable) -> ValidationReport:

@@ -7,7 +7,10 @@ canonical form that makes equality a dictionary comparison:
   and never congruent to 2 mod 4 (Q(zeta_{2m}) = Q(zeta_m) for odd m, via
   zeta_{2m} = -zeta_m^{(m+1)/2});
 * coefficients live on the power basis 1, zeta, ..., zeta^{phi(N)-1}, i.e.
-  exponents are reduced modulo the N-th cyclotomic polynomial.
+  exponents are reduced modulo the N-th cyclotomic polynomial;
+* a coefficient is a Python `int` when it is integral and a `Fraction` only
+  when it is not, so the values of character tables, which are algebraic
+  integers, are added and multiplied in plain integer arithmetic.
 
 The power basis is an integral basis for Q(zeta_N), so a value is an
 algebraic integer exactly when all stored coefficients are integers.
@@ -36,6 +39,8 @@ from typing import Iterable, Mapping, Union
 from sympy import cyclotomic_poly, factorint
 
 Rat = Fraction
+# a stored coefficient: int when integral, Fraction with denominator > 1 if not
+Coeff = Union[int, Fraction]
 
 __all__ = [
     "CycValue",
@@ -152,25 +157,30 @@ def root_trace_table(n: int) -> tuple[int, ...]:
 # subfield descent: projecting a value at conductor n onto Q(zeta_{n/p})
 
 
-def _reduce(n: int, raw: Mapping[int, Rat]) -> dict[int, Rat]:
+def _norm(c: Coeff) -> Coeff:
+    """The canonical form of a coefficient: an int when it is integral."""
+    return c.numerator if c.denominator == 1 else c
+
+
+def _reduce(n: int, raw: Mapping[int, Coeff]) -> dict[int, Coeff]:
     """sum c * zeta_n^e on the power basis of Q(zeta_n); zeros dropped."""
     d = euler_phi(n)
     rows = _reduction_rows(n)
-    acc: dict[int, Rat] = {}
+    acc: dict[int, Coeff] = {}
     for e, c in raw.items():
         if not c:
             continue
         e %= n
         if e < d:
-            acc[e] = acc.get(e, Rat(0)) + c
+            acc[e] = acc.get(e, 0) + c
         else:
             for j, rc in enumerate(rows[e]):
                 if rc:
-                    acc[j] = acc.get(j, Rat(0)) + c * rc
-    return {j: acc[j] for j in sorted(acc) if acc[j]}
+                    acc[j] = acc.get(j, 0) + c * rc
+    return {j: _norm(acc[j]) for j in sorted(acc) if acc[j]}
 
 
-def _descend(n: int, p: int, vec: Mapping[int, Rat]) -> dict[int, Rat] | None:
+def _descend(n: int, p: int, vec: Mapping[int, Coeff]) -> dict[int, Coeff] | None:
     """The reduced value `vec` at conductor n as a dict over zeta_m, m = n/p,
     or None when it does not lie in Q(zeta_m)."""
     m = n // p
@@ -185,11 +195,14 @@ def _descend(n: int, p: int, vec: Mapping[int, Rat]) -> dict[int, Rat] | None:
     # zeta_p part, so the relative trace over p - 1 keeps zeta_m^{e*x} when
     # p | e and turns it into -zeta_m^{e*x}/(p-1) otherwise.  This projection
     # fixes Q(zeta_m), so the value lies there iff it is its own projection.
+    # The sums are taken p - 1 times over and divided once, exactly.
     x = pow(p, -1, m)
-    out: dict[int, Rat] = {}
+    q = p - 1
+    acc: dict[int, Coeff] = {}
     for e, c in vec.items():
         j = e * x % m
-        out[j] = out.get(j, Rat(0)) + (c if e % p == 0 else -c / (p - 1))
+        acc[j] = acc.get(j, 0) + (q * c if e % p == 0 else -c)
+    out = {j: v // q if v % q == 0 else Rat(v, q) for j, v in acc.items()}
     if _reduce(n, {p * j: c for j, c in out.items()}) != vec:  # zeta_m = zeta_n^p
         return None
     return out
@@ -199,16 +212,16 @@ def _descend(n: int, p: int, vec: Mapping[int, Rat]) -> dict[int, Rat] | None:
 # canonicalization pipeline
 
 
-def _canonical_parts(n: int, raw: Mapping[int, Rat]) -> tuple[int, dict[int, Rat]]:
+def _canonical_parts(n: int, raw: Mapping[int, Coeff]) -> tuple[int, dict[int, Coeff]]:
     if n <= 0:
         raise ValueError(f"conductor must be positive, got {n}")
     while n % 4 == 2:  # zeta_{2m} = -zeta_m^{(m+1)/2}, m odd
         m = n // 2
-        nxt: dict[int, Rat] = {}
+        nxt: dict[int, Coeff] = {}
         for e, c in raw.items():
             e2 = (e * (m + 1) // 2) % m if e % 2 else (e // 2) % m
             c2 = -c if e % 2 else c
-            nxt[e2] = nxt.get(e2, Rat(0)) + c2
+            nxt[e2] = nxt.get(e2, 0) + c2
         n, raw = m, nxt
 
     vec = _reduce(n, raw)
@@ -231,14 +244,27 @@ def _canonical_parts(n: int, raw: Mapping[int, Rat]) -> tuple[int, dict[int, Rat
 _RatLike = Union[int, Rat]
 
 
+def _coefficient(c) -> Coeff:
+    if isinstance(c, float):
+        raise TypeError(f"float coefficient {c!r}: use an int or a Fraction")
+    return c if type(c) is int else Rat(c)
+
+
 class CycValue:
     """A canonical element of some Q(zeta_N); immutable and hashable."""
 
     __slots__ = ("_n", "_c")
 
     def __init__(self, conductor: int = 1, terms: Mapping[int, _RatLike] | None = None):
-        raw = {} if terms is None else {int(e): Rat(c) for e, c in terms.items()}
+        raw = {} if terms is None else {int(e): _coefficient(c) for e, c in terms.items()}
         self._n, self._c = _canonical_parts(int(conductor), raw)
+
+    @classmethod
+    def _canonical(cls, conductor: int, raw: Mapping[int, Coeff]) -> "CycValue":
+        """Like the constructor, for terms that are already ints or Fractions."""
+        out = object.__new__(cls)
+        out._n, out._c = _canonical_parts(conductor, raw)
+        return out
 
     # -- inspection ---------------------------------------------------------
 
@@ -247,7 +273,7 @@ class CycValue:
         return self._n
 
     @property
-    def terms(self) -> dict[int, Rat]:
+    def terms(self) -> dict[int, Coeff]:
         return dict(self._c)
 
     def is_zero(self) -> bool:
@@ -259,7 +285,7 @@ class CycValue:
     def as_rational(self) -> Rat:
         if self._n != 1:
             raise ValueError(f"{self!r} is irrational")
-        return self._c.get(0, Rat(0))
+        return Rat(self._c.get(0, 0))
 
     def is_integral(self) -> bool:
         """Algebraic integer test (power basis = integral basis)."""
@@ -275,7 +301,7 @@ class CycValue:
             return cyc_rational(x)
         return NotImplemented  # type: ignore[return-value]
 
-    def _terms_at(self, level: int) -> Iterable[tuple[int, Rat]]:
+    def _terms_at(self, level: int) -> Iterable[tuple[int, Coeff]]:
         step = level // self._n
         return ((e * step % level, c) for e, c in self._c.items())
 
@@ -284,12 +310,12 @@ class CycValue:
         if o is NotImplemented:
             return NotImplemented
         level = self._n * o._n // math.gcd(self._n, o._n)
-        raw: dict[int, Rat] = {}
+        raw: dict[int, Coeff] = {}
         for e, c in self._terms_at(level):
-            raw[e] = raw.get(e, Rat(0)) + c
+            raw[e] = raw.get(e, 0) + c
         for e, c in o._terms_at(level):
-            raw[e] = raw.get(e, Rat(0)) + c
-        return CycValue(level, raw)
+            raw[e] = raw.get(e, 0) + c
+        return CycValue._canonical(level, raw)
 
     __radd__ = __add__
 
@@ -314,12 +340,12 @@ class CycValue:
         level = self._n * o._n // math.gcd(self._n, o._n)
         a = list(self._terms_at(level))
         b = list(o._terms_at(level))
-        raw: dict[int, Rat] = {}
+        raw: dict[int, Coeff] = {}
         for e1, c1 in a:
             for e2, c2 in b:
                 e = (e1 + e2) % level
-                raw[e] = raw.get(e, Rat(0)) + c1 * c2
-        return CycValue(level, raw)
+                raw[e] = raw.get(e, 0) + c1 * c2
+        return CycValue._canonical(level, raw)
 
     __rmul__ = __mul__
 
@@ -327,7 +353,7 @@ class CycValue:
 
     def __eq__(self, other):
         if isinstance(other, (int, Rat)):
-            return self._n == 1 and self._c.get(0, Rat(0)) == other
+            return self._n == 1 and self._c.get(0, 0) == other
         if not isinstance(other, CycValue):
             return NotImplemented
         return self._n == other._n and self._c == other._c
@@ -351,14 +377,14 @@ def cyc_zero() -> CycValue:
 
 
 def cyc_rational(q: _RatLike) -> CycValue:
-    return CycValue(1, {0: Rat(q)})
+    return CycValue(1, {0: q})
 
 
 def root_of_unity(order: int, power: int = 1) -> CycValue:
     """zeta_order^power."""
     if order <= 0:
         raise ValueError(f"order must be positive, got {order}")
-    return CycValue(order, {power % order: Rat(1)})
+    return CycValue(order, {power % order: 1})
 
 
 def galois_apply(value: CycValue, k: int) -> CycValue:
@@ -366,7 +392,11 @@ def galois_apply(value: CycValue, k: int) -> CycValue:
     n = value.conductor
     if math.gcd(k, n) != 1:
         raise ValueError(f"k={k} is not coprime to the conductor {n}")
-    return CycValue(n, {e * k % n: c for e, c in value.terms.items()})
+    # an automorphism maps every subfield of Q(zeta_N) onto itself, so the
+    # image keeps the conductor N and only needs reducing on the power basis
+    out = object.__new__(CycValue)
+    out._n, out._c = n, _reduce(n, {e * k % n: c for e, c in value._c.items()})
+    return out
 
 
 def rational_trace(value: CycValue, level: int | None = None) -> Rat:
@@ -382,18 +412,18 @@ def rational_trace(value: CycValue, level: int | None = None) -> Rat:
         raise ValueError(f"trace level {lv} is not a multiple of the conductor {n}")
     if value.is_zero():
         return Rat(0)
-    acc: dict[int, Rat] = {}
+    acc: dict[int, Coeff] = {}
     for k in _coprime_residues(n):
         for e, c in value._c.items():
             e2 = e * k % n
-            acc[e2] = acc.get(e2, Rat(0)) + c
-    total = CycValue(n, acc)
+            acc[e2] = acc.get(e2, 0) + c
+    total = CycValue._canonical(n, acc)
     if not total.is_rational():  # pragma: no cover - Galois sums are rational
         raise AssertionError("orbit sum failed to be rational")
     return total.as_rational() * (euler_phi(lv) // euler_phi(n))
 
 
-def terms_at_level(value: CycValue, level: int) -> list[tuple[int, Rat]]:
+def terms_at_level(value: CycValue, level: int) -> list[tuple[int, Coeff]]:
     """The value written as sum of c * zeta_level^e (level multiple of cond)."""
     n = value.conductor
     if level % n:
@@ -405,41 +435,56 @@ def terms_at_level(value: CycValue, level: int) -> list[tuple[int, Rat]]:
 # text encoding: int | {"conductor": N, "terms": [[exp, num, den], ...]}
 
 
+def _int_field(term, x) -> int:
+    """An integer field of a term; floats and booleans are refused rather
+    than truncated."""
+    if isinstance(x, (bool, float)):
+        raise ValueError(f"term {term!r}: {x!r} is not an integer")
+    return int(x)
+
+
+def _parse_ratio(term, num, den=1) -> Coeff:
+    num, den = _int_field(term, num), _int_field(term, den)
+    if den == 0:
+        raise ValueError(f"term {term!r} has a zero denominator")
+    return num if den == 1 else Rat(num, den)
+
+
 def parse_cyc(obj) -> CycValue:
     if isinstance(obj, bool):
         raise TypeError("booleans are not cyclotomic values")
     if isinstance(obj, int):
         return cyc_rational(obj)
     if isinstance(obj, str):
-        return cyc_rational(Rat(obj))
+        try:
+            return cyc_rational(Rat(obj))
+        except ZeroDivisionError:
+            raise ValueError(f"term {obj!r} has a zero denominator") from None
     if isinstance(obj, (list, tuple)) and len(obj) == 2:
-        return cyc_rational(Rat(int(obj[0]), int(obj[1])))
+        return cyc_rational(_parse_ratio(obj, obj[0], obj[1]))
     if isinstance(obj, dict):
         try:
             n = int(obj["conductor"])
             entries = obj["terms"]
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed cyclotomic value {obj!r}") from exc
-        raw: dict[int, Rat] = {}
+        raw: dict[int, Coeff] = {}
         for ent in entries:
-            if len(ent) == 2:
-                e, num, den = int(ent[0]), int(ent[1]), 1
-            elif len(ent) == 3:
-                e, num, den = int(ent[0]), int(ent[1]), int(ent[2])
-            else:
+            if len(ent) not in (2, 3):
                 raise ValueError(f"malformed term {ent!r}")
-            raw[e] = raw.get(e, Rat(0)) + Rat(num, den)
+            e = _int_field(ent, ent[0])
+            raw[e] = raw.get(e, 0) + _parse_ratio(ent, *ent[1:])
         return CycValue(n, raw)
     raise TypeError(f"cannot parse {obj!r} as a cyclotomic value")
 
 
 def render_cyc(value: CycValue):
     if value.is_rational():
-        q = value.as_rational()
-        if q.denominator == 1:
-            return int(q)
+        q = value._c.get(0, 0)
+        if type(q) is int:
+            return q
         return {"conductor": 1, "terms": [[0, q.numerator, q.denominator]]}
-    terms = [[e, c.numerator, c.denominator] for e, c in sorted(value.terms.items())]
+    terms = [[e, c.numerator, c.denominator] for e, c in sorted(value._c.items())]
     return {"conductor": value.conductor, "terms": terms}
 
 

@@ -226,7 +226,9 @@ def _tidy(poly: Polyhedron, integer: bool):
 
     Returns (feasible, ineqs, eqs, congs).  Inequalities with proportional
     coefficient vectors keep only the tightest constant; congruence rows are
-    reduced mod m.  Zero-coefficient rows become pure feasibility checks.
+    reduced mod m, and two with the same reduced left-hand side and modulus
+    but different constants are a contradiction.  Zero-coefficient rows
+    become pure feasibility checks.
     With integer=True an equality whose coefficient gcd does not divide the
     constant term is an immediate contradiction (it is not one rationally).
     """
@@ -262,7 +264,7 @@ def _tidy(poly: Polyhedron, integer: bool):
             eqs.append((a, c))
 
     congs = []
-    seenc = set()
+    seenc: dict[tuple[tuple[int, ...], int], int] = {}
     for a, c, m in poly.congruences:
         if m == 1:
             continue
@@ -272,10 +274,13 @@ def _tidy(poly: Polyhedron, integer: bool):
             if rc:
                 return False, [], [], []
             continue
-        key = (ra, rc, m)
-        if key not in seenc:
-            seenc.add(key)
-            congs.append(key)
+        # one left-hand side mod m has one residue: a second one contradicts
+        if (ra, m) in seenc:
+            if seenc[ra, m] != rc:
+                return False, [], [], []
+            continue
+        seenc[ra, m] = rc
+        congs.append((ra, rc, m))
     return True, ineqs, eqs, congs
 
 

@@ -1,6 +1,8 @@
 """Character-table data model: parsing, validation, power maps, chains."""
 
 import json
+import random
+from fractions import Fraction
 
 import pytest
 
@@ -17,7 +19,7 @@ from helixpq.chartab import (
     unit_character_value,
     validate,
 )
-from helixpq.cyclo import cyc_rational, root_of_unity
+from helixpq.cyclo import cyc_rational, cyc_zero, galois_apply, root_of_unity
 
 Z3 = {"conductor": 3, "terms": [[1, 1, 1]]}
 Z3SQ = {"conductor": 3, "terms": [[2, 1, 1]]}
@@ -120,6 +122,37 @@ def test_validate_flags_orthogonality_violation():
     bad["characters"][1]["values"]["3b"] = 1  # no longer a character
     report = validate(parse_table(bad))
     assert not report.ok
+
+
+def test_parse_table_rejects_truncated_or_undefined_terms():
+    for term in ([0, -1.4, 1], [0, 1, 0]):
+        bad = cyclic3_table()
+        bad["characters"][1]["values"]["3a"] = {"conductor": 3, "terms": [term]}
+        with pytest.raises(TableError, match="term"):
+            parse_table(bad)
+
+
+def _random_value(rng):
+    n = rng.choice([1, 3, 4, 5, 7, 8, 9, 12, 15, 20])
+    v = cyc_zero()
+    for _ in range(rng.randint(0, 3)):
+        coeff = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+        v = v + root_of_unity(n, rng.randrange(n)) * cyc_rational(coeff)
+    return v
+
+
+def test_pair_sum_matches_cyclotomic_arithmetic():
+    rng = random.Random(20261018)
+    for _ in range(200):
+        entries = [
+            (_random_value(rng), _random_value(rng), rng.randint(-3, 5))
+            for _ in range(rng.randint(0, 6))
+        ]
+        want = cyc_zero()
+        for a, b, w in entries:
+            want = want + w * a * galois_apply(b, -1)
+        got = chartab._pair_sum(entries)
+        assert (got.conductor, got.terms) == (want.conductor, want.terms), entries
 
 
 def test_validate_flags_power_map_order_mismatch():

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, determinism."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -43,6 +44,65 @@ def test_validate_flags_corrupt_table(tmp_path, capsys):
     code, out, _ = run(capsys, "validate", "--table", str(path))
     assert code == 1
     assert "INVALID" in out
+
+
+@pytest.mark.parametrize("command,term", [
+    ("validate", [0, -1.4, 1]),  # read as -1 and passed validation before
+    ("pq", [0, 1, 0]),           # ended in a ZeroDivisionError traceback before
+])
+def test_bad_table_term_is_a_data_error(tmp_path, capsys, command, term):
+    path = tmp_path / "t.json"
+    run(capsys, "gen", "--family", "psl2", "--q", "5", "--out", str(path))
+    data = json.loads(path.read_text())
+    data["characters"][1]["values"]["3a"] = {"conductor": 3, "terms": [term]}
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, command, "--table", str(path))
+    assert code == 1
+    assert "result: ok" not in out
+    assert err.startswith("helixpq: error:") and "term" in err
+
+
+# sha256 of stdout and of each file written, for the README's examples run
+# in order in one directory (`verify` reads the file `solve --out` wrote),
+# plus `pq gen:psl2:16 --format json`; recorded at 63eaf0d
+README_EXAMPLES = [
+    (("gen", "--family", "psl2", "--q", "27", "--out", "psl2_27.json"), 0,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     {"psl2_27.json": "630916a8e01d3e16840e15be92043587586b9d3fcd750a581737db211f481e75"}),
+    (("validate", "--table", "psl2_27.json"), 0,
+     "362de95c0ae2f079500f88c4c0a9c297a85e0ffd4d8b11de1a01f9c81478de64", {}),
+    (("solve", "--table", "embedded:psp4_7_partial", "--chars", "phi",
+      "--order", "2", "--format", "text"), 0,
+     "47cc7e8c87d5891109d737c8db4649c1126142adc8e5f7341f0cc15f9f0dd9ff", {}),
+    (("solve", "--table", "gen:psl2:243", "--chars", "deg=121", "--order", "33",
+      "--s-constant", "11", "--format", "text"), 0,
+     "b8ce5faf956cc42acc5e6776c725bb1d111abf07157002839e0a1f350b9c45ed", {}),
+    (("solve", "--table", "embedded:psl2_2f_rows", "--chars", "all", "--order", "6",
+      "--format", "json", "--out", "solutions.json"), 0,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     {"solutions.json": "fe40f737a7e59041dd3e3009f14c9a0da53a15284242c7c84c68b548c74ac464"}),
+    (("verify", "--table", "embedded:psl2_2f_rows", "--chain", "solutions.json",
+      "--order", "6"), 0,
+     "09dfb39f53734e004ddc6a1f9a0e89919d701e18610845161019c16b4b21296f", {}),
+    (("pq", "--table", "gen:psl2:5", "--format", "text"), 0,
+     "8ff043a1e305df836b4f31432140d03bebec205696a9738282951c0021c25cb6", {}),
+    (("pq", "--table", "gen:psl2:16", "--format", "json"), 0,
+     "4f955015f030c0128c47f5bbb8fba1eab028f24e063b47de822682e51a71fc8d", {}),
+]
+
+
+def test_readme_examples_are_pinned(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for argv, want_code, want_out, want_files in README_EXAMPLES:
+        before = set(tmp_path.iterdir())
+        code, out, _ = run(capsys, *argv)
+        assert code == want_code, argv
+        assert hashlib.sha256(out.encode()).hexdigest() == want_out, argv
+        written = {
+            p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(set(tmp_path.iterdir()) - before)
+        }
+        assert written == want_files, argv
 
 
 # --- solve ----------------------------------------------------------------------

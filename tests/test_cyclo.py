@@ -128,6 +128,33 @@ def test_parse_rejects_booleans_and_junk():
         parse_cyc({"bogus": 1})
 
 
+@pytest.mark.parametrize("term", [
+    [0, -1.4, 1],      # a float numerator used to be truncated to -1
+    [0, 1, 2.0],
+    [1.0, 1, 1],
+    [0, True],
+    [0, 1, False],
+    [True, 1, 1],
+    [0, 1, 0],         # used to end in ZeroDivisionError
+])
+def test_parse_rejects_non_integer_and_zero_denominator_terms(term):
+    with pytest.raises(ValueError, match=r"term \["):
+        parse_cyc({"conductor": 3, "terms": [term]})
+
+
+@pytest.mark.parametrize("obj", [[1, 0], [1.5, 2], [1, True], "1/0"])
+def test_parse_rejects_bad_rationals(obj):
+    with pytest.raises(ValueError, match="term"):
+        parse_cyc(obj)
+
+
+def test_constructor_rejects_float_coefficients():
+    with pytest.raises(TypeError, match="float"):
+        CycValue(3, {1: 0.1})
+    with pytest.raises(TypeError, match="float"):
+        cyc_rational(0.5)
+
+
 def test_terms_at_level_reconstructs_value():
     v = root_of_unity(9) + cyc_rational(2)
     terms = terms_at_level(v, 18)
@@ -193,6 +220,40 @@ def test_trace_is_galois_invariant(a, k):
     if math.gcd(k, a.conductor) != 1:
         k = 1
     assert rational_trace(galois_apply(a, k)) == rational_trace(a)
+
+
+@settings(max_examples=150, deadline=None)
+@given(cyc_values(), st.integers(1, 40))
+def test_galois_image_keeps_the_conductor(a, k):
+    import math
+
+    n = a.conductor
+    if math.gcd(k, n) != 1:
+        k = 1
+    image = galois_apply(a, k)
+    rebuilt = CycValue(n, {e * k % n: c for e, c in a.terms.items()})
+    assert (image.conductor, image.terms) == (rebuilt.conductor, rebuilt.terms)
+
+
+def _canonical_coefficients(v: CycValue) -> bool:
+    return all(
+        type(c) is int or (type(c) is Fraction and c.denominator != 1)
+        for c in v.terms.values()
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(cyc_values(), cyc_values(), st.integers(1, 40))
+def test_coefficients_are_ints_unless_fractional(a, b, k):
+    import math
+
+    if math.gcd(k, a.conductor) != 1:
+        k = 1
+    for v in (a, b, a + b, a - b, a * b, -a, galois_apply(a, k)):
+        assert _canonical_coefficients(v), v.terms
+        if v.is_rational():
+            assert type(v.as_rational()) is Fraction
+    assert type(rational_trace(a * b)) is Fraction
 
 
 @settings(max_examples=100, deadline=None)

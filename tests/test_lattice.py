@@ -175,10 +175,11 @@ def test_cap_interrupts_enumeration():
 
 
 def test_failed_probe_is_named_as_the_limit():
-    # x >= 0 and x both even and odd: the relaxation is unbounded, no
-    # integer point exists, and the probe windows cannot show either
+    # x >= 0, x = 0 mod 2 and x = 1 mod 4: the relaxation is unbounded, no
+    # integer point exists, and the probe windows cannot show either (two
+    # congruences with one modulus would clash before any search)
     poly = Polyhedron(dim=1, ineqs=[((1,), 0)],
-                      congruences=[((1,), 0, 2), ((1,), 1, 2)])
+                      congruences=[((1,), 0, 2), ((1,), -1, 4)])
     res = enumerate_integer_points(poly)
     assert res.status == "capped" and res.limit == "probe"
     assert res.points == []
@@ -253,6 +254,22 @@ def test_psl2_25_order_39_search_visits_pinned_node_count(budgets):
     res = build_chain_system(table, list(table.characters), 39).solve()
     assert res.status == "finite" and res.points == []
     assert [b.nodes for b in budgets] == [11003]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_contradictory_congruences_stop_before_the_search(budgets, dim):
+    # x_i >= 0 with sum x_i = 0 and sum x_i = 1 (mod 2): the relaxation is
+    # unbounded, and only the clash of the two congruences shows emptiness
+    ones = (1,) * dim
+    unit = [tuple(int(j == k) for j in range(dim)) for k in range(dim)]
+    poly = Polyhedron(
+        dim=dim,
+        ineqs=[(u, 0) for u in unit],
+        congruences=[(ones, 0, 2), (ones, -1, 2)],
+    )
+    res = enumerate_integer_points(poly)
+    assert res.status == "finite" and res.points == []
+    assert sum(b.nodes for b in budgets) == 0
 
 
 # --- variable_bounds against brute-force vertex enumeration --------------------
