@@ -70,9 +70,6 @@ class Character:
     values: dict[str, CycValue]
     characteristic: int = 0  # 0 = ordinary, prime p = Brauer character mod p
 
-    def value(self, class_name: str) -> Optional[CycValue]:
-        return self.values.get(class_name)
-
 
 @dataclass
 class CharacterTable:

@@ -181,7 +181,7 @@ def _load_chains(path: str) -> list:
         raw = fh.read()
     obj = json.loads(raw)
     if isinstance(obj, dict) and "chains" in obj:
-        chains = [chartab.parse_chain(json.dumps(c)) for c in obj["chains"]]
+        chains = [chartab.parse_chain(c) for c in obj["chains"]]
         if not chains:
             raise TableError(f"{path} contains an empty chain list")
         return chains
@@ -303,9 +303,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (TableError, engine.EngineError, pqmod.PQError) as exc:
-        print(f"helixpq: error: {exc}", file=sys.stderr)
-        return 1
     except (OSError, ValueError) as exc:
         print(f"helixpq: error: {exc}", file=sys.stderr)
         return 1

@@ -24,10 +24,12 @@ every congruence), or gives up honestly at a cap.  The main structural move:
 columns that agree in every row are aggregated (the difference of two such
 variables is never constrained), which removes the lineality space that
 aggregate-style constraint systems produce; after that the enumeration is a
-depth-first interval-propagation search, exact in integers throughout.  The
-search splits each row once into sparse lists of its positive and its
-negative coefficients, so a node's propagation sweep touches only nonzero
-entries and never branches on a coefficient's sign.
+depth-first interval-propagation search, exact in integers throughout.  Its
+whole state is the integer box (lo, hi): the LP bounds rounded once (None on
+an unbounded side, clipped to each probe window); a branch pins one variable,
+and congruences read pinned values off lo.  Each row is split once into its
+nonzero coefficients, so a node touches no zero entry.  Congruences that
+clash modulo the gcd of two moduli are rejected before any search.
 
 `oracle_enumerate` is an independent brute-force checker over an explicit
 box, kept free of any machinery above so the two can be tested against each
@@ -221,16 +223,16 @@ def _ray(rows, basis, d, e, dim):
 # preprocessing
 
 
-def _tidy(poly: Polyhedron, integer: bool):
-    """Deduplicate/merge rows; detect trivial infeasibility.
+def _tidy(poly: Polyhedron):
+    """Deduplicate/merge rows; detect trivial integer infeasibility.
 
     Returns (feasible, ineqs, eqs, congs).  Inequalities with proportional
-    coefficient vectors keep only the tightest constant; congruence rows are
-    reduced mod m, and two with the same reduced left-hand side and modulus
-    but different constants are a contradiction.  Zero-coefficient rows
-    become pure feasibility checks.
-    With integer=True an equality whose coefficient gcd does not divide the
-    constant term is an immediate contradiction (it is not one rationally).
+    coefficient vectors keep only the tightest constant; zero-coefficient
+    rows become pure feasibility checks, and an equality whose coefficient
+    gcd does not divide its constant has no integer point.  Congruence rows
+    are reduced mod m; two whose left-hand sides agree modulo g must agree
+    in their constants modulo g, for each g > 1 that is the gcd of two
+    moduli present (one modulus with itself included, so g = m).
     """
     best: dict[tuple[int, ...], tuple[Fraction, tuple[tuple[int, ...], int]]] = {}
     for a, c in poly.ineqs:
@@ -254,7 +256,7 @@ def _tidy(poly: Polyhedron, integer: bool):
                 return False, [], [], []
             continue
         g = math.gcd(*(abs(x) for x in a))
-        if integer and c % g:
+        if c % g:
             return False, [], [], []
         lead = next(x for x in a if x)
         sgn = 1 if lead > 0 else -1
@@ -264,7 +266,7 @@ def _tidy(poly: Polyhedron, integer: bool):
             eqs.append((a, c))
 
     congs = []
-    seenc: dict[tuple[tuple[int, ...], int], int] = {}
+    seenc = set()
     for a, c, m in poly.congruences:
         if m == 1:
             continue
@@ -274,20 +276,24 @@ def _tidy(poly: Polyhedron, integer: bool):
             if rc:
                 return False, [], [], []
             continue
-        # one left-hand side mod m has one residue: a second one contradicts
-        if (ra, m) in seenc:
-            if seenc[ra, m] != rc:
-                return False, [], [], []
-            continue
-        seenc[ra, m] = rc
-        congs.append((ra, rc, m))
+        if (ra, rc, m) not in seenc:
+            seenc.add((ra, rc, m))
+            congs.append((ra, rc, m))
+    # g divides both moduli, so one left-hand side mod g has one residue
+    pairs = itertools.combinations_with_replacement({m for _, _, m in congs}, 2)
+    for g in {math.gcd(m1, m2) for m1, m2 in pairs} - {1}:
+        residues: dict[tuple[int, ...], int] = {}
+        for a, c, m in congs:
+            if m % g == 0:
+                key = tuple(x % g for x in a)
+                if residues.setdefault(key, c % g) != c % g:
+                    return False, [], [], []
     return True, ineqs, eqs, congs
 
 
 def variable_bounds(poly: Polyhedron) -> Bounds:
     """Exact rational extrema of each coordinate over the linear relaxation."""
-    ok, ineqs, eqs, _ = _tidy(poly, integer=False)
-    bounds = _bounds_raw(poly.dim, ineqs, eqs) if ok else "infeasible"
+    bounds = _bounds_raw(poly.dim, poly.ineqs, poly.eqs)
     if bounds == "infeasible":
         return Bounds("infeasible", [], [])
     lower, upper, _ = bounds
@@ -296,10 +302,6 @@ def variable_bounds(poly: Polyhedron) -> Bounds:
 
 # ---------------------------------------------------------------------------
 # DFS over integer boxes with exact propagation
-
-
-def _ceil_div(p: int, q: int) -> int:
-    return -((-p) // q)
 
 
 class _Budget:
@@ -312,9 +314,11 @@ class _Budget:
 def _dfs_enumerate(dim, ineqs, eqs, congs, lo, hi, cap, budget: _Budget):
     """All integer points in the box satisfying all rows.
 
-    Each node tightens the box by up to 4 Gauss-Seidel sweeps over the rows,
-    inequalities first; a row is held as (pos, neg, c, is_eq) with pos the
-    pairs (j, a_j) for a_j > 0 and neg the pairs (j, -a_j) for a_j < 0, so a
+    The box (lo, hi) is the whole search state; a branch pins one variable
+    (lo_j == hi_j).  Each node tightens the box by up to 4 Gauss-Seidel
+    sweeps over the rows, inequalities first; a row is held as (pos, neg, c,
+    is_eq) with pos the pairs (j, a_j) for a_j > 0 and neg the pairs (j, -a_j)
+    for a_j < 0, and a congruence as its support {j: a_j mod m != 0}, so a
     sweep visits only nonzero coefficients.  Returns (points, exhausted)
     where exhausted=False means the cap or node budget interrupted the search.
     """
@@ -324,6 +328,7 @@ def _dfs_enumerate(dim, ineqs, eqs, congs, lo, hi, cap, budget: _Budget):
          [(j, -x) for j, x in enumerate(a) if x < 0], c, is_eq)
         for a, c, is_eq in rows
     ]
+    csupp = [({j: x % m for j, x in enumerate(a) if x % m}, c, m) for a, c, m in congs]
     points: list[tuple[int, ...]] = []
 
     def propagate(lo, hi):
@@ -372,18 +377,17 @@ def _dfs_enumerate(dim, ineqs, eqs, congs, lo, hi, cap, budget: _Budget):
                         return None
         return lo, hi
 
-    def cong_progression(j, lo, hi, congs_state):
-        """Combined arithmetic progression for variable j from congruences
-        whose not-yet-fixed support is exactly {j}; fixed variables (pinched
-        boxes) contribute to the constant."""
+    def cong_progression(j, lo, hi):
+        """Combined progression x_j = offset (mod step) from the congruences
+        whose support holds j and otherwise only fixed variables (lo == hi),
+        each contributing a_k * lo_k to the constant; None when they admit
+        no value of x_j."""
         step, offset = 1, 0
-        for a, c, m in congs_state:
-            if a[j] % m == 0:
+        for supp, c, m in csupp:
+            if j not in supp or any(lo[k] < hi[k] for k in supp if k != j):
                 continue
-            if any(a[k] % m and k != j and lo[k] < hi[k] for k in range(dim)):
-                continue
-            cc = c + sum(a[k] * lo[k] for k in range(dim) if k != j and a[k] % m)
-            aj, cc = a[j] % m, cc % m
+            aj = supp[j]
+            cc = (c + sum(ak * lo[k] for k, ak in supp.items() if k != j)) % m
             g = math.gcd(aj, m)
             if cc % g:
                 return None
@@ -401,7 +405,7 @@ def _dfs_enumerate(dim, ineqs, eqs, congs, lo, hi, cap, budget: _Budget):
             offset %= step
         return step, offset
 
-    def rec(lo, hi, congs_state):
+    def rec(lo, hi):
         budget.nodes += 1
         if budget.nodes > _NODE_BUDGET or len(points) > cap:
             return False
@@ -418,30 +422,20 @@ def _dfs_enumerate(dim, ineqs, eqs, congs, lo, hi, cap, budget: _Budget):
                     return False
             return True
         j = min(unfixed, key=lambda k: hi[k] - lo[k])
-        prog = cong_progression(j, lo, hi, congs_state)
+        prog = cong_progression(j, lo, hi)
         if prog is None:
             return True
         step, offset = prog
-        start = lo[j] + (offset - lo[j]) % step
-        v = start
+        v = lo[j] + (offset - lo[j]) % step
         while v <= hi[j]:
             nlo, nhi = list(lo), list(hi)
             nlo[j] = nhi[j] = v
-            # substitute into congruences: fixing is implicit (lo==hi)
-            ncongs = []
-            for a, c, m in congs_state:
-                if a[j] % m:
-                    na = list(a)
-                    na[j] = 0
-                    ncongs.append((tuple(na), (c + a[j] * v) % m, m))
-                else:
-                    ncongs.append((a, c, m))
-            if not rec(nlo, nhi, ncongs):
+            if not rec(nlo, nhi):
                 return False
             v += step
         return True
 
-    exhausted = rec(list(lo), list(hi), list(congs))
+    exhausted = rec(list(lo), list(hi))
     return points, exhausted
 
 
@@ -502,7 +496,7 @@ def enumerate_integer_points(poly: Polyhedron, cap: int | None = None) -> Enumer
       integer point, so neither an infinite family nor emptiness is shown).
     """
     cap = DEFAULT_CAP if cap is None else int(cap)
-    ok, ineqs, eqs, congs = _tidy(poly, integer=True)
+    ok, ineqs, eqs, congs = _tidy(poly)
     if not ok:
         return EnumerationResult("finite", [])
 
@@ -515,6 +509,9 @@ def enumerate_integer_points(poly: Polyhedron, cap: int | None = None) -> Enumer
     if bounds == "infeasible":
         return EnumerationResult("finite", [])
     lo, hi, ray = bounds
+    # the integer box of the relaxation, None on an unbounded side
+    lo = [None if b is None else math.ceil(b) for b in lo]
+    hi = [None if b is None else math.floor(b) for b in hi]
 
     budget = _Budget()
     if ray is not None:
@@ -522,10 +519,8 @@ def enumerate_integer_points(poly: Polyhedron, cap: int | None = None) -> Enumer
         ray = _scale_ray_for_congruences(ray, pcongs)
         found = None
         for w in _PROBE_WINDOWS:
-            wlo = [int(l) if l is not None else -w for l in lo]
-            whi = [int(h) if h is not None else w for h in hi]
-            wlo = [max(v, -w) for v in wlo]
-            whi = [min(v, w) for v in whi]
+            wlo = [-w if l is None else max(l, -w) for l in lo]
+            whi = [w if h is None else min(h, w) for h in hi]
             if any(a > b for a, b in zip(wlo, whi)):
                 continue
             pts, _ = _dfs_enumerate(k, pineqs, peqs, pcongs, wlo, whi, 0, budget)
@@ -540,27 +535,21 @@ def enumerate_integer_points(poly: Polyhedron, cap: int | None = None) -> Enumer
         lifted_ray = _lift_ray(poly.dim, groups, ray)
         return EnumerationResult("infinite", [], ray=lifted_ray)
 
-    ilo = [_ceil_div(b.numerator, b.denominator) for b in lo]
-    ihi = [b.numerator // b.denominator for b in hi]
-    if any(a > b for a, b in zip(ilo, ihi)):
+    if any(a > b for a, b in zip(lo, hi)):
         return EnumerationResult("finite", [])
 
-    if merged:
-        # any solution of the reduced system lifts in infinitely many ways
-        # through a group of size >= 2 (x_i - x_j is unconstrained there)
-        pts, exhausted = _dfs_enumerate(k, pineqs, peqs, pcongs, ilo, ihi, 0, budget)
-        if pts:
-            big = next(g for g in groups if len(g) > 1)
-            ray = [0] * poly.dim
-            ray[big[0]], ray[big[1]] = 1, -1
-            return EnumerationResult("infinite", [], ray=tuple(ray))
-        if not exhausted:
-            return EnumerationResult("capped", [], limit="node_budget")
-        return EnumerationResult("finite", [])
-
-    pts, exhausted = _dfs_enumerate(k, pineqs, peqs, pcongs, ilo, ihi, cap, budget)
+    # with merged columns one point settles it: any solution of the reduced
+    # system lifts in infinitely many ways through a group of size >= 2
+    # (x_i - x_j is unconstrained there)
+    pts, exhausted = _dfs_enumerate(k, pineqs, peqs, pcongs, lo, hi,
+                                    0 if merged else cap, budget)
+    if merged and pts:
+        big = next(g for g in groups if len(g) > 1)
+        ray = [0] * poly.dim
+        ray[big[0]], ray[big[1]] = 1, -1
+        return EnumerationResult("infinite", [], ray=tuple(ray))
     if not exhausted:
-        limit = "cap" if len(pts) > cap else "node_budget"
+        limit = "node_budget" if budget.nodes > _NODE_BUDGET else "cap"
         return EnumerationResult("capped", sorted(pts)[:cap], limit=limit)
     return EnumerationResult("finite", sorted(pts))
 

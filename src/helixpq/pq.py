@@ -29,9 +29,9 @@ from typing import Mapping, Optional, Sequence, Union
 from .chartab import Character, CharacterTable, PAChain, render_chain
 from .cyclo import prime_divisors
 from .engine import (
-    EngineError,
     SolutionSet,
     _cap_or_default,
+    _resolve_chars,
     classify_chain,
     solve_order,
     solve_s_constant,
@@ -183,9 +183,8 @@ def pq_check(
     cap = _cap_or_default(cap)
     graph = prime_graph(table, assume_coverage=assume_coverage)
     plan = _normalize_plan(char_plan)
-    base_chars = list(table.characters) if characters is None else [
-        table.character_by_name(c) if isinstance(c, str) else c for c in characters
-    ]
+    base_chars = (list(table.characters) if characters is None
+                  else _resolve_chars(table, characters))
     todo = graph.non_edges()
     if pairs is not None:
         wanted = {_as_pair(pr, "requested pair") for pr in pairs}
@@ -227,10 +226,7 @@ def _check_pair(table, base_chars, p, q, plan, *, cap, congruences) -> PairRepor
     try:
         chars = plan.get("characters")
         if chars is not None:
-            chars = [
-                table.character_by_name(c) if isinstance(c, str) else c
-                for c in chars
-            ]
+            chars = _resolve_chars(table, chars)
         else:
             chars = [ch for ch in base_chars if not (ch.characteristic and
                                                      n % ch.characteristic == 0)]
@@ -258,7 +254,7 @@ def _check_pair(table, base_chars, p, q, plan, *, cap, congruences) -> PairRepor
             sol = solve_s_constant(
                 table, chars, s, t, congruences=congruences, cap=cap
             )
-    except (EngineError, ValueError) as exc:
+    except ValueError as exc:
         return PairReport(
             p=p, q=q, outcome="error", strategy=strategy,
             character_names=tuple(

@@ -86,9 +86,11 @@ def test_rational_equality_without_integer_solution():
 
 
 def test_degenerate_zero_rows_are_feasibility_checks():
+    # variable_bounds hands zero rows to the simplex untidied
     sat = Polyhedron(dim=1, ineqs=[((0,), 3), ((1,), 0), ((-1,), 2)],
                      eqs=[((0,), 0)], congruences=[((0,), 0, 5)])
     assert enumerate_integer_points(sat).points == [(0,), (1,), (2,)]
+    assert variable_bounds(sat) == Bounds("ok", [Fraction(0)], [Fraction(2)])
     for bad in (
         Polyhedron(dim=1, ineqs=[((0,), -1)]),
         Polyhedron(dim=1, eqs=[((0,), 2)]),
@@ -96,6 +98,8 @@ def test_degenerate_zero_rows_are_feasibility_checks():
     ):
         res = enumerate_integer_points(bad)
         assert res.status == "finite" and res.points == []
+        if not bad.congruences:
+            assert variable_bounds(bad).status == "infeasible"
 
 
 def test_unbounded_ray_reported():
@@ -148,7 +152,7 @@ def test_ray_certificate_stays_inside_from_a_witness(poly):
             assert _satisfies(poly, moved), (witness, res.ray, t)
 
 
-def test_identical_columns_collapse_to_lineality():
+def test_identical_columns_collapse_to_lineality(monkeypatch):
     # only x + y is constrained: infinitely many integer points
     poly = Polyhedron(
         dim=2,
@@ -159,6 +163,15 @@ def test_identical_columns_collapse_to_lineality():
     assert res.ray is not None
     rx, ry = res.ray
     assert rx + ry == 0 and (rx, ry) != (0, 0)
+
+    # x + y = 5 (mod 6) as well: the search finds no point to lift
+    empty = Polyhedron(dim=2, ineqs=poly.ineqs, congruences=[((1, 1), -5, 6)])
+    assert enumerate_integer_points(empty) == EnumerationResult("finite", [])
+    # and with no node to spend it cannot say so
+    monkeypatch.setattr(lattice, "_NODE_BUDGET", 0)
+    res = enumerate_integer_points(empty)
+    assert res.status == "capped" and res.limit == "node_budget"
+    assert res.points == []
 
 
 def test_cap_interrupts_enumeration():
@@ -175,11 +188,10 @@ def test_cap_interrupts_enumeration():
 
 
 def test_failed_probe_is_named_as_the_limit():
-    # x >= 0, x = 0 mod 2 and x = 1 mod 4: the relaxation is unbounded, no
-    # integer point exists, and the probe windows cannot show either (two
-    # congruences with one modulus would clash before any search)
-    poly = Polyhedron(dim=1, ineqs=[((1,), 0)],
-                      congruences=[((1,), 0, 2), ((1,), -1, 4)])
+    # x >= 0, 2x = 1 mod 4: the relaxation is unbounded, no integer point
+    # exists, and the probe windows cannot show either (two congruences that
+    # clash modulo a common divisor of their moduli would stop the search)
+    poly = Polyhedron(dim=1, ineqs=[((1,), 0)], congruences=[((2,), -1, 4)])
     res = enumerate_integer_points(poly)
     assert res.status == "capped" and res.limit == "probe"
     assert res.points == []
@@ -256,16 +268,27 @@ def test_psl2_25_order_39_search_visits_pinned_node_count(budgets):
     assert [b.nodes for b in budgets] == [11003]
 
 
-@pytest.mark.parametrize("dim", [1, 2, 3])
-def test_contradictory_congruences_stop_before_the_search(budgets, dim):
-    # x_i >= 0 with sum x_i = 0 and sum x_i = 1 (mod 2): the relaxation is
-    # unbounded, and only the clash of the two congruences shows emptiness
+@pytest.mark.parametrize(
+    "dim, moduli",
+    [
+        pytest.param(1, (2, 2), id="1"),
+        pytest.param(2, (2, 2), id="2"),
+        pytest.param(3, (2, 2), id="3"),
+        # the moduli differ: the rows clash modulo their gcd 2
+        pytest.param(1, (2, 4), id="mixed-1"),
+        pytest.param(2, (2, 4), id="mixed-2"),
+    ],
+)
+def test_contradictory_congruences_stop_before_the_search(budgets, dim, moduli):
+    # x_i >= 0 with sum x_i = 0 (mod m1) and sum x_i = 1 (mod m2): the
+    # relaxation is unbounded, and only the clash of the two congruences
+    # shows emptiness
     ones = (1,) * dim
     unit = [tuple(int(j == k) for j in range(dim)) for k in range(dim)]
     poly = Polyhedron(
         dim=dim,
         ineqs=[(u, 0) for u in unit],
-        congruences=[(ones, 0, 2), (ones, -1, 2)],
+        congruences=[(ones, 0, moduli[0]), (ones, -1, moduli[1])],
     )
     res = enumerate_integer_points(poly)
     assert res.status == "finite" and res.points == []
