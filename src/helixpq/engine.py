@@ -45,7 +45,11 @@ flat system of order n (`build_system`) is the joint system's top level
 with the lower levels fixed: the same blocks, weighted by the fixed
 partial augmentations, fold into the constants.  Character values are
 algebraic integers, so every block is integral and rows are built in
-integer arithmetic.
+integer arithmetic.  A block depends only on the value and the level, so
+it is computed once per (value, level) in a functools cache shared by
+every build; each level's rows are read off the blocks column by column,
+and a row is only built when its (kind, coeffs, const, modulus) has not
+been seen before in the same system (unless deduplication is off).
 
 Systems are solved by exact integer enumeration (`lattice`).  Orders
 are solved recursively: the chains of u^p for each prime p | n are
@@ -61,7 +65,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 from typing import Mapping, Optional, Sequence, Union
 
 from .chartab import (
@@ -243,6 +247,20 @@ def build_chain_system(
     )
 
 
+@lru_cache(maxsize=None)
+def _trace_block(value, level):
+    """Tr(value * zeta_level^-k) for k = 0..level-1, the cyclic correlation
+    of the value's terms at this level with the traces of the level's roots
+    of unity; None when a term is not integral."""
+    terms = terms_at_level(value, level)
+    if any(c.denominator != 1 for _, c in terms):
+        return None
+    tab = root_trace_table(level)
+    return tuple(
+        sum(c * tab[(e - k) % level] for e, c in terms) for k in range(level)
+    )
+
+
 def _build(table, characters, order, powers, *, congruences, collapse_order, dedupe):
     """The row generator behind `build_system` and `build_chain_system`.
 
@@ -251,6 +269,15 @@ def _build(table, characters, order, powers, *, congruences, collapse_order, ded
     `powers` fixes every lower level, only the top level has columns and
     rows, and the fixed levels enter the constants with the same integer
     blocks the joint system puts on their columns.
+
+    The blocks come from `_trace_block`, cached per (value, level) across
+    calls; the checks on a value (missing, not integral, non-integral term)
+    run in every call and name this call's character and class.  Each
+    character's rows of a level are the transpose of its column blocks,
+    repeated to the level's length.  With `dedupe` a row is built only for
+    the first occurrence of its (kind, coeffs, const, modulus), so the
+    system keeps the first row of each key, with its provenance, in
+    generation order; without it every row is kept.
     """
     n = int(order)
     if n < 2:
@@ -313,50 +340,54 @@ def _build(table, characters, order, powers, *, congruences, collapse_order, ded
             )
         return val
 
-    blocks: dict[tuple[int, int, str], tuple[int, ...]] = {}
-
-    def block(ci, level, key, free):
-        """Tr(chi(key) * zeta_level^-k) for k = 0..level-1: the entries of
-        one column, or one fixed class, in the rows of a level it divides."""
-        memo = (ci, level, key)
-        if memo not in blocks:
-            ch = chars[ci]
-            terms = terms_at_level(value(ch, key, free), level)
-            if any(c.denominator != 1 for _, c in terms):
-                raise EngineError(
-                    f"character {ch.name!r} value on {key!r} has a non-integral "
-                    f"term; table data is corrupt"
-                )
-            tab = root_trace_table(level)
-            blocks[memo] = tuple(
-                sum(c.numerator * tab[(e - k) % level] for e, c in terms)
-                for k in range(level)
+    def block(ch, level, key, free):
+        """The trace block of ch on one column, or one fixed class, at a
+        level it divides."""
+        b = _trace_block(value(ch, key, free), level)
+        if b is None:
+            raise EngineError(
+                f"character {ch.name!r} value on {key!r} has a non-integral "
+                f"term; table data is corrupt"
             )
-        return blocks[memo]
+        return b
+
+    rows: list[Row] = []
+    seen: set[tuple] = set()
+
+    def fresh(*key):
+        if not dedupe:
+            return True
+        if key in seen:
+            return False
+        seen.add(key)
+        return True
 
     # -- multiplicity and augmentation rows -----------------------------------
-    rows: list[Row] = []
     for m in free_levels:
         tag = f"@{m}" if joint else ""
-        for ci, ch in enumerate(chars):
+        zeros = (0,) * m
+        for ch in chars:
+            # column-major: each column's entries in the m rows of this level
             cols = [
-                (l, block(ci, l, key, True) if m % l == 0 else None)
+                block(ch, l, key, True) * (m // l) if m % l == 0 else zeros
                 for l, key in columns
             ]
             consts = [ch.degree] * m
             for l, entry in fixed.items():
                 for key, eps in entry.items():
                     if eps:
-                        fb = block(ci, l, key, False)
+                        fb = block(ch, l, key, False)
                         for k in range(m):
                             consts[k] += eps * fb[k % l]
-            for k in range(m):
-                coeffs = tuple(0 if b is None else b[k % l] for l, b in cols)
+            for k, (coeffs, const) in enumerate(zip(zip(*cols), consts)):
                 prov = f"{ch.name}:mult[{k}]{tag}"
-                rows.append(Row(coeffs, consts[k], "ge", None, prov))
-                rows.append(Row(coeffs, consts[k], "cong", m, prov + f"%{m}"))
+                if fresh("ge", coeffs, const, None):
+                    rows.append(Row(coeffs, const, "ge", None, prov))
+                if fresh("cong", coeffs, const, m):
+                    rows.append(Row(coeffs, const, "cong", m, f"{prov}%{m}"))
         aug = tuple(int(l == m) for l, _ in columns)
-        rows.append(Row(aug, -1, "eq", None, f"augmentation{tag}"))
+        if fresh("eq", aug, -1, None):
+            rows.append(Row(aug, -1, "eq", None, f"augmentation{tag}"))
 
     # -- prime-power congruences ----------------------------------------------
     mode: dict[int, str] = {}
@@ -366,15 +397,11 @@ def _build(table, characters, order, powers, *, congruences, collapse_order, ded
                 prows, pmode = _power_rows(
                     table, columns, m, p, fixed.get(m // p), f"@{m}" if joint else ""
                 )
-                rows.extend(prows)
+                rows.extend(
+                    r for r in prows if fresh(r.kind, r.coeffs, r.const, r.modulus)
+                )
                 if mode.get(p) != "order":  # report the weakest level's mode
                     mode[p] = pmode
-
-    if dedupe:
-        first: dict[tuple, Row] = {}
-        for r in rows:
-            first.setdefault((r.kind, r.coeffs, r.const, r.modulus), r)
-        rows = list(first.values())
 
     return ConstraintSystem(
         table_name=table.group_name,

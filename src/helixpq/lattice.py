@@ -512,6 +512,10 @@ def enumerate_integer_points(poly: Polyhedron, cap: int | None = None) -> Enumer
     # the integer box of the relaxation, None on an unbounded side
     lo = [None if b is None else math.ceil(b) for b in lo]
     hi = [None if b is None else math.floor(b) for b in hi]
+    # a coordinate bounded on both sides may round to an empty range, also
+    # when the relaxation is unbounded elsewhere
+    if any(a is not None and b is not None and a > b for a, b in zip(lo, hi)):
+        return EnumerationResult("finite", [])
 
     budget = _Budget()
     if ray is not None:
@@ -534,9 +538,6 @@ def enumerate_integer_points(poly: Polyhedron, cap: int | None = None) -> Enumer
             return EnumerationResult("capped", [], limit=limit)
         lifted_ray = _lift_ray(poly.dim, groups, ray)
         return EnumerationResult("infinite", [], ray=lifted_ray)
-
-    if any(a > b for a, b in zip(lo, hi)):
-        return EnumerationResult("finite", [])
 
     # with merged columns one point settles it: any solution of the reduced
     # system lifts in infinitely many ways through a group of size >= 2

@@ -103,6 +103,77 @@ def test_dedupe_reduces_rows(psl2_32):
     assert len(slim.rows) < len(full.rows)
 
 
+def _first_occurrences(rows):
+    seen, out = set(), []
+    for r in rows:
+        key = (r.kind, r.coeffs, r.const, r.modulus)
+        if key not in seen:
+            seen.add(key)
+            out.append(r)
+    return out
+
+
+# (table fixture, characters (None: all), unit order, fixed powers (None:
+# the joint system), collapsed order)
+DEDUPE_CASES = [
+    ("psl2_32", None, 6, POWERS_6, None),
+    ("psl2_32", None, 6, None, None),
+    ("psl2_32", None, 6, {2: {"2a": 1}, 3: {"~3": 1}}, 3),
+    ("psl2_32", None, 62, {2: {"2a": 1}, 31: {"31a": 1}}, None),
+    ("psl2_32", None, 62, None, None),
+    ("psl2_32", ["st"], 62, {2: {"2a": 1}, 31: {"~31": 1}}, 31),
+    ("pgl2_3f_rows", None, 6, {2: {"2a": 2, "2b": -1}, 3: {"3a": 1}}, None),
+    ("pgl2_3f_rows", None, 6, None, None),
+    ("psp", None, 10, {2: {"2a": -1, "2b": 2}, 5: {"5a": 1}}, None),
+    ("psp", None, 10, None, None),
+]
+
+
+@pytest.mark.parametrize("name, chars, n, powers, collapse", DEDUPE_CASES)
+def test_dedupe_keeps_the_first_row_of_each_key(request, name, chars, n, powers,
+                                                collapse):
+    table = request.getfixturevalue(name)
+    chars = chars or list(table.characters)
+
+    def build(dedupe):
+        if powers is None:
+            return build_chain_system(table, chars, n, dedupe=dedupe)
+        return build_system(table, chars, n, powers, collapse_order=collapse,
+                            dedupe=dedupe)
+
+    full, slim = build(False), build(True)
+    assert slim.rows == _first_occurrences(full.rows)
+    assert len(slim.rows) < len(full.rows)
+    assert (slim.variables, slim.congruence_mode) == (full.variables,
+                                                      full.congruence_mode)
+
+
+def test_non_integral_term_names_each_character_on_every_call():
+    # "a" and "b" share the value 1/2 on the order-3 classes, so their
+    # collapsed order-3 column has one cached block for both; each build
+    # must still fail, naming its own character
+    half = {"1a": 2, "2a": 0, "3a": "1/2", "3b": "1/2"}
+    table = parse_table({
+        "group_name": "toy",
+        "completeness": "partial",
+        "classes": [
+            {"name": "1a", "element_order": 1},
+            {"name": "2a", "element_order": 2},
+            {"name": "3a", "element_order": 3},
+            {"name": "3b", "element_order": 3},
+        ],
+        "characters": [
+            {"name": "a", "degree": 2, "values": half},
+            {"name": "b", "degree": 2, "values": half},
+        ],
+    })
+    powers = {2: {"2a": 1}, 3: {"~3": 1}}
+    for name in ("a", "b", "a", "b"):
+        with pytest.raises(EngineError,
+                           match=f"'{name}' value on '~3' has a non-integral term"):
+            build_system(table, [name], 6, powers, collapse_order=3)
+
+
 def test_missing_power_levels_rejected(psp):
     with pytest.raises(EngineError, match="power"):
         build_system(psp, ["chi", "phi"], 10, powers={})

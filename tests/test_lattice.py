@@ -295,6 +295,15 @@ def test_contradictory_congruences_stop_before_the_search(budgets, dim, moduli):
     assert sum(b.nodes for b in budgets) == 0
 
 
+def test_empty_rounded_box_stops_before_the_probe(budgets):
+    # 25 <= 10x <= 27 and y >= 0: the relaxation is unbounded in y, but x
+    # rounds to the empty range [3, 2], so no integer point exists
+    poly = Polyhedron(dim=2, ineqs=[((10, 0), -25), ((-10, 0), 27), ((0, 1), 0)])
+    res = enumerate_integer_points(poly)
+    assert res.status == "finite" and res.points == []
+    assert sum(b.nodes for b in budgets) == 0
+
+
 # --- variable_bounds against brute-force vertex enumeration --------------------
 # The oracle shares no code with the simplex: every vertex of a bounded
 # polytope is the unique solution of some dim rows made tight.
