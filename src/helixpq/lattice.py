@@ -24,12 +24,19 @@ every congruence), or gives up honestly at a cap.  The main structural move:
 columns that agree in every row are aggregated (the difference of two such
 variables is never constrained), which removes the lineality space that
 aggregate-style constraint systems produce; after that the enumeration is a
-depth-first interval-propagation search, exact in integers throughout.  Its
-whole state is the integer box (lo, hi): the LP bounds rounded once (None on
-an unbounded side, clipped to each probe window); a branch pins one variable,
+depth-first interval-propagation search, exact in integers throughout.  It
+searches the integer box (lo, hi): the LP bounds rounded once (None on an
+unbounded side, clipped to each probe window); a branch pins one variable,
 and congruences read pinned values off lo.  Each row is split once into its
-nonzero coefficients, so a node touches no zero entry.  Congruences that
-clash modulo the gcd of two moduli are rejected before any search.
+nonzero coefficients, so a node touches no zero entry.  Propagation is
+incremental, as in the activity-based bound propagation of MIP solvers: each
+node carries every row's activities (its minimum and maximum over the box),
+summed once at the root and then shifted by each bound move through a
+per-variable occurrence index; a pass evaluates only the dirty rows, those
+with a variable moved since their last evaluation; and an inequality that
+holds on a whole box is retired for that node's subtree.  None of this
+changes which boxes the search visits.  Congruences that clash modulo the
+gcd of two moduli are rejected before any search.
 
 `oracle_enumerate` is an independent brute-force checker over an explicit
 box, kept free of any machinery above so the two can be tested against each
@@ -42,6 +49,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 from typing import Optional, Sequence
 
 Rat = Fraction
@@ -304,6 +312,10 @@ def variable_bounds(poly: Polyhedron) -> Bounds:
 # DFS over integer boxes with exact propagation
 
 
+# row states in _dfs_enumerate
+_CLEAN, _DIRTY, _RETIRED = 0, 1, 2
+
+
 class _Budget:
     __slots__ = ("nodes",)
 
@@ -314,13 +326,27 @@ class _Budget:
 def _dfs_enumerate(dim, ineqs, eqs, congs, lo, hi, cap, budget: _Budget):
     """All integer points in the box satisfying all rows.
 
-    The box (lo, hi) is the whole search state; a branch pins one variable
-    (lo_j == hi_j).  Each node tightens the box by up to 4 Gauss-Seidel
-    sweeps over the rows, inequalities first; a row is held as (pos, neg, c,
-    is_eq) with pos the pairs (j, a_j) for a_j > 0 and neg the pairs (j, -a_j)
-    for a_j < 0, and a congruence as its support {j: a_j mod m != 0}, so a
-    sweep visits only nonzero coefficients.  Returns (points, exhausted)
-    where exhausted=False means the cap or node budget interrupted the search.
+    A branch pins one variable (lo_j == hi_j).  A row is held as (pos, neg,
+    c, is_eq) with pos the pairs (j, a_j) for a_j > 0 and neg the pairs
+    (j, -a_j) for a_j < 0, and a congruence as its support {j: a_j mod m !=
+    0}, so no zero entry is ever touched.  Besides the box, a node owns two
+    row activities, mn[r] and mx[r] (the minimum and maximum of a_r.x + c_r
+    over the box), and a row state, clean, dirty or retired.  The
+    activities are summed only at the root; after that, a move of a bound
+    of x_j shifts them through the occurrence index occ[j], the pairs
+    (r, a_j) with a_j != 0 split by sign, and marks those rows dirty.
+
+    A node tightens the box by up to 4 Gauss-Seidel passes over the rows in
+    index order, inequalities first; each row cuts with the activities read
+    as its evaluation starts.  A pass evaluates only the dirty rows: a clean
+    row has seen no move of its variables since its last evaluation (or only
+    its own moves, for an inequality, whose cuts they cannot change), so
+    evaluating it again changes nothing.  An inequality with mn >= 0 holds
+    on the whole box, and so on every box of the subtree; it is retired
+    there, neither evaluated nor shifted again.  A child copies its parent's
+    lists, pins its variable and marks that variable's rows dirty; the root
+    starts with every row dirty.  Returns (points, exhausted) where
+    exhausted=False means the cap or node budget interrupted the search.
     """
     rows = [(a, c, False) for a, c in ineqs] + [(a, c, True) for a, c in eqs]
     rows = [
@@ -328,54 +354,113 @@ def _dfs_enumerate(dim, ineqs, eqs, congs, lo, hi, cap, budget: _Budget):
          [(j, -x) for j, x in enumerate(a) if x < 0], c, is_eq)
         for a, c, is_eq in rows
     ]
+    # occ[j] = (rows with a_j > 0, rows with a_j < 0), as pairs (r, a_j);
+    # the root's activities mn, mx are summed along the way
+    occ: list[tuple[list, list]] = [([], []) for _ in range(dim)]
+    mn, mx = [], []
+    for r, (pos, neg, c, _) in enumerate(rows):
+        rmn = rmx = c
+        for j, aj in pos:
+            occ[j][0].append((r, aj))
+            rmn += aj * lo[j]
+            rmx += aj * hi[j]
+        for j, bj in neg:
+            occ[j][1].append((r, -bj))
+            rmn -= bj * hi[j]
+            rmx -= bj * lo[j]
+        mn.append(rmn)
+        mx.append(rmx)
     csupp = [({j: x % m for j, x in enumerate(a) if x % m}, c, m) for a, c, m in congs]
     points: list[tuple[int, ...]] = []
 
-    def propagate(lo, hi):
+    def shift(j, dl, dh, mn, mx, state):
+        """lo_j moved by dl and hi_j by dh: shift the activities of the
+        live rows of x_j and mark them dirty.  lo_j bounds a_j*x_j from
+        below when a_j > 0 and from above when a_j < 0; hi_j the reverse."""
+        up, down = occ[j]
+        if dl:
+            for r, a in up:
+                if state[r] != _RETIRED:
+                    mn[r] += a * dl
+                    state[r] = _DIRTY
+            for r, a in down:
+                if state[r] != _RETIRED:
+                    mx[r] += a * dl
+                    state[r] = _DIRTY
+        if dh:
+            for r, a in up:
+                if state[r] != _RETIRED:
+                    mx[r] += a * dh
+                    state[r] = _DIRTY
+            for r, a in down:
+                if state[r] != _RETIRED:
+                    mn[r] += a * dh
+                    state[r] = _DIRTY
+
+    def propagate(lo, hi, mn, mx, state):
+        """Tighten the box in place; False when it holds no integer point."""
         changed = True
         passes = 0
         while changed and passes < 4:
             changed = False
             passes += 1
-            for pos, neg, c, is_eq in rows:
-                mn = mx = c
-                for j, aj in pos:
-                    mn += aj * lo[j]
-                    mx += aj * hi[j]
-                for j, bj in neg:
-                    mn -= bj * hi[j]
-                    mx -= bj * lo[j]
-                if mx < 0 or (is_eq and mn > 0):
-                    return None
+            for r, (pos, neg, _, is_eq) in enumerate(rows):
+                if state[r] != _DIRTY:
+                    continue
+                state[r] = _CLEAN
+                # the activities as the evaluation starts: the row's own
+                # moves below shift mn[r]/mx[r], not these
+                rmn, rmx = mn[r], mx[r]
+                if rmx < 0 or (is_eq and rmn > 0):
+                    return False
                 # x_j's own term spans [a_j*lo_j, a_j*hi_j], so the row needs
                 # a_j*x_j >= a_j*hi_j - mx, and an equality also a_j*x_j <=
                 # a_j*lo_j - mn: lo_j >= ceil((a_j*hi_j - mx) / a_j), which is
                 # hi_j - floor(mx / a_j), and hi_j <= lo_j + floor(-mn / a_j)
+                if not is_eq:
+                    if rmn >= 0:
+                        state[r] = _RETIRED
+                        continue
+                    # mx >= 0, so no cut passes the opposite bound
+                    for j, aj in pos:
+                        nl = hi[j] - rmx // aj
+                        if nl > lo[j]:
+                            shift(j, nl - lo[j], 0, mn, mx, state)
+                            lo[j] = nl
+                            changed = True
+                    for j, bj in neg:  # b_j = -a_j > 0: the same for -x_j
+                        nh = lo[j] + rmx // bj
+                        if nh < hi[j]:
+                            shift(j, 0, nh - hi[j], mn, mx, state)
+                            hi[j] = nh
+                            changed = True
+                    # these moves raise mn only and the cuts read mx, so a
+                    # second evaluation would move nothing
+                    state[r] = _RETIRED if mn[r] >= 0 else _CLEAN
+                    continue
                 for j, aj in pos:
                     lj, hj = lo[j], hi[j]
-                    nl = hj - mx // aj
-                    nh = lj + (-mn) // aj if is_eq else hj
-                    if nl > lj:
-                        lo[j] = nl
+                    nl = hj - rmx // aj
+                    nh = lj + (-rmn) // aj
+                    if nl > lj or nh < hj:
+                        nl, nh = max(nl, lj), min(nh, hj)
+                        if nl > nh:
+                            return False
+                        lo[j], hi[j] = nl, nh
+                        shift(j, nl - lj, nh - hj, mn, mx, state)
                         changed = True
-                    if nh < hj:
-                        hi[j] = nh
-                        changed = True
-                    if lo[j] > hi[j]:
-                        return None
-                for j, bj in neg:  # b_j = -a_j > 0: the same for -x_j
+                for j, bj in neg:
                     lj, hj = lo[j], hi[j]
-                    nh = lj + mx // bj
-                    nl = hj - (-mn) // bj if is_eq else lj
-                    if nl > lj:
-                        lo[j] = nl
+                    nh = lj + rmx // bj
+                    nl = hj - (-rmn) // bj
+                    if nl > lj or nh < hj:
+                        nl, nh = max(nl, lj), min(nh, hj)
+                        if nl > nh:
+                            return False
+                        lo[j], hi[j] = nl, nh
+                        shift(j, nl - lj, nh - hj, mn, mx, state)
                         changed = True
-                    if nh < hj:
-                        hi[j] = nh
-                        changed = True
-                    if lo[j] > hi[j]:
-                        return None
-        return lo, hi
+        return True
 
     def cong_progression(j, lo, hi):
         """Combined progression x_j = offset (mod step) from the congruences
@@ -405,14 +490,12 @@ def _dfs_enumerate(dim, ineqs, eqs, congs, lo, hi, cap, budget: _Budget):
             offset %= step
         return step, offset
 
-    def rec(lo, hi):
+    def rec(lo, hi, mn, mx, state):
         budget.nodes += 1
         if budget.nodes > _NODE_BUDGET or len(points) > cap:
             return False
-        got = propagate(lo, hi)
-        if got is None:
+        if not propagate(lo, hi, mn, mx, state):
             return True
-        lo, hi = got
         unfixed = [j for j in range(dim) if lo[j] < hi[j]]
         if not unfixed:
             x = tuple(lo)
@@ -430,24 +513,26 @@ def _dfs_enumerate(dim, ineqs, eqs, congs, lo, hi, cap, budget: _Budget):
         while v <= hi[j]:
             nlo, nhi = list(lo), list(hi)
             nlo[j] = nhi[j] = v
-            if not rec(nlo, nhi):
+            nmn, nmx, nstate = list(mn), list(mx), list(state)
+            shift(j, v - lo[j], v - hi[j], nmn, nmx, nstate)
+            if not rec(nlo, nhi, nmn, nmx, nstate):
                 return False
             v += step
         return True
 
-    exhausted = rec(list(lo), list(hi))
+    exhausted = rec(list(lo), list(hi), mn, mx, [_DIRTY] * len(rows))
     return points, exhausted
 
 
 def _point_ok(x, ineqs, eqs, congs) -> bool:
     for a, c in ineqs:
-        if sum(ai * xi for ai, xi in zip(a, x)) + c < 0:
+        if sum(map(mul, a, x)) + c < 0:
             return False
     for a, c in eqs:
-        if sum(ai * xi for ai, xi in zip(a, x)) + c != 0:
+        if sum(map(mul, a, x)) + c != 0:
             return False
     for a, c, m in congs:
-        if (sum(ai * xi for ai, xi in zip(a, x)) + c) % m:
+        if (sum(map(mul, a, x)) + c) % m:
             return False
     return True
 
@@ -599,23 +684,13 @@ def oracle_enumerate(poly: Polyhedron, box: Sequence[tuple[int, int]]) -> list[t
     the real enumerator."""
     if len(box) != poly.dim:
         raise ValueError("box width != dim")
-    out = []
-    for x in itertools.product(*(range(a, b + 1) for a, b in box)):
-        good = True
-        for a, c in poly.ineqs:
-            if sum(p * q for p, q in zip(a, x)) + c < 0:
-                good = False
-                break
-        if good:
-            for a, c in poly.eqs:
-                if sum(p * q for p, q in zip(a, x)) + c != 0:
-                    good = False
-                    break
-        if good:
-            for a, c, m in poly.congruences:
-                if (sum(p * q for p, q in zip(a, x)) + c) % m:
-                    good = False
-                    break
-        if good:
-            out.append(tuple(x))
-    return sorted(out)
+    # each point of the box is tested against the rows in turn and dropped at
+    # the first it fails; equalities first, as they reject the most points
+    points = list(itertools.product(*(range(a, b + 1) for a, b in box)))
+    for a, c in poly.eqs:
+        points = [x for x in points if sum(map(mul, a, x)) + c == 0]
+    for a, c, m in poly.congruences:
+        points = [x for x in points if (sum(map(mul, a, x)) + c) % m == 0]
+    for a, c in poly.ineqs:
+        points = [x for x in points if sum(map(mul, a, x)) + c >= 0]
+    return sorted(points)

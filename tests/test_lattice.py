@@ -1,13 +1,16 @@
 """Exact integer-point enumeration over rational polyhedra."""
 
+import hashlib
 import itertools
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from helixpq import lattice
-from helixpq.engine import build_chain_system
+from helixpq import datasets, lattice
+from helixpq.chartab import render_chain
+from helixpq.engine import build_chain_system, solve_order
 from helixpq.lattice import (
     DEFAULT_CAP,
     Bounds,
@@ -266,6 +269,47 @@ def test_psl2_25_order_39_search_visits_pinned_node_count(budgets):
     res = build_chain_system(table, list(table.characters), 39).solve()
     assert res.status == "finite" and res.points == []
     assert [b.nodes for b in budgets] == [11003]
+
+
+def test_enumerator_matches_oracle_on_dense_rows(budgets):
+    # every general row holds nearly every variable, so each bound move
+    # shifts and dirties many rows, and rows are retired deep in the search
+    rng = random.Random(20261019)
+    nonempty = 0
+    for trial in range(80):
+        dim = rng.randint(4, 5)
+        unit = [tuple(int(j == k) for j in range(dim)) for k in range(dim)]
+        ineqs = [(u, 2) for u in unit] + [(tuple(-x for x in u), 2) for u in unit]
+        for _ in range(rng.randint(6, 10)):
+            ineqs.append((tuple(rng.randint(-12, 12) for _ in range(dim)),
+                          rng.randint(-10, 30)))
+        eqs = []
+        if rng.random() < 0.5:
+            eqs.append((tuple(rng.randint(-12, 12) for _ in range(dim)),
+                        rng.randint(-12, 12)))
+        congs = []
+        if rng.random() < 0.5:
+            congs.append((tuple(rng.randint(-12, 12) for _ in range(dim)),
+                          rng.randint(-2, 2), rng.choice([2, 3, 4, 6])))
+        poly = Polyhedron(dim=dim, ineqs=ineqs, eqs=eqs, congruences=congs)
+        res = enumerate_integer_points(poly)
+        want = oracle_enumerate(poly, [(-2, 2)] * dim)
+        assert res.status == "finite" and res.points == want, (trial, poly)
+        nonempty += bool(want)
+    assert nonempty == 51
+    assert sum(b.nodes for b in budgets) == 5364
+
+
+def test_capped_search_keeps_its_node_count_and_chains(budgets):
+    # the benchmark's capped solve: which 20000 chains come back depends on
+    # the order the search visits its nodes in
+    table = datasets.load_embedded("pgl2_243_rows")
+    sol = solve_order(table, [ch.name for ch in table.characters], 11, cap=20000)
+    assert sol.status == "capped" and len(sol.chains) == 20000
+    assert [b.nodes for b in budgets] == [20351]
+    rendered = json.dumps([render_chain(c) for c in sol.chains], sort_keys=True)
+    assert hashlib.sha256(rendered.encode()).hexdigest() == (
+        "041c60f20dd0f3ab7a0032f19671eb14b12e8ecda3cd3e9e8c1ed4d5f5b5ec14")
 
 
 @pytest.mark.parametrize(
