@@ -28,15 +28,20 @@ depth-first interval-propagation search, exact in integers throughout.  It
 searches the integer box (lo, hi): the LP bounds rounded once (None on an
 unbounded side, clipped to each probe window); a branch pins one variable,
 and congruences read pinned values off lo.  Each row is split once into its
-nonzero coefficients, so a node touches no zero entry.  Propagation is
+nonzero coefficients, so propagation touches no zero entry.  Propagation is
 incremental, as in the activity-based bound propagation of MIP solvers: each
 node carries every row's activities (its minimum and maximum over the box),
 summed once at the root and then shifted by each bound move through a
 per-variable occurrence index; a pass evaluates only the dirty rows, those
 with a variable moved since their last evaluation; and an inequality that
 holds on a whole box is retired for that node's subtree.  None of this
-changes which boxes the search visits.  Congruences that clash modulo the
-gcd of two moduli are rejected before any search.
+changes which boxes the search visits.  A congruence is checked as soon as
+its last free variable is pinned, whether by a branch, by the rounded box
+or by propagation, through a per-variable congruence index, and a node whose
+pinned values break one is cut; a leaf then only reads its row activities.
+A congruence whose constant the gcd of its modulus and coefficients does not
+divide, and congruences that clash modulo the gcd of two moduli, are
+rejected before any search.
 
 `oracle_enumerate` is an independent brute-force checker over an explicit
 box, kept free of any machinery above so the two can be tested against each
@@ -238,9 +243,11 @@ def _tidy(poly: Polyhedron):
     coefficient vectors keep only the tightest constant; zero-coefficient
     rows become pure feasibility checks, and an equality whose coefficient
     gcd does not divide its constant has no integer point.  Congruence rows
-    are reduced mod m; two whose left-hand sides agree modulo g must agree
-    in their constants modulo g, for each g > 1 that is the gcd of two
-    moduli present (one modulus with itself included, so g = m).
+    are reduced mod m, and one whose constant is not divisible by the gcd
+    of m and its coefficients has no integer point; two whose left-hand
+    sides agree modulo g must agree in their constants modulo g, for each
+    g > 1 that is the gcd of two moduli present (one modulus with itself
+    included, so g = m).
     """
     best: dict[tuple[int, ...], tuple[Fraction, tuple[tuple[int, ...], int]]] = {}
     for a, c in poly.ineqs:
@@ -280,9 +287,10 @@ def _tidy(poly: Polyhedron):
             continue
         ra = tuple(x % m for x in a)
         rc = c % m
+        # a.x takes exactly the multiples of gcd(m, a) modulo m
+        if rc % math.gcd(m, *ra):
+            return False, [], [], []
         if not any(ra):
-            if rc:
-                return False, [], [], []
             continue
         if (ra, rc, m) not in seenc:
             seenc.add((ra, rc, m))
@@ -329,7 +337,7 @@ def _dfs_enumerate(dim, ineqs, eqs, congs, lo, hi, cap, budget: _Budget):
     A branch pins one variable (lo_j == hi_j).  A row is held as (pos, neg,
     c, is_eq) with pos the pairs (j, a_j) for a_j > 0 and neg the pairs
     (j, -a_j) for a_j < 0, and a congruence as its support {j: a_j mod m !=
-    0}, so no zero entry is ever touched.  Besides the box, a node owns two
+    0}, so propagation touches no zero entry.  Besides the box, a node owns two
     row activities, mn[r] and mx[r] (the minimum and maximum of a_r.x + c_r
     over the box), and a row state, clean, dirty or retired.  The
     activities are summed only at the root; after that, a move of a bound
@@ -345,7 +353,17 @@ def _dfs_enumerate(dim, ineqs, eqs, congs, lo, hi, cap, budget: _Budget):
     on the whole box, and so on every box of the subtree; it is retired
     there, neither evaluated nor shifted again.  A child copies its parent's
     lists, pins its variable and marks that variable's rows dirty; the root
-    starts with every row dirty.  Returns (points, exhausted) where
+    starts with every row dirty.
+
+    A congruence is decided once its last free variable is pinned.  A
+    branch takes its values from the progression the congruences of its
+    variable allow; every other pin, by the rounded box at the root or by
+    propagation, is found after the node's propagation among the variables
+    still free at its parent, and each congruence of such a variable
+    (through the index cocc[j]) whose support is now pinned is checked; a
+    node that breaks one holds no point and is cut.  So at a leaf every
+    congruence holds, and the point is kept when each inequality has mx >=
+    0 and each equality mn == 0.  Returns (points, exhausted) where
     exhausted=False means the cap or node budget interrupted the search.
     """
     rows = [(a, c, False) for a, c in ineqs] + [(a, c, True) for a, c in eqs]
@@ -371,6 +389,13 @@ def _dfs_enumerate(dim, ineqs, eqs, congs, lo, hi, cap, budget: _Budget):
         mn.append(rmn)
         mx.append(rmx)
     csupp = [({j: x % m for j, x in enumerate(a) if x % m}, c, m) for a, c, m in congs]
+    # cocc[j] = the congruences whose support holds j, as (support indices,
+    # a, c, m)
+    cocc: list[list] = [[] for _ in range(dim)]
+    for (supp, _, _), (a, c, m) in zip(csupp, congs):
+        for j in supp:
+            cocc[j].append((supp.keys(), a, c, m))
+    nineq = len(ineqs)
     points: list[tuple[int, ...]] = []
 
     def shift(j, dl, dh, mn, mx, state):
@@ -490,17 +515,26 @@ def _dfs_enumerate(dim, ineqs, eqs, congs, lo, hi, cap, budget: _Budget):
             offset %= step
         return step, offset
 
-    def rec(lo, hi, mn, mx, state):
+    def rec(lo, hi, mn, mx, state, free):
+        """free: the variables free at the parent, less the one it branched
+        on (every variable at the root)."""
         budget.nodes += 1
         if budget.nodes > _NODE_BUDGET or len(points) > cap:
             return False
         if not propagate(lo, hi, mn, mx, state):
             return True
-        unfixed = [j for j in range(dim) if lo[j] < hi[j]]
+        unfixed = [j for j in free if lo[j] < hi[j]]
+        if len(unfixed) < len(free):  # this node pinned a variable
+            for j in free:
+                if lo[j] == hi[j]:
+                    for supp, a, c, m in cocc[j]:
+                        if supp.isdisjoint(unfixed) and (c + sum(map(mul, a, lo))) % m:
+                            return True
         if not unfixed:
-            x = tuple(lo)
-            if _point_ok(x, ineqs, eqs, congs):
-                points.append(x)
+            # every congruence holds, and a live row's activities are its
+            # value; a retired inequality holds and kept its mx >= mn >= 0
+            if min(mx[:nineq], default=0) >= 0 and not any(mn[nineq:]):
+                points.append(tuple(lo))
                 if len(points) > cap:
                     return False
             return True
@@ -508,6 +542,7 @@ def _dfs_enumerate(dim, ineqs, eqs, congs, lo, hi, cap, budget: _Budget):
         prog = cong_progression(j, lo, hi)
         if prog is None:
             return True
+        unfixed.remove(j)
         step, offset = prog
         v = lo[j] + (offset - lo[j]) % step
         while v <= hi[j]:
@@ -515,26 +550,13 @@ def _dfs_enumerate(dim, ineqs, eqs, congs, lo, hi, cap, budget: _Budget):
             nlo[j] = nhi[j] = v
             nmn, nmx, nstate = list(mn), list(mx), list(state)
             shift(j, v - lo[j], v - hi[j], nmn, nmx, nstate)
-            if not rec(nlo, nhi, nmn, nmx, nstate):
+            if not rec(nlo, nhi, nmn, nmx, nstate, unfixed):
                 return False
             v += step
         return True
 
-    exhausted = rec(list(lo), list(hi), mn, mx, [_DIRTY] * len(rows))
+    exhausted = rec(list(lo), list(hi), mn, mx, [_DIRTY] * len(rows), range(dim))
     return points, exhausted
-
-
-def _point_ok(x, ineqs, eqs, congs) -> bool:
-    for a, c in ineqs:
-        if sum(map(mul, a, x)) + c < 0:
-            return False
-    for a, c in eqs:
-        if sum(map(mul, a, x)) + c != 0:
-            return False
-    for a, c, m in congs:
-        if (sum(map(mul, a, x)) + c) % m:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
