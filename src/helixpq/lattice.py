@@ -9,12 +9,14 @@ A `Polyhedron` is given by integer rows:
 `variable_bounds` computes, for each coordinate, exact rational extrema of
 the linear relaxation (ignoring congruences) with a two-phase primal simplex
 using Bland's rule, so it terminates and certifies unboundedness with an
-explicit recession direction.  The tableau is fraction-free (Edmonds'
-integer-preserving elimination): integer entries over one common
-denominator, the basis determinant, so only the returned bounds are
-`Fraction`s.  It builds one tableau and runs one phase 1 per polyhedron;
-the 2*dim objectives (max and min of each coordinate) are then
-warm-started, each from the basis the previous one left.
+explicit recession direction.  The tableau is condensed (dictionary form):
+it keeps only the nonbasic columns, one per free variable x = u - v while u
+and v are both nonbasic.  It is fraction-free (Edmonds' integer-preserving
+elimination): integer entries over one common denominator, the basis
+determinant, so only the returned bounds are `Fraction`s.  It builds one
+tableau and runs one phase 1 per polyhedron; the 2*dim objectives (max and
+min of each coordinate) are then warm-started, each from the basis the
+previous one left.
 
 `enumerate_integer_points` returns all integer solutions, or reports an
 infinite family (with an integer ray along which solutions repeat: the ray is
@@ -52,6 +54,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
@@ -84,11 +87,9 @@ class Polyhedron:
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("dim must be at least 1")
-        self.ineqs = [(tuple(int(x) for x in a), int(c)) for a, c in self.ineqs]
-        self.eqs = [(tuple(int(x) for x in a), int(c)) for a, c in self.eqs]
-        self.congruences = [
-            (tuple(int(x) for x in a), int(c), int(m)) for a, c, m in self.congruences
-        ]
+        self.ineqs = [_int_row("inequality", row) for row in self.ineqs]
+        self.eqs = [_int_row("equality", row) for row in self.eqs]
+        self.congruences = [_int_row("congruence", row) for row in self.congruences]
         for a, _ in itertools.chain(self.ineqs, self.eqs):
             if len(a) != self.dim:
                 raise ValueError(f"row width {len(a)} != dim {self.dim}")
@@ -97,6 +98,15 @@ class Polyhedron:
                 raise ValueError(f"row width {len(a)} != dim {self.dim}")
             if m < 1:
                 raise ValueError(f"congruence modulus {m} < 1")
+
+
+def _int_row(kind, row):
+    """The row with int entries; ValueError when one is not an integer (a
+    float is not, as in `cyclo.parse_cyc`)."""
+    a, *rest = row
+    if not all(isinstance(x, numbers.Rational) and x.denominator == 1 for x in (*a, *rest)):
+        raise ValueError(f"{kind} row {row!r} has a non-integer entry")
+    return (tuple(map(int, a)), *map(int, rest))
 
 
 @dataclass
@@ -116,60 +126,85 @@ class EnumerationResult:
 
 
 # ---------------------------------------------------------------------------
-# exact simplex (max c.x, A x <= b, x >= 0; Bland's rule) on one tableau.
-# Entries and the objective row are integers over d = |det B| of the basis
-# B, so rows[i][j] / d is the usual entry; the identity start basis has d = 1.
+# exact simplex (max c.x, A x <= b, x >= 0; Bland's rule) on a condensed
+# tableau: row i holds only the nonbasic columns, slot k that of variable
+# slots[k], then its right-hand side; its basic variable basis[i] has an
+# implicit unit column.  Entries and the objective row are integers over
+# d = |det B|, so rows[i][k] / d is the usual entry (d = 1 at the start).
+# Labels: u_j = j and v_j = dim + j (x_j = u_j - v_j), then one slack per
+# row, then the artificials.
 
 
-def _pivot(rows, obj, basis, d, r, e):
-    """Pivot on (r, e) and return the new denominator p = |a_re|.  Every other
-    row becomes (a_ij*p - a_ie*a_rj) / d, an exact division; the pivot row
-    keeps its entries, negated first when a_re < 0 so that d stays positive."""
-    if rows[r][e] < 0:
+def _pivot(rows, obj, basis, slots, d, r, k):
+    """Pivot slot k's variable into row r; return the new denominator p =
+    |a_rk|.  Other entries become (a_ij*p - a_ik*a_rj) / d, exactly; the
+    pivot row keeps its entries, negated first when a_rk < 0 so that d stays
+    positive.  Slot k takes the leaving variable, whose unit column becomes
+    d in row r (negated with it) and -a_ik in every other row."""
+    neg = rows[r][k] < 0
+    if neg:
         rows[r] = [-w for w in rows[r]]
     pr = rows[r]
-    p = pr[e]
+    p = pr[k]
     for i, row in enumerate(rows):
         if i != r:
-            f = row[e]
+            f = row[k]
             if f:
-                rows[i] = [(v * p - f * w) // d for v, w in zip(row, pr)]
+                rows[i] = row = [(v * p - f * w) // d for v, w in zip(row, pr)]
+                row[k] = f if neg else -f
             elif p != d:
                 rows[i] = [v * p // d for v in row]
-    f = obj[e]
+    f = obj[k]
     obj[:] = [(v * p - f * w) // d for v, w in zip(obj, pr)]
-    basis[r] = e
+    obj[k] = f if neg else -f
+    pr[k] = -d if neg else d
+    slots[k], basis[r] = basis[r], slots[k]
     return p
 
 
-def _run_simplex(rows, obj, basis, d, ncols):
-    """Bland's rule loop; returns (d, None) at an optimum, or (d, e) when
-    entering column e increases without bound."""
+def _flip(rows, obj, slots, k, dim):
+    """Slot k, holding u_j or v_j, takes the other (col(v_j) = -col(u_j)
+    while both are nonbasic; while one is basic, the other never enters)."""
+    for row in rows:
+        row[k] = -row[k]
+    obj[k] = -obj[k]
+    slots[k] += dim if slots[k] < dim else -dim
+
+
+def _run_simplex(rows, obj, basis, slots, d, dim):
+    """Bland's rule loop: (d, None) at an optimum, or (d, k) when slot k's
+    variable increases without bound.  A slot offers its variable at a
+    negative reduced cost, and u_j or v_j the other at a positive one."""
     while True:
-        e = next((j for j in range(ncols) if obj[j] < 0), None)
-        if e is None:
+        offers = [(e if c < 0 else e + dim if e < dim else e - dim, k)
+                  for k, (e, c) in enumerate(zip(slots, obj))
+                  if c < 0 or (c and e < 2 * dim)]
+        if not offers:
             return d, None
+        e, k = min(offers)
+        if e != slots[k]:
+            _flip(rows, obj, slots, k, dim)
         r = None
         for i, row in enumerate(rows):
-            if row[e] > 0:
-                # row[-1]/row[e] against the best ratio so far; d cancels
+            if row[k] > 0:
+                # row[-1]/row[k] against the best ratio so far; d cancels
                 if r is None:
                     r = i
                     continue
-                lhs, rhs = row[-1] * rows[r][e], rows[r][-1] * row[e]
+                lhs, rhs = row[-1] * rows[r][k], rows[r][-1] * row[k]
                 if lhs < rhs or (lhs == rhs and basis[i] < basis[r]):
                     r = i
         if r is None:
-            return d, e
-        d = _pivot(rows, obj, basis, d, r, e)
+            return d, k
+        d = _pivot(rows, obj, basis, slots, d, r, k)
 
 
-def _price(rows, basis, d, cost):
-    """Objective row (over d) for maximising cost.x at the current basis: the
-    reduced costs z_j - c_j, then the objective value in the last slot."""
-    obj = [-c * d for c in cost] + [0]
+def _price(rows, basis, slots, d, cost):
+    """Objective row (over d) for maximising cost.x ({label: c_j}) at the
+    current basis: the slots' reduced costs, then the objective value."""
+    obj = [-cost.get(e, 0) * d for e in slots] + [0]
     for row, b in zip(rows, basis):
-        f = cost[b]
+        f = cost.get(b)
         if f:
             for j, v in enumerate(row):
                 obj[j] += f * v
@@ -178,55 +213,56 @@ def _price(rows, basis, d, cost):
 
 def _feasible_tableau(dim, ineqs, eqs):
     """Standard form of {a.x + c >= 0, a.x + c == 0}, x free, at a feasible
-    basis: (rows, basis, width, d), or None when the system is infeasible.
+    basis: (rows, basis, slots, d), or None when the system is infeasible.
 
-    The columns are x = u - v (u, then v) and one slack per row.  Rows with
-    a negative right-hand side get an artificial; phase 1 runs once, then the
-    artificials are pivoted out of the basis and their columns dropped.
-    """
-    # a.x + c >= 0  =>  (-a, a).(u,v) <= c
-    std = [([-x for x in a] + list(a), c) for a, c in ineqs]
+    The slots start as u and the slacks of the rows with a negative
+    right-hand side, which get an artificial; phase 1 runs once, then the
+    artificials are pivoted out of the basis and dropped."""
+    # a.x + c >= 0  =>  -a.u + a.v <= c
+    std = [([-x for x in a], c) for a, c in ineqs]
     for a, c in eqs:
-        std += [([-x for x in a] + list(a), c), (list(a) + [-x for x in a], -c)]
+        std += [([-x for x in a], c), (list(a), -c)]
     n, m = 2 * dim, len(std)
     width = n + m
     arts = [i for i, (_, c) in enumerate(std) if c < 0]
-    total = width + len(arts)
-    rows: list[list[int]] = []
+    slots = list(range(dim)) + [n + i for i in arts]
     basis = list(range(n, width))
-    for i, (a, c) in enumerate(std):
-        sgn = -1 if c < 0 else 1
-        rows.append([sgn * x for x in a] + [0] * (total - n) + [sgn * c])
-        rows[i][n + i] = sgn
+    rows = [[x if c >= 0 else -x for x in a] + [0] * len(arts) + [abs(c)]
+            for a, c in std]
     for k, i in enumerate(arts):
-        rows[i][width + k] = 1
+        rows[i][dim + k] = -1  # the slack, in its negated row
         basis[i] = width + k
     if not arts:
-        return rows, basis, width, 1
+        return rows, basis, slots, 1
 
     # phase 1: max -(sum of artificials)
-    obj = _price(rows, basis, 1, [0] * width + [-1] * len(arts))
-    d, e = _run_simplex(rows, obj, basis, 1, total)
-    assert e is None  # phase 1 is always bounded
+    obj = _price(rows, basis, slots, 1, dict.fromkeys(range(width, width + len(arts)), -1))
+    d, k = _run_simplex(rows, obj, basis, slots, 1, dim)
+    assert k is None  # phase 1 is always bounded
     if obj[-1] != 0:  # leftover infeasibility (value = -sum art < 0)
         return None
-    # drive the artificials, all at zero, out of the basis.  Every row has
-    # its own slack, so [A | I] has full row rank and each row keeps a
-    # nonzero entry among the first `width` columns to pivot on.
+    # drive the artificials (at zero) out on the lowest label with a nonzero
+    # entry in their row, u_j before v_j; [A | I] has full row rank, so one
+    # of the slots that hold no artificial has one
     for i in range(m):
         if basis[i] >= width:
-            e = next(j for j in range(width) if rows[i][j])
-            d = _pivot(rows, obj, basis, d, i, e)
-    return [row[:width] + row[-1:] for row in rows], basis, width, d
+            e, k = min((e - dim if dim <= e < n else e, k)
+                       for k, e in enumerate(slots) if e < width and rows[i][k])
+            if e != slots[k]:
+                _flip(rows, obj, slots, k, dim)
+            d = _pivot(rows, obj, basis, slots, d, i, k)
+    keep = [k for k, e in enumerate(slots) if e < width]
+    rows = [[row[k] for k in keep] + row[-1:] for row in rows]
+    return rows, basis, [slots[k] for k in keep], d
 
 
-def _ray(rows, basis, d, e, dim):
-    """Primitive integer x-direction of the edge along which entering column
-    e increases without bound: d on e, -a_ie on the basic columns."""
-    direction = {e: d}
+def _ray(rows, basis, slots, d, k, dim):
+    """Primitive integer x-direction of the edge along which slot k's
+    variable increases without bound: d on it, -a_ik on the basic ones."""
+    direction = {slots[k]: d}
     for row, b in zip(rows, basis):
-        if row[e]:
-            direction[b] = -row[e]
+        if row[k]:
+            direction[b] = -row[k]
     ray = [direction.get(j, 0) - direction.get(dim + j, 0) for j in range(dim)]
     g = math.gcd(*ray) or 1
     return tuple(x // g for x in ray)
@@ -249,19 +285,18 @@ def _tidy(poly: Polyhedron):
     g > 1 that is the gcd of two moduli present (one modulus with itself
     included, so g = m).
     """
-    best: dict[tuple[int, ...], tuple[Fraction, tuple[tuple[int, ...], int]]] = {}
+    best: dict = {}  # key -> (c, g, row); the tightest has the least c/g
     for a, c in poly.ineqs:
         if not any(a):
             if c < 0:
                 return False, [], [], []
             continue
-        g = math.gcd(*(abs(x) for x in a))
+        g = math.gcd(*a)
         key = tuple(x // g for x in a)
-        tight = Rat(c, g)
         cur = best.get(key)
-        if cur is None or tight < cur[0]:
-            best[key] = (tight, (a, c))
-    ineqs = [row for _, row in best.values()]
+        if cur is None or c * cur[1] < cur[0] * g:
+            best[key] = (c, g, (a, c))
+    ineqs = [row for _, _, row in best.values()]
 
     eqs = []
     seen = set()
@@ -270,12 +305,12 @@ def _tidy(poly: Polyhedron):
             if c != 0:
                 return False, [], [], []
             continue
-        g = math.gcd(*(abs(x) for x in a))
+        g = math.gcd(*a)
         if c % g:
             return False, [], [], []
-        lead = next(x for x in a if x)
-        sgn = 1 if lead > 0 else -1
-        key = (tuple(sgn * x // g for x in a), Rat(sgn * c, g))
+        if next(x for x in a if x) < 0:
+            g = -g
+        key = (tuple(x // g for x in a), c // g)
         if key not in seen:
             seen.add(key)
             eqs.append((a, c))
@@ -583,12 +618,6 @@ def _project(groups, ineqs, eqs, congs):
     return pineqs, peqs, pcongs
 
 
-def _scale_ray_for_congruences(ray, congs):
-    mods = [m for _, _, m in congs]
-    k = math.lcm(*mods) if mods else 1
-    return tuple(x * k for x in ray)
-
-
 def enumerate_integer_points(poly: Polyhedron, cap: int | None = None) -> EnumerationResult:
     """All integer points of the polyhedron, an infinite certificate, or a cap.
 
@@ -603,6 +632,8 @@ def enumerate_integer_points(poly: Polyhedron, cap: int | None = None) -> Enumer
       integer point, so neither an infinite family nor emptiness is shown).
     """
     cap = DEFAULT_CAP if cap is None else int(cap)
+    if cap < 0:
+        raise ValueError(f"cap must be nonnegative, got {cap}")
     ok, ineqs, eqs, congs = _tidy(poly)
     if not ok:
         return EnumerationResult("finite", [])
@@ -627,24 +658,22 @@ def enumerate_integer_points(poly: Polyhedron, cap: int | None = None) -> Enumer
     budget = _Budget()
     if ray is not None:
         # unbounded relaxation: hunt for one integer point in growing windows
-        ray = _scale_ray_for_congruences(ray, pcongs)
-        found = None
         for w in _PROBE_WINDOWS:
             wlo = [-w if l is None else max(l, -w) for l in lo]
             whi = [w if h is None else min(h, w) for h in hi]
             if any(a > b for a, b in zip(wlo, whi)):
                 continue
-            pts, _ = _dfs_enumerate(k, pineqs, peqs, pcongs, wlo, whi, 0, budget)
-            if pts:
-                found = pts[0]
-                break
+            if _dfs_enumerate(k, pineqs, peqs, pcongs, wlo, whi, 0, budget)[0]:
+                # scaled by the lcm of the moduli, on each group's first column
+                step = math.lcm(*(m for _, _, m in pcongs))
+                lifted = [0] * poly.dim
+                for g, x in zip(groups, ray):
+                    lifted[g[0]] = x * step
+                return EnumerationResult("infinite", [], ray=tuple(lifted))
             if budget.nodes > _NODE_BUDGET:
                 break
-        if found is None:
-            limit = "node_budget" if budget.nodes > _NODE_BUDGET else "probe"
-            return EnumerationResult("capped", [], limit=limit)
-        lifted_ray = _lift_ray(poly.dim, groups, ray)
-        return EnumerationResult("infinite", [], ray=lifted_ray)
+        limit = "node_budget" if budget.nodes > _NODE_BUDGET else "probe"
+        return EnumerationResult("capped", [], limit=limit)
 
     # with merged columns one point settles it: any solution of the reduced
     # system lifts in infinitely many ways through a group of size >= 2
@@ -662,13 +691,6 @@ def enumerate_integer_points(poly: Polyhedron, cap: int | None = None) -> Enumer
     return EnumerationResult("finite", sorted(pts))
 
 
-def _lift_ray(dim, groups, pray):
-    ray = [0] * dim
-    for g, v in zip(groups, pray):
-        ray[g[0]] = v
-    return tuple(ray)
-
-
 def _bounds_raw(dim, ineqs, eqs):
     """Bounds for the already-tidied system; returns 'infeasible' or
     (lo list, hi list, ray-or-None): lo/hi entries None when unbounded.
@@ -679,21 +701,19 @@ def _bounds_raw(dim, ineqs, eqs):
     tab = _feasible_tableau(dim, ineqs, eqs)
     if tab is None:
         return "infeasible"
-    rows, basis, width, d = tab
+    rows, basis, slots, d = tab
     lo: list[Optional[Rat]] = []
     hi: list[Optional[Rat]] = []
     ray = None
     for i in range(dim):
         for sgn, out in ((1, hi), (-1, lo)):
-            cost = [0] * width
-            cost[i], cost[dim + i] = sgn, -sgn
-            obj = _price(rows, basis, d, cost)
-            d, e = _run_simplex(rows, obj, basis, d, width)
-            if e is None:
+            obj = _price(rows, basis, slots, d, {i: sgn, dim + i: -sgn})
+            d, k = _run_simplex(rows, obj, basis, slots, d, dim)
+            if k is None:
                 out.append(Rat(sgn * obj[-1], d))
             else:
                 out.append(None)
-                ray = ray or _ray(rows, basis, d, e, dim)
+                ray = ray or _ray(rows, basis, slots, d, k, dim)
     return lo, hi, ray
 
 

@@ -212,6 +212,30 @@ def test_oracle_box_mismatch_rejected():
         oracle_enumerate(Polyhedron(dim=2), [(0, 1)])
 
 
+@pytest.mark.parametrize("rows", [
+    # truncated, 2.5x - 5 >= 0 would become 2x - 5 >= 0 and drop x = 2
+    {"ineqs": [((2.5,), -5), ((-1,), 3)]},
+    {"eqs": [((1,), Fraction(1, 2))]},
+    {"congruences": [((1,), 0, 2.5)]},
+    # floats are rejected even when integral, and so are nan and inf
+    {"ineqs": [((2.0,), 1)]},
+    {"eqs": [((float("nan"),), 0)]},
+    {"ineqs": [((1,), float("inf"))]},
+])
+def test_non_integer_rows_are_rejected(rows):
+    with pytest.raises(ValueError, match="row .* non-integer entry"):
+        Polyhedron(dim=1, **rows)
+    # an integral Fraction is read as an int
+    assert Polyhedron(dim=1, ineqs=[((2,), Fraction(-4, 2))]).ineqs == [((2,), -2)]
+
+
+def test_negative_cap_is_rejected():
+    poly = Polyhedron(dim=1, ineqs=[((1,), 0), ((-1,), 3)])
+    with pytest.raises(ValueError, match="cap must be nonnegative"):
+        enumerate_integer_points(poly, cap=-1)
+    assert enumerate_integer_points(poly, cap=0).limit == "cap"
+
+
 @pytest.fixture
 def budgets(monkeypatch):
     """Every DFS node budget made while the test runs, to read node counts:
@@ -481,9 +505,9 @@ def test_redundant_equalities_drive_an_artificial_out(monkeypatch):
     seen = []
     pivot = lattice._pivot
 
-    def spy(rows, obj, basis, d, r, e):
-        seen.append(rows[r][e])
-        return pivot(rows, obj, basis, d, r, e)
+    def spy(rows, obj, basis, slots, d, r, k):
+        seen.append(rows[r][k])
+        return pivot(rows, obj, basis, slots, d, r, k)
 
     monkeypatch.setattr(lattice, "_pivot", spy)
     poly = Polyhedron(dim=2, eqs=[((1, 1), -2), ((1, -1), 0), ((1, 0), -1)])
@@ -492,3 +516,52 @@ def test_redundant_equalities_drive_an_artificial_out(monkeypatch):
     assert got.lower == got.upper == [Fraction(1), Fraction(1)]
     assert all(type(b) is Fraction for b in got.lower + got.upper)
     assert min(seen) < 0
+
+
+def _random_lp_systems(seed, trials):
+    """Untidied systems in dims 1-5 with constants of both signs; half get a
+    box |x_i| <= b, so bounded, unbounded and infeasible ones all occur."""
+    rng = random.Random(seed)
+    for _ in range(trials):
+        dim = rng.randint(1, 5)
+
+        def row():
+            return tuple(rng.randint(-4, 4) for _ in range(dim)), rng.randint(-6, 6)
+
+        ineqs = [row() for _ in range(rng.randint(0, 8))]
+        eqs = [row() for _ in range(rng.choice((0, 0, 1, 2)))]
+        if rng.random() < 0.5:
+            b = rng.randint(1, 6)
+            ineqs += [(tuple(s if j == i else 0 for j in range(dim)), b)
+                      for i in range(dim) for s in (1, -1)]
+        yield dim, ineqs, eqs
+
+
+def test_bounds_and_pivot_count_are_pinned(monkeypatch):
+    # every (lo, hi, ray) of the LP bounds, and the number of pivots taken,
+    # as the full simplex tableau gave them: the condensed tableau must take
+    # the same pivots under Bland's rule
+    calls = []
+    pivot = lattice._pivot
+
+    def spy(*args):
+        calls.append(1)
+        return pivot(*args)
+
+    monkeypatch.setattr(lattice, "_pivot", spy)
+    digest = hashlib.sha256()
+    kinds = {"infeasible": 0, "unbounded": 0, "bounded": 0}
+    for dim, ineqs, eqs in _random_lp_systems(20261019, 600):
+        got = lattice._bounds_raw(dim, ineqs, eqs)
+        if got == "infeasible":
+            kinds["infeasible"] += 1
+        else:
+            lo, hi, ray = got
+            kinds["unbounded" if ray else "bounded"] += 1
+            got = [[None if b is None else str(b) for b in lo],
+                   [None if b is None else str(b) for b in hi], ray]
+        digest.update(json.dumps(got).encode())
+    assert kinds == {"infeasible": 229, "unbounded": 171, "bounded": 200}
+    assert len(calls) == 8617
+    assert digest.hexdigest() == (
+        "2f5130a73e7d6a4220e32f8636dbaab3036b579d84303c2578b1cc4501dbd357")
