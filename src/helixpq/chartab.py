@@ -26,7 +26,6 @@ from sympy import isprime
 from .cyclo import (
     Coeff,
     CycValue,
-    cyc_zero,
     divisors,
     galois_apply,
     parse_cyc,
@@ -42,7 +41,6 @@ __all__ = [
     "parse_table",
     "render_table",
     "validate",
-    "unit_character_value",
     "parse_chain",
     "render_chain",
     "trivial_chain",
@@ -168,20 +166,28 @@ class CharacterTable:
 # parsing / rendering
 
 
+def _expect(value, kind, what: str):
+    """`value` when it is a `kind` (Mapping or list), else a TableError
+    naming the field."""
+    if not isinstance(value, kind):
+        want = "an object" if kind is Mapping else "an array"
+        raise TableError(f"{what} must be {want}, got {type(value).__name__}")
+    return value
+
+
 def _parse_class(obj) -> ConjClass:
     try:
         name = str(obj["name"])
         order = int(obj["element_order"])
+        size = obj.get("size")
+        size = None if size is None else int(size)
     except (KeyError, TypeError, ValueError) as exc:
         raise TableError(f"malformed class entry {obj!r}") from exc
     if order < 1:
         raise TableError(f"class {name!r} has non-positive element order {order}")
-    size = obj.get("size")
-    if size is not None:
-        size = int(size)
-        if size < 1:
-            raise TableError(f"class {name!r} has non-positive size {size}")
-    pm_raw = obj.get("power_maps", {})
+    if size is not None and size < 1:
+        raise TableError(f"class {name!r} has non-positive size {size}")
+    pm_raw = _expect(obj.get("power_maps", {}), Mapping, f"class {name!r}: power_maps")
     pmaps = {}
     for key, target in pm_raw.items():
         p = int(key)
@@ -196,11 +202,11 @@ def _parse_character(obj) -> Character:
         name = str(obj["name"])
         degree = int(obj["degree"])
         values_raw = obj["values"]
+        characteristic = int(obj.get("characteristic", 0))
     except (KeyError, TypeError, ValueError) as exc:
         raise TableError(f"malformed character entry {obj!r}") from exc
-    characteristic = int(obj.get("characteristic", 0))
     values = {}
-    for cname, v in values_raw.items():
+    for cname, v in _expect(values_raw, Mapping, f"character {name!r}: values").items():
         try:
             values[str(cname)] = parse_cyc(v)
         except (TypeError, ValueError) as exc:
@@ -221,8 +227,9 @@ def parse_table(source) -> CharacterTable:
         raise TableError(f"expected an object, got {type(source).__name__}")
     try:
         group_name = str(source["group_name"])
-        classes = [_parse_class(c) for c in source["classes"]]
-        characters = [_parse_character(c) for c in source["characters"]]
+        classes = [_parse_class(c) for c in _expect(source["classes"], list, "classes")]
+        characters = [_parse_character(c)
+                      for c in _expect(source["characters"], list, "characters")]
     except KeyError as exc:
         raise TableError(f"missing required key {exc}") from exc
     completeness = source.get("completeness", "full")
@@ -478,25 +485,7 @@ def validate(table: CharacterTable) -> ValidationReport:
 
 
 # ---------------------------------------------------------------------------
-# unit character values and augmentation chains
-
-
-def unit_character_value(
-    character: Character, augmentations: Mapping[str, int], table: CharacterTable
-) -> CycValue:
-    """Value of a character on a unit with the given partial augmentations."""
-    total = cyc_zero()
-    for cname, eps in augmentations.items():
-        if eps == 0:
-            continue
-        table.class_by_name(cname)  # existence check
-        v = character.values.get(cname)
-        if v is None:
-            raise TableError(
-                f"character {character.name!r} has no value on class {cname!r}"
-            )
-        total = total + eps * v
-    return total
+# augmentation chains
 
 
 @dataclass
@@ -561,8 +550,12 @@ def parse_chain(source) -> PAChain:
     except (KeyError, TypeError, ValueError) as exc:
         raise TableError(f"malformed chain {source!r}") from exc
     entries = {}
-    for m, vec in raw.items():
-        entries[int(m)] = {str(c): int(v) for c, v in vec.items()}
+    for m, vec in _expect(raw, Mapping, "chain entries").items():
+        vec = _expect(vec, Mapping, f"chain entries[{m!r}]")
+        try:
+            entries[int(m)] = {str(c): int(v) for c, v in vec.items()}
+        except (TypeError, ValueError) as exc:
+            raise TableError(f"chain entries[{m!r}]: {exc}") from exc
     return PAChain(unit_order=n, entries=entries)
 
 

@@ -181,6 +181,9 @@ def _load_chains(path: str) -> list:
         raw = fh.read()
     obj = json.loads(raw)
     if isinstance(obj, dict) and "chains" in obj:
+        if not isinstance(obj["chains"], list):
+            raise TableError(f"{path}: chains must be an array, "
+                             f"got {type(obj['chains']).__name__}")
         chains = [chartab.parse_chain(c) for c in obj["chains"]]
         if not chains:
             raise TableError(f"{path} contains an empty chain list")

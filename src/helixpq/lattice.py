@@ -22,9 +22,12 @@ previous one left.
 infinite family (with an integer ray along which solutions repeat: the ray is
 a recession direction of the inequalities, annihilated by the equalities and
 scaled by the lcm of the congruence moduli so that stepping by it preserves
-every congruence), or gives up honestly at a cap.  The main structural move:
-columns that agree in every row are aggregated (the difference of two such
-variables is never constrained), which removes the lineality space that
+every congruence), or gives up honestly at a cap.  Once the rows are tidied,
+each equality a.x + c == 0 is split into the inequalities a.x + c >= 0 and
+-a.x - c >= 0, the pair that the LP's standard form writes for it, so the
+bounds and the search below see a single row kind.  The main structural
+move: columns that agree in every row are aggregated (the difference of two
+such variables is never constrained), which removes the lineality space that
 aggregate-style constraint systems produce; after that the enumeration is a
 depth-first interval-propagation search, exact in integers throughout.  It
 searches the integer box (lo, hi): the LP bounds rounded once (None on an
@@ -35,11 +38,11 @@ incremental, as in the activity-based bound propagation of MIP solvers: each
 node carries every row's activities (its minimum and maximum over the box),
 summed once at the root and then shifted by each bound move through a
 per-variable occurrence index; a pass evaluates only the dirty rows, those
-with a variable moved since their last evaluation; and an inequality that
-holds on a whole box is retired for that node's subtree.  None of this
-changes which boxes the search visits.  A congruence is checked as soon as
-its last free variable is pinned, whether by a branch, by the rounded box
-or by propagation, through a per-variable congruence index, and a node whose
+with a variable moved since their last evaluation; and a row that holds on a
+whole box is retired for that node's subtree.  None of this changes which
+boxes the search visits.  A congruence is checked as soon as its last free
+variable is pinned, whether by a branch, by the rounded box or by
+propagation, through a per-variable congruence index, and a node whose
 pinned values break one is cut; a leaf then only reads its row activities.
 A congruence whose constant the gcd of its modulus and coefficients does not
 divide, and congruences that clash modulo the gcd of two moduli, are
@@ -211,17 +214,15 @@ def _price(rows, basis, slots, d, cost):
     return obj
 
 
-def _feasible_tableau(dim, ineqs, eqs):
-    """Standard form of {a.x + c >= 0, a.x + c == 0}, x free, at a feasible
-    basis: (rows, basis, slots, d), or None when the system is infeasible.
+def _feasible_tableau(dim, ineqs):
+    """Standard form of {a.x + c >= 0}, x free, at a feasible basis:
+    (rows, basis, slots, d), or None when the system is infeasible.
 
     The slots start as u and the slacks of the rows with a negative
     right-hand side, which get an artificial; phase 1 runs once, then the
     artificials are pivoted out of the basis and dropped."""
     # a.x + c >= 0  =>  -a.u + a.v <= c
     std = [([-x for x in a], c) for a, c in ineqs]
-    for a, c in eqs:
-        std += [([-x for x in a], c), (list(a), -c)]
     n, m = 2 * dim, len(std)
     width = n + m
     arts = [i for i, (_, c) in enumerate(std) if c < 0]
@@ -275,21 +276,23 @@ def _ray(rows, basis, slots, d, k, dim):
 def _tidy(poly: Polyhedron):
     """Deduplicate/merge rows; detect trivial integer infeasibility.
 
-    Returns (feasible, ineqs, eqs, congs).  Inequalities with proportional
+    Returns (feasible, ineqs, congs).  Inequalities with proportional
     coefficient vectors keep only the tightest constant; zero-coefficient
     rows become pure feasibility checks, and an equality whose coefficient
-    gcd does not divide its constant has no integer point.  Congruence rows
-    are reduced mod m, and one whose constant is not divisible by the gcd
-    of m and its coefficients has no integer point; two whose left-hand
-    sides agree modulo g must agree in their constants modulo g, for each
-    g > 1 that is the gcd of two moduli present (one modulus with itself
-    included, so g = m).
+    gcd does not divide its constant has no integer point; each kept
+    equality a.x + c == 0 becomes the inequalities (a, c) and (-a, -c),
+    placed after all the others.  Congruence rows are reduced mod m, and
+    one whose constant is not divisible by the gcd of m and its
+    coefficients has no integer point; two whose left-hand sides agree
+    modulo g must agree in their constants modulo g, for each g > 1 that
+    is the gcd of two moduli present (one modulus with itself included, so
+    g = m).
     """
     best: dict = {}  # key -> (c, g, row); the tightest has the least c/g
     for a, c in poly.ineqs:
         if not any(a):
             if c < 0:
-                return False, [], [], []
+                return False, [], []
             continue
         g = math.gcd(*a)
         key = tuple(x // g for x in a)
@@ -298,22 +301,18 @@ def _tidy(poly: Polyhedron):
             best[key] = (c, g, (a, c))
     ineqs = [row for _, _, row in best.values()]
 
-    eqs = []
-    seen = set()
+    eqs: dict = {}  # key -> the first equality with that key
     for a, c in poly.eqs:
         if not any(a):
             if c != 0:
-                return False, [], [], []
+                return False, [], []
             continue
         g = math.gcd(*a)
         if c % g:
-            return False, [], [], []
+            return False, [], []
         if next(x for x in a if x) < 0:
             g = -g
-        key = (tuple(x // g for x in a), c // g)
-        if key not in seen:
-            seen.add(key)
-            eqs.append((a, c))
+        eqs.setdefault((tuple(x // g for x in a), c // g), (a, c))
 
     congs = []
     seenc = set()
@@ -324,7 +323,7 @@ def _tidy(poly: Polyhedron):
         rc = c % m
         # a.x takes exactly the multiples of gcd(m, a) modulo m
         if rc % math.gcd(m, *ra):
-            return False, [], [], []
+            return False, [], []
         if not any(ra):
             continue
         if (ra, rc, m) not in seenc:
@@ -338,13 +337,22 @@ def _tidy(poly: Polyhedron):
             if m % g == 0:
                 key = tuple(x % g for x in a)
                 if residues.setdefault(key, c % g) != c % g:
-                    return False, [], [], []
-    return True, ineqs, eqs, congs
+                    return False, [], []
+    return True, _inequalities(ineqs, eqs.values()), congs
+
+
+def _inequalities(ineqs, eqs):
+    """The inequalities, then each equality a.x + c == 0 as the pair a.x + c
+    >= 0, -a.x - c >= 0."""
+    out = list(ineqs)
+    for a, c in eqs:
+        out += [(a, c), (tuple(-x for x in a), -c)]
+    return out
 
 
 def variable_bounds(poly: Polyhedron) -> Bounds:
     """Exact rational extrema of each coordinate over the linear relaxation."""
-    bounds = _bounds_raw(poly.dim, poly.ineqs, poly.eqs)
+    bounds = _bounds_raw(poly.dim, _inequalities(poly.ineqs, poly.eqs))
     if bounds == "infeasible":
         return Bounds("infeasible", [], [])
     lower, upper, _ = bounds
@@ -366,29 +374,28 @@ class _Budget:
         self.nodes = 0
 
 
-def _dfs_enumerate(dim, ineqs, eqs, congs, lo, hi, cap, budget: _Budget):
+def _dfs_enumerate(dim, ineqs, congs, lo, hi, cap, budget: _Budget):
     """All integer points in the box satisfying all rows.
 
-    A branch pins one variable (lo_j == hi_j).  A row is held as (pos, neg,
-    c, is_eq) with pos the pairs (j, a_j) for a_j > 0 and neg the pairs
-    (j, -a_j) for a_j < 0, and a congruence as its support {j: a_j mod m !=
-    0}, so propagation touches no zero entry.  Besides the box, a node owns two
-    row activities, mn[r] and mx[r] (the minimum and maximum of a_r.x + c_r
-    over the box), and a row state, clean, dirty or retired.  The
-    activities are summed only at the root; after that, a move of a bound
-    of x_j shifts them through the occurrence index occ[j], the pairs
+    A branch pins one variable (lo_j == hi_j).  A row a.x + c >= 0 is held
+    as (pos, neg, c) with pos the pairs (j, a_j) for a_j > 0 and neg the
+    pairs (j, -a_j) for a_j < 0, and a congruence as its support {j: a_j
+    mod m != 0}, so propagation touches no zero entry.  Besides the box, a
+    node owns two row activities, mn[r] and mx[r] (the minimum and maximum
+    of a_r.x + c_r over the box), and a row state, clean, dirty or retired.
+    The activities are summed only at the root; after that, a move of a
+    bound of x_j shifts them through the occurrence index occ[j], the pairs
     (r, a_j) with a_j != 0 split by sign, and marks those rows dirty.
 
     A node tightens the box by up to 4 Gauss-Seidel passes over the rows in
-    index order, inequalities first; each row cuts with the activities read
-    as its evaluation starts.  A pass evaluates only the dirty rows: a clean
-    row has seen no move of its variables since its last evaluation (or only
-    its own moves, for an inequality, whose cuts they cannot change), so
-    evaluating it again changes nothing.  An inequality with mn >= 0 holds
-    on the whole box, and so on every box of the subtree; it is retired
-    there, neither evaluated nor shifted again.  A child copies its parent's
-    lists, pins its variable and marks that variable's rows dirty; the root
-    starts with every row dirty.
+    index order; each row cuts with the activities read as its evaluation
+    starts.  A pass evaluates only the dirty rows: a clean row has seen no
+    move of its variables since its last evaluation, or only its own moves,
+    which cannot change its cuts, so evaluating it again changes nothing.
+    A row with mn >= 0 holds on the whole box, and so on every box of the
+    subtree; it is retired there, neither evaluated nor shifted again.  A
+    child copies its parent's lists, pins its variable and marks that
+    variable's rows dirty; the root starts with every row dirty.
 
     A congruence is decided once its last free variable is pinned.  A
     branch takes its values from the progression the congruences of its
@@ -397,21 +404,20 @@ def _dfs_enumerate(dim, ineqs, eqs, congs, lo, hi, cap, budget: _Budget):
     still free at its parent, and each congruence of such a variable
     (through the index cocc[j]) whose support is now pinned is checked; a
     node that breaks one holds no point and is cut.  So at a leaf every
-    congruence holds, and the point is kept when each inequality has mx >=
-    0 and each equality mn == 0.  Returns (points, exhausted) where
-    exhausted=False means the cap or node budget interrupted the search.
+    congruence holds, and the point is kept when every row has mx >= 0.
+    Returns (points, exhausted) where exhausted=False means the cap or node
+    budget interrupted the search.
     """
-    rows = [(a, c, False) for a, c in ineqs] + [(a, c, True) for a, c in eqs]
     rows = [
         ([(j, x) for j, x in enumerate(a) if x > 0],
-         [(j, -x) for j, x in enumerate(a) if x < 0], c, is_eq)
-        for a, c, is_eq in rows
+         [(j, -x) for j, x in enumerate(a) if x < 0], c)
+        for a, c in ineqs
     ]
     # occ[j] = (rows with a_j > 0, rows with a_j < 0), as pairs (r, a_j);
     # the root's activities mn, mx are summed along the way
     occ: list[tuple[list, list]] = [([], []) for _ in range(dim)]
     mn, mx = [], []
-    for r, (pos, neg, c, _) in enumerate(rows):
+    for r, (pos, neg, c) in enumerate(rows):
         rmn = rmx = c
         for j, aj in pos:
             occ[j][0].append((r, aj))
@@ -430,7 +436,6 @@ def _dfs_enumerate(dim, ineqs, eqs, congs, lo, hi, cap, budget: _Budget):
     for (supp, _, _), (a, c, m) in zip(csupp, congs):
         for j in supp:
             cocc[j].append((supp.keys(), a, c, m))
-    nineq = len(ineqs)
     points: list[tuple[int, ...]] = []
 
     def shift(j, dl, dh, mn, mx, state):
@@ -464,62 +469,36 @@ def _dfs_enumerate(dim, ineqs, eqs, congs, lo, hi, cap, budget: _Budget):
         while changed and passes < 4:
             changed = False
             passes += 1
-            for r, (pos, neg, _, is_eq) in enumerate(rows):
+            for r, (pos, neg, _) in enumerate(rows):
                 if state[r] != _DIRTY:
                     continue
-                state[r] = _CLEAN
                 # the activities as the evaluation starts: the row's own
-                # moves below shift mn[r]/mx[r], not these
+                # moves below shift mn[r], not these
                 rmn, rmx = mn[r], mx[r]
-                if rmx < 0 or (is_eq and rmn > 0):
+                if rmx < 0:
                     return False
-                # x_j's own term spans [a_j*lo_j, a_j*hi_j], so the row needs
-                # a_j*x_j >= a_j*hi_j - mx, and an equality also a_j*x_j <=
-                # a_j*lo_j - mn: lo_j >= ceil((a_j*hi_j - mx) / a_j), which is
-                # hi_j - floor(mx / a_j), and hi_j <= lo_j + floor(-mn / a_j)
-                if not is_eq:
-                    if rmn >= 0:
-                        state[r] = _RETIRED
-                        continue
-                    # mx >= 0, so no cut passes the opposite bound
-                    for j, aj in pos:
-                        nl = hi[j] - rmx // aj
-                        if nl > lo[j]:
-                            shift(j, nl - lo[j], 0, mn, mx, state)
-                            lo[j] = nl
-                            changed = True
-                    for j, bj in neg:  # b_j = -a_j > 0: the same for -x_j
-                        nh = lo[j] + rmx // bj
-                        if nh < hi[j]:
-                            shift(j, 0, nh - hi[j], mn, mx, state)
-                            hi[j] = nh
-                            changed = True
-                    # these moves raise mn only and the cuts read mx, so a
-                    # second evaluation would move nothing
-                    state[r] = _RETIRED if mn[r] >= 0 else _CLEAN
+                if rmn >= 0:
+                    state[r] = _RETIRED
                     continue
+                # x_j's own term spans [a_j*lo_j, a_j*hi_j], so the row needs
+                # a_j*x_j >= a_j*hi_j - mx: lo_j >= ceil((a_j*hi_j - mx) /
+                # a_j), which is hi_j - floor(mx / a_j); mx >= 0, so no cut
+                # passes the opposite bound
                 for j, aj in pos:
-                    lj, hj = lo[j], hi[j]
-                    nl = hj - rmx // aj
-                    nh = lj + (-rmn) // aj
-                    if nl > lj or nh < hj:
-                        nl, nh = max(nl, lj), min(nh, hj)
-                        if nl > nh:
-                            return False
-                        lo[j], hi[j] = nl, nh
-                        shift(j, nl - lj, nh - hj, mn, mx, state)
+                    nl = hi[j] - rmx // aj
+                    if nl > lo[j]:
+                        shift(j, nl - lo[j], 0, mn, mx, state)
+                        lo[j] = nl
                         changed = True
-                for j, bj in neg:
-                    lj, hj = lo[j], hi[j]
-                    nh = lj + rmx // bj
-                    nl = hj - (-rmn) // bj
-                    if nl > lj or nh < hj:
-                        nl, nh = max(nl, lj), min(nh, hj)
-                        if nl > nh:
-                            return False
-                        lo[j], hi[j] = nl, nh
-                        shift(j, nl - lj, nh - hj, mn, mx, state)
+                for j, bj in neg:  # b_j = -a_j > 0: the same for -x_j
+                    nh = lo[j] + rmx // bj
+                    if nh < hi[j]:
+                        shift(j, 0, nh - hi[j], mn, mx, state)
+                        hi[j] = nh
                         changed = True
+                # these moves raise mn only and the cuts read mx, so a
+                # second evaluation would move nothing
+                state[r] = _RETIRED if mn[r] >= 0 else _CLEAN
         return True
 
     def cong_progression(j, lo, hi):
@@ -567,8 +546,8 @@ def _dfs_enumerate(dim, ineqs, eqs, congs, lo, hi, cap, budget: _Budget):
                             return True
         if not unfixed:
             # every congruence holds, and a live row's activities are its
-            # value; a retired inequality holds and kept its mx >= mn >= 0
-            if min(mx[:nineq], default=0) >= 0 and not any(mn[nineq:]):
+            # value; a retired row holds and kept its mx >= mn >= 0
+            if min(mx, default=0) >= 0:
                 points.append(tuple(lo))
                 if len(points) > cap:
                     return False
@@ -598,24 +577,22 @@ def _dfs_enumerate(dim, ineqs, eqs, congs, lo, hi, cap, budget: _Budget):
 # column aggregation (lineality quotient) and the public enumeration
 
 
-def _column_groups(dim, ineqs, eqs, congs) -> list[list[int]]:
+def _column_groups(dim, ineqs, congs) -> list[list[int]]:
     sigs: dict[tuple, list[int]] = {}
     for j in range(dim):
         sig = (
             tuple(a[j] for a, _ in ineqs),
-            tuple(a[j] for a, _ in eqs),
             tuple(a[j] % m for a, _, m in congs),
         )
         sigs.setdefault(sig, []).append(j)
     return sorted(sigs.values(), key=lambda g: g[0])
 
 
-def _project(groups, ineqs, eqs, congs):
+def _project(groups, ineqs, congs):
     reps = [g[0] for g in groups]
     pineqs = [(tuple(a[r] for r in reps), c) for a, c in ineqs]
-    peqs = [(tuple(a[r] for r in reps), c) for a, c in eqs]
     pcongs = [(tuple(a[r] for r in reps), c, m) for a, c, m in congs]
-    return pineqs, peqs, pcongs
+    return pineqs, pcongs
 
 
 def enumerate_integer_points(poly: Polyhedron, cap: int | None = None) -> EnumerationResult:
@@ -634,16 +611,16 @@ def enumerate_integer_points(poly: Polyhedron, cap: int | None = None) -> Enumer
     cap = DEFAULT_CAP if cap is None else int(cap)
     if cap < 0:
         raise ValueError(f"cap must be nonnegative, got {cap}")
-    ok, ineqs, eqs, congs = _tidy(poly)
+    ok, ineqs, congs = _tidy(poly)
     if not ok:
         return EnumerationResult("finite", [])
 
-    groups = _column_groups(poly.dim, ineqs, eqs, congs)
+    groups = _column_groups(poly.dim, ineqs, congs)
     merged = len(groups) < poly.dim
-    pineqs, peqs, pcongs = _project(groups, ineqs, eqs, congs)
+    pineqs, pcongs = _project(groups, ineqs, congs)
     k = len(groups)
 
-    bounds = _bounds_raw(k, pineqs, peqs)
+    bounds = _bounds_raw(k, pineqs)
     if bounds == "infeasible":
         return EnumerationResult("finite", [])
     lo, hi, ray = bounds
@@ -663,7 +640,7 @@ def enumerate_integer_points(poly: Polyhedron, cap: int | None = None) -> Enumer
             whi = [w if h is None else min(h, w) for h in hi]
             if any(a > b for a, b in zip(wlo, whi)):
                 continue
-            if _dfs_enumerate(k, pineqs, peqs, pcongs, wlo, whi, 0, budget)[0]:
+            if _dfs_enumerate(k, pineqs, pcongs, wlo, whi, 0, budget)[0]:
                 # scaled by the lcm of the moduli, on each group's first column
                 step = math.lcm(*(m for _, _, m in pcongs))
                 lifted = [0] * poly.dim
@@ -678,7 +655,7 @@ def enumerate_integer_points(poly: Polyhedron, cap: int | None = None) -> Enumer
     # with merged columns one point settles it: any solution of the reduced
     # system lifts in infinitely many ways through a group of size >= 2
     # (x_i - x_j is unconstrained there)
-    pts, exhausted = _dfs_enumerate(k, pineqs, peqs, pcongs, lo, hi,
+    pts, exhausted = _dfs_enumerate(k, pineqs, pcongs, lo, hi,
                                     0 if merged else cap, budget)
     if merged and pts:
         big = next(g for g in groups if len(g) > 1)
@@ -691,14 +668,14 @@ def enumerate_integer_points(poly: Polyhedron, cap: int | None = None) -> Enumer
     return EnumerationResult("finite", sorted(pts))
 
 
-def _bounds_raw(dim, ineqs, eqs):
+def _bounds_raw(dim, ineqs):
     """Bounds for the already-tidied system; returns 'infeasible' or
     (lo list, hi list, ray-or-None): lo/hi entries None when unbounded.
 
     All 2*dim objectives run on one feasible tableau, each starting from the
     basis the previous one left, which stays feasible.
     """
-    tab = _feasible_tableau(dim, ineqs, eqs)
+    tab = _feasible_tableau(dim, ineqs)
     if tab is None:
         return "infeasible"
     rows, basis, slots, d = tab

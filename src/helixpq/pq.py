@@ -146,6 +146,10 @@ def _normalize_plan(char_plan) -> dict[frozenset, dict]:
         if not isinstance(value, Mapping):
             # bare character list
             value = {"characters": list(value)}
+        collapse = value.get("collapse")
+        if collapse is not None and collapse not in pair:
+            raise PQError(f"char_plan collapse prime {collapse!r} is not a "
+                          f"prime of the pair {sorted(pair)}")
         plan[pair] = dict(value)
     return plan
 

@@ -16,7 +16,6 @@ from helixpq.chartab import (
     render_chain,
     render_table,
     trivial_chain,
-    unit_character_value,
     validate,
 )
 from helixpq.cyclo import cyc_rational, cyc_zero, galois_apply, root_of_unity
@@ -200,13 +199,6 @@ def test_power_class_unique_target_inference_and_ambiguity():
     assert table.power_class("6a", 3) == "2a"
     # 6a^2 has order 3 but two classes qualify and no map is stored
     assert table.power_class("6a", 2) is None
-
-
-def test_unit_character_value_is_linear():
-    table = parse_table(cyclic3_table())
-    omega = table.character_by_name("omega")
-    v = unit_character_value(omega, {"3a": 2, "3b": -1}, table)
-    assert v == cyc_rational(2) * root_of_unity(3) - root_of_unity(3, 2)
 
 
 # --- chains -------------------------------------------------------------------

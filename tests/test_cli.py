@@ -286,6 +286,33 @@ def test_verify_rejects_empty_chain_list(tmp_path, capsys):
     assert "empty chain list" in err
 
 
+@pytest.mark.parametrize("chain, edit, field", [
+    ({"unit_order": 6, "entries": [1, 2]}, None, "chain entries"),
+    ({"unit_order": 2, "entries": {"2": [1]}}, None, "chain entries['2']"),
+    ({"chains": 5}, None, "chains"),
+    (None, lambda t: t.update(classes=5), "classes"),
+    (None, lambda t: t["classes"][1].update(power_maps=[2]), "power_maps"),
+    (None, lambda t: t["characters"][1].update(values=[1]), "values"),
+], ids=["entries-list", "level-list", "chains-int", "classes-int",
+        "power-maps-list", "values-list"])
+def test_malformed_json_is_a_data_error(tmp_path, capsys, chain, edit, field):
+    # each of these ended in an AttributeError or TypeError traceback before
+    table = tmp_path / "t.json"
+    run(capsys, "gen", "--family", "psl2", "--q", "5", "--out", str(table))
+    if chain is None:
+        data = json.loads(table.read_text())
+        edit(data)
+        table.write_text(json.dumps(data))
+        argv = ("validate", "--table", str(table))
+    else:
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps(chain))
+        argv = ("verify", "--table", str(table), "--chain", str(path))
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    assert err.startswith("helixpq: error:") and field in err
+
+
 # --- pq --------------------------------------------------------------------------
 
 def test_pq_sufficient_group(capsys):

@@ -113,6 +113,13 @@ def test_char_plan_is_honored(psl2_16):
     assert r.outcome == "ruled_out"
 
 
+def test_char_plan_collapse_outside_its_pair_is_rejected(psl2_16):
+    # collapse 17 on the pair {2, 3} used to solve order 2*17 instead of 6
+    with pytest.raises(PQError, match="collapse prime 17"):
+        pq_check(psl2_16, pairs=[(2, 3)],
+                 char_plan={(2, 3): {"collapse": 17, "characters": ["triv"]}})
+
+
 def test_pair_errors_are_recorded_not_fatal(psl2_16):
     report = pq_check(
         psl2_16,
