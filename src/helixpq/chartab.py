@@ -175,14 +175,26 @@ def _expect(value, kind, what: str):
     return value
 
 
+def _as_int(x, what: str) -> int:
+    """`x` as an int, else a TableError naming the field; floats and
+    booleans are refused rather than truncated, as `cyclo` does for terms."""
+    if not isinstance(x, (bool, float)):
+        try:
+            return int(x)
+        except (TypeError, ValueError):
+            pass
+    raise TableError(f"{what} must be an integer, got {x!r}")
+
+
 def _parse_class(obj) -> ConjClass:
     try:
         name = str(obj["name"])
-        order = int(obj["element_order"])
-        size = obj.get("size")
-        size = None if size is None else int(size)
-    except (KeyError, TypeError, ValueError) as exc:
+        order, size = obj["element_order"], obj.get("size")
+    except (KeyError, TypeError) as exc:
         raise TableError(f"malformed class entry {obj!r}") from exc
+    order = _as_int(order, f"class {name!r}: element_order")
+    if size is not None:
+        size = _as_int(size, f"class {name!r}: size")
     if order < 1:
         raise TableError(f"class {name!r} has non-positive element order {order}")
     if size is not None and size < 1:
@@ -200,11 +212,12 @@ def _parse_class(obj) -> ConjClass:
 def _parse_character(obj) -> Character:
     try:
         name = str(obj["name"])
-        degree = int(obj["degree"])
-        values_raw = obj["values"]
-        characteristic = int(obj.get("characteristic", 0))
-    except (KeyError, TypeError, ValueError) as exc:
+        degree, values_raw = obj["degree"], obj["values"]
+        characteristic = obj.get("characteristic", 0)
+    except (KeyError, TypeError) as exc:
         raise TableError(f"malformed character entry {obj!r}") from exc
+    degree = _as_int(degree, f"character {name!r}: degree")
+    characteristic = _as_int(characteristic, f"character {name!r}: characteristic")
     values = {}
     for cname, v in _expect(values_raw, Mapping, f"character {name!r}: values").items():
         try:
@@ -240,7 +253,7 @@ def parse_table(source) -> CharacterTable:
         group_name=group_name,
         classes=classes,
         characters=characters,
-        order=int(order) if order is not None else None,
+        order=None if order is None else _as_int(order, "order"),
         completeness=completeness,
         notes=source.get("notes"),
     )
@@ -545,17 +558,17 @@ def parse_chain(source) -> PAChain:
     if isinstance(source, str):
         source = json.loads(source)
     try:
-        n = int(source["unit_order"])
-        raw = source["entries"]
-    except (KeyError, TypeError, ValueError) as exc:
+        n, raw = source["unit_order"], source["entries"]
+    except (KeyError, TypeError) as exc:
         raise TableError(f"malformed chain {source!r}") from exc
+    n = _as_int(n, "chain unit_order")
     entries = {}
     for m, vec in _expect(raw, Mapping, "chain entries").items():
-        vec = _expect(vec, Mapping, f"chain entries[{m!r}]")
-        try:
-            entries[int(m)] = {str(c): int(v) for c, v in vec.items()}
-        except (TypeError, ValueError) as exc:
-            raise TableError(f"chain entries[{m!r}]: {exc}") from exc
+        where = f"chain entries[{m!r}]"
+        vec = _expect(vec, Mapping, where)
+        entries[_as_int(m, f"{where} level")] = {
+            str(c): _as_int(v, f"{where}[{c!r}]") for c, v in vec.items()
+        }
     return PAChain(unit_order=n, entries=entries)
 
 

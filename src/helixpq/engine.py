@@ -72,7 +72,6 @@ from .chartab import (
     Character,
     CharacterTable,
     PAChain,
-    TableError,
     check_chain_shape,
 )
 from .cyclo import divisors, prime_divisors, root_trace_table, terms_at_level
@@ -183,19 +182,11 @@ def _key_order(table: CharacterTable, key: str) -> int:
     return table.class_by_name(key).element_order
 
 
-def _common_value(table: CharacterTable, ch: Character, o: int, misuse: str):
-    """The value of ch shared by every class of element order o."""
+def _constant_value(table: CharacterTable, ch: Character, o: int):
+    """The value of ch shared by every class of element order o; None when
+    some such class has no value, two values differ or there is no class."""
     vals = {ch.values.get(c.name) for c in table.classes if c.element_order == o}
-    if None in vals:
-        raise EngineError(
-            f"character {ch.name!r} lacks a value on some class of order {o}"
-        )
-    if len(vals) != 1:
-        raise EngineError(
-            f"character {ch.name!r} is not constant on the order-{o} classes; "
-            f"{misuse}"
-        )
-    return vals.pop()
+    return vals.pop() if len(vals) == 1 else None
 
 
 def build_system(
@@ -271,8 +262,10 @@ def _build(table, characters, order, powers, *, congruences, collapse_order, ded
     blocks the joint system puts on their columns.
 
     The blocks come from `_trace_block`, cached per (value, level) across
-    calls; the checks on a value (missing, not integral, non-integral term)
-    run in every call and name this call's character and class.  Each
+    calls.  `block` checks a value on every call, naming this call's
+    character and class: it must exist (on an aggregated key "~s", be
+    constant on the order-s classes) and have integral terms, which
+    `_trace_block` reports by returning None.  Each
     character's rows of a level are the transpose of its column blocks,
     repeated to the level's length.  With `dedupe` a row is built only for
     the first occurrence of its (kind, coeffs, const, modulus), so the
@@ -324,26 +317,19 @@ def _build(table, characters, order, powers, *, congruences, collapse_order, ded
         for c in support[m]
     ))
 
-    def value(ch, key, free):
-        if key.startswith(AGGREGATE_PREFIX):
-            misuse = ("cannot collapse them" if free else
-                      f"the aggregated entry {key!r} is meaningless for it")
-            return _common_value(table, ch, _key_order(table, key), misuse)
-        val = ch.values.get(key)
-        if val is None:
-            raise (EngineError if free else TableError)(
-                f"character {ch.name!r} has no value on class {key!r}"
-            )
-        if free and not val.is_integral():
-            raise EngineError(
-                f"character {ch.name!r} value on {key!r} is not an algebraic integer"
-            )
-        return val
-
-    def block(ch, level, key, free):
+    def block(ch, level, key):
         """The trace block of ch on one column, or one fixed class, at a
-        level it divides."""
-        b = _trace_block(value(ch, key, free), level)
+        level it divides; an aggregated key "~s" takes the value ch shares
+        on the order-s classes."""
+        if key.startswith(AGGREGATE_PREFIX):
+            val = _constant_value(table, ch, _key_order(table, key))
+            missing = "is not constant on the classes of"
+        else:
+            val = ch.values.get(key)
+            missing = "has no value on class"
+        if val is None:
+            raise EngineError(f"character {ch.name!r} {missing} {key!r}")
+        b = _trace_block(val, level)
         if b is None:
             raise EngineError(
                 f"character {ch.name!r} value on {key!r} has a non-integral "
@@ -369,14 +355,14 @@ def _build(table, characters, order, powers, *, congruences, collapse_order, ded
         for ch in chars:
             # column-major: each column's entries in the m rows of this level
             cols = [
-                block(ch, l, key, True) * (m // l) if m % l == 0 else zeros
+                block(ch, l, key) * (m // l) if m % l == 0 else zeros
                 for l, key in columns
             ]
             consts = [ch.degree] * m
             for l, entry in fixed.items():
                 for key, eps in entry.items():
                     if eps:
-                        fb = block(ch, l, key, False)
+                        fb = block(ch, l, key)
                         for k in range(m):
                             consts[k] += eps * fb[k % l]
             for k, (coeffs, const) in enumerate(zip(zip(*cols), consts)):
@@ -475,7 +461,6 @@ class SolutionSet:
     character_names: tuple[str, ...]
     strategy: str = "plain"
     congruence_modes: tuple[str, ...] = ()
-    combos: int = 0
     detail: Optional[str] = None
     ray: Optional[dict[str, int]] = None
 
@@ -650,11 +635,9 @@ def _solve_combos(
     chains: list[PAChain] = []
     status = "finite"
     modes: set[str] = set()
-    combos = 0
     detail = None
     ray = None
     for fixed, system in systems():
-        combos += fixed is not None
         modes.update(system.congruence_mode.values())
         res = system.solve(cap=cap)
         if res.status == "infinite":
@@ -696,7 +679,6 @@ def _solve_combos(
         character_names=names,
         strategy=strategy,
         congruence_modes=tuple(sorted(modes)),
-        combos=combos,
         detail=detail,
         ray=ray,
     )

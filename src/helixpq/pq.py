@@ -31,6 +31,7 @@ from .cyclo import prime_divisors
 from .engine import (
     SolutionSet,
     _cap_or_default,
+    _constant_value,
     _resolve_chars,
     classify_chain,
     solve_order,
@@ -154,11 +155,6 @@ def _normalize_plan(char_plan) -> dict[frozenset, dict]:
     return plan
 
 
-def _constant_on(table: CharacterTable, ch: Character, order: int) -> bool:
-    vals = {ch.values.get(c.name) for c in table.classes if c.element_order == order}
-    return None not in vals and len(vals) == 1
-
-
 def pq_check(
     table: CharacterTable,
     characters: Optional[Sequence[Union[str, Character]]] = None,
@@ -240,7 +236,8 @@ def _check_pair(table, base_chars, p, q, plan, *, cap, congruences) -> PairRepor
             if max(np_, nq_) > PLAIN_CLASS_LIMIT:
                 collapse = p if np_ >= nq_ else q
                 strategy = f"collapse[{collapse}]"
-                chars = [ch for ch in chars if _constant_on(table, ch, collapse)]
+                chars = [ch for ch in chars
+                         if _constant_value(table, ch, collapse) is not None]
 
         if not chars:
             return PairReport(
@@ -271,7 +268,8 @@ def _check_pair(table, base_chars, p, q, plan, *, cap, congruences) -> PairRepor
         outcome, detail = "infinite", sol.detail
     elif sol.status == "capped":
         outcome = "undecided"
-        detail = f"enumeration capped; at least {len(sol.chains)} chains"
+        detail = (f"enumeration capped; at least {len(sol.chains)} chains; "
+                  f"{sol.detail}")
     elif sol.chains:
         outcome, detail = "undecided", sol.detail
     else:

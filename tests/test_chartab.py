@@ -123,6 +123,24 @@ def test_validate_flags_orthogonality_violation():
     assert not report.ok
 
 
+@pytest.mark.parametrize("bad", [1.5, 3.0, True])
+@pytest.mark.parametrize("edit, field", [
+    (lambda t, x: t["classes"][1].update(element_order=x),
+     "class '3a': element_order"),
+    (lambda t, x: t["classes"][1].update(size=x), "class '3a': size"),
+    (lambda t, x: t["characters"][1].update(degree=x), "character 'omega': degree"),
+    (lambda t, x: t["characters"][1].update(characteristic=x),
+     "character 'omega': characteristic"),
+    (lambda t, x: t.update(order=x), "order"),
+], ids=["element_order", "size", "degree", "characteristic", "order"])
+def test_integer_fields_refuse_floats_and_booleans(edit, field, bad):
+    # int() would truncate 1.5 and read True as 1
+    data = cyclic3_table()
+    edit(data, bad)
+    with pytest.raises(TableError, match=f"^{field} must be an integer"):
+        parse_table(data)
+
+
 def test_parse_table_rejects_truncated_or_undefined_terms():
     for term in ([0, -1.4, 1], [0, 1, 0]):
         bad = cyclic3_table()
@@ -217,6 +235,17 @@ def test_chain_round_trip_and_accessors():
     assert chain.restricted(3).entries == {3: {"3a": 0, "3b": 1}}
     with pytest.raises(ValueError):
         chain.restricted(4)
+
+
+@pytest.mark.parametrize("bad", [1.7, 1.0, True])
+def test_parse_chain_refuses_float_and_boolean_augmentations(bad):
+    with pytest.raises(TableError, match=r"chain entries\['2'\]\['2a'\] must be"):
+        parse_chain({"unit_order": 2, "entries": {"2": {"2a": bad}}})
+    with pytest.raises(TableError, match="chain unit_order must be"):
+        parse_chain({"unit_order": bad, "entries": {"2": {"2a": 1}}})
+    # level keys are strings read as integers
+    assert parse_chain({"unit_order": 2, "entries": {"2": {"2a": 1}}}).entries == {
+        2: {"2a": 1}}
 
 
 def test_check_chain_shape_accepts_group_element_chain():

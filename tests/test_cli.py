@@ -293,10 +293,13 @@ def test_verify_rejects_empty_chain_list(tmp_path, capsys):
     (None, lambda t: t.update(classes=5), "classes"),
     (None, lambda t: t["classes"][1].update(power_maps=[2]), "power_maps"),
     (None, lambda t: t["characters"][1].update(values=[1]), "values"),
+    ({"unit_order": 2, "entries": {"2": {"2a": 1.7}}}, None,
+     "chain entries['2']['2a'] must be an integer"),
+    (None, lambda t: t.update(order=[60]), "order must be an integer"),
 ], ids=["entries-list", "level-list", "chains-int", "classes-int",
-        "power-maps-list", "values-list"])
+        "power-maps-list", "values-list", "augmentation-float", "order-list"])
 def test_malformed_json_is_a_data_error(tmp_path, capsys, chain, edit, field):
-    # each of these ended in an AttributeError or TypeError traceback before
+    # each is a data error: not a traceback, and no float read as an integer
     table = tmp_path / "t.json"
     run(capsys, "gen", "--family", "psl2", "--q", "5", "--out", str(table))
     if chain is None:

@@ -174,6 +174,13 @@ def test_non_integral_term_names_each_character_on_every_call():
             build_system(table, [name], 6, powers, collapse_order=3)
 
 
+def test_missing_value_on_a_fixed_power_class_is_an_engine_error(psl2_5):
+    # every class of a well-formed power entry is also a top-level column;
+    # a fixed class that is not fails in the constants, with the same error
+    with pytest.raises(EngineError, match="'st' has no value on class '3z'"):
+        build_system(psl2_5, ["st"], 6, {2: {"2a": 1}, 3: {"3z": 1}})
+
+
 def test_missing_power_levels_rejected(psp):
     with pytest.raises(EngineError, match="power"):
         build_system(psp, ["chi", "phi"], 10, powers={})
@@ -428,13 +435,28 @@ def test_collapse_requires_constancy(psl2_32):
 
 # --- verification ---------------------------------------------------------------
 
-@pytest.mark.parametrize("name", ["psl2_32", "psl2_3f_eta", "pgl2_3f_rows"])
-def test_solutions_round_trip_through_verify(request, name):
+@pytest.mark.parametrize("name, chars, order, strategy", [
+    ("psl2_32", None, 6, "plain"),
+    ("psl2_3f_eta", None, 6, "plain"),
+    ("pgl2_3f_rows", None, 6, "plain"),
+    # 126 chains over the levels 3, 17 and 51
+    ("l3", ["chi306", "chi4912", "chi9216"], 51, "plain"),
+    ("psl2_32", None, 6, "joint"),
+], ids=["psl2_32", "psl2_3f_eta", "pgl2_3f_rows", "l3_17_aut_partial-51",
+        "psl2_32-joint"])
+def test_solutions_round_trip_through_verify(request, monkeypatch, name, chars,
+                                             order, strategy):
     table = request.getfixturevalue(name)
-    sol = solve_order(table, list(table.characters), 6)
-    assert sol.chains
+    chars = list(table.characters) if chars is None else chars
+    if strategy == "joint":
+        import helixpq.engine as eng
+
+        monkeypatch.setattr(eng, "_JOINT_COMBO_LIMIT", 0)
+    sol = solve_order(table, chars, order)
+    assert sol.status == "finite" and sol.chains
+    assert sol.strategy == strategy
     for chain in sol.chains:
-        report = verify_chain(table, list(table.characters), chain)
+        report = verify_chain(table, chars, chain)
         assert report.ok and not report.failures
         assert report.rows_checked > 0
 

@@ -152,6 +152,16 @@ def test_cap_marks_pair_undecided(psl2_16):
     assert r.detail.startswith("enumeration capped")
 
 
+def test_capped_pair_names_the_solve_stop_reason(monkeypatch):
+    import helixpq.lattice as lat
+
+    monkeypatch.setattr(lat, "_NODE_BUDGET", 3)
+    r = pq_check(gen_table("psl2", 32), pairs=[(2, 3)]).pair(2, 3)
+    assert r.outcome == "undecided"
+    assert r.detail == ("enumeration capped; at least 2 chains; "
+                        "enumeration stopped at the search-node budget")
+
+
 def test_pair_carries_the_solve_status_without_rendering_it(psl2_16):
     capped = pq_check(psl2_16, pairs=[(2, 3)], cap=1)
     decided = pq_check(psl2_16, pairs=[(2, 3)])
