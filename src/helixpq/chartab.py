@@ -21,13 +21,12 @@ import math
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
-from sympy import isprime
-
 from .cyclo import (
     Coeff,
     CycValue,
     divisors,
     galois_apply,
+    isprime,
     parse_cyc,
     render_cyc,
 )
@@ -186,6 +185,15 @@ def _as_int(x, what: str) -> int:
     raise TableError(f"{what} must be an integer, got {x!r}")
 
 
+def _is_prime(n: int, what: str) -> bool:
+    """`isprime(n)`; a number too large to decide is a TableError naming
+    the field."""
+    try:
+        return isprime(n)
+    except ValueError as exc:
+        raise TableError(f"{what}: {exc}") from None
+
+
 def _parse_class(obj) -> ConjClass:
     try:
         name = str(obj["name"])
@@ -201,9 +209,10 @@ def _parse_class(obj) -> ConjClass:
         raise TableError(f"class {name!r} has non-positive size {size}")
     pm_raw = _expect(obj.get("power_maps", {}), Mapping, f"class {name!r}: power_maps")
     pmaps = {}
+    what = f"class {name!r}: power-map key"
     for key, target in pm_raw.items():
-        p = int(key)
-        if not isprime(p):
+        p = _as_int(key, what)
+        if not _is_prime(p, what):
             raise TableError(f"class {name!r}: power-map key {key!r} is not prime")
         pmaps[p] = str(target)
     return ConjClass(name=name, element_order=order, size=size, power_maps=pmaps)
@@ -276,7 +285,9 @@ def _structural_check(table: CharacterTable) -> None:
     for ch in table.characters:
         if ch.degree < 1:
             raise TableError(f"character {ch.name!r} has degree {ch.degree} < 1")
-        if ch.characteristic and not isprime(ch.characteristic):
+        if ch.characteristic and not _is_prime(
+            ch.characteristic, f"character {ch.name!r}: characteristic"
+        ):
             raise TableError(
                 f"character {ch.name!r} has non-prime characteristic {ch.characteristic}"
             )

@@ -36,8 +36,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Mapping, Union
 
-from sympy import cyclotomic_poly, factorint
-
 Rat = Fraction
 # a stored coefficient: int when integral, Fraction with denominator > 1 if not
 Coeff = Union[int, Fraction]
@@ -57,18 +55,110 @@ __all__ = [
     "mobius",
     "divisors",
     "prime_divisors",
+    "isprime",
+    "PRIME_BOUND",
 ]
 
 
 # ---------------------------------------------------------------------------
-# elementary number theory, cached (sympy does the factoring)
+# elementary number theory, cached
+
+
+_SMALL_PRIMES = tuple(p for p in range(2, 1000)
+                      if all(p % d for d in range(2, math.isqrt(p) + 1)))
+# strong tests to the first 13 prime bases decide primality exactly below
+# this bound (Sorenson and Webster, Math. Comp. 86 (2017) 985-1003)
+_MR_BASES = _SMALL_PRIMES[:13]
+PRIME_BOUND = 3317044064679887385961981
+
+
+def _strong_probable_prime(n: int) -> bool:
+    """Whether the odd n > 41 passes the strong test to every base in _MR_BASES."""
+    d = n - 1
+    s = (d & -d).bit_length() - 1
+    d >>= s
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def isprime(n: int) -> bool:
+    """Exact primality of an integer below PRIME_BOUND; at or above it the
+    strong tests prove nothing, so a ValueError names the number."""
+    if n >= PRIME_BOUND:
+        raise ValueError(f"{n} is too large to test for primality (the limit is {PRIME_BOUND})")
+    for p in _SMALL_PRIMES:
+        if p * p > n:
+            return n > 1
+        if n % p == 0:
+            return n == p
+    return _strong_probable_prime(n)
+
+
+def _rho(n: int) -> int:
+    """A proper factor of the odd composite n: Brent's variant of Pollard's
+    rho, which takes about n^(1/4) steps."""
+    for c in range(1, n):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:  # one gcd per batch of up to 128 steps
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = math.gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:  # the batch overshot: step through it one at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(abs(x - ys), n)
+        if g != n:
+            return g
+    raise AssertionError(f"no factor of {n} found")  # pragma: no cover
 
 
 @lru_cache(maxsize=None)
 def _factor(n: int) -> tuple[tuple[int, int], ...]:
+    """The prime factorisation of n as sorted (p, a) pairs: trial division
+    by the primes below 1000, then rho on what is left until every part is
+    prime.  A part left at or above PRIME_BOUND is a ValueError, as isprime
+    cannot decide it."""
     if n <= 0:
         raise ValueError(f"positive integer required, got {n}")
-    return tuple(sorted(factorint(n).items()))
+    out: dict[int, int] = {}
+    rest = n
+    for p in _SMALL_PRIMES:
+        if p * p > rest:
+            break
+        while rest % p == 0:
+            out[p] = out.get(p, 0) + 1
+            rest //= p
+    if rest >= PRIME_BOUND:
+        raise ValueError(f"cannot factor {n}: the part {rest} left after trial division "
+                         f"is too large to test for primality (the limit is {PRIME_BOUND})")
+    parts = [rest] if rest > 1 else []
+    while parts:
+        m = parts.pop()
+        if isprime(m):
+            out[m] = out.get(m, 0) + 1
+        else:
+            d = _rho(m)
+            parts += [d, m // d]
+    return tuple(sorted(out.items()))
 
 
 @lru_cache(maxsize=None)
@@ -112,6 +202,26 @@ def _coprime_residues(n: int) -> tuple[int, ...]:
 # power-basis reduction modulo the cyclotomic polynomial
 
 
+def _cyclotomic_coeffs(n: int) -> tuple[int, ...]:
+    """The coefficients of Phi_n, constant term first, as the product over
+    d | n of (x^d - 1)^mu(n/d).  Every multiplication comes first, so each
+    division by x^d - 1 that follows is exact."""
+    poly = [1]
+    for d in divisors(n):  # times x^d - 1
+        if mobius(n // d) == 1:
+            shifted = [0] * d + poly
+            for i, c in enumerate(poly):
+                shifted[i] -= c
+            poly = shifted
+    for d in divisors(n):  # over x^d - 1: q[i] = q[i-d] - p[i]
+        if mobius(n // d) == -1:
+            quot: list[int] = []
+            for i in range(len(poly) - d):
+                quot.append((quot[i - d] if i >= d else 0) - poly[i])
+            poly = quot
+    return tuple(poly)
+
+
 @lru_cache(maxsize=None)
 def _reduction_rows(n: int) -> tuple[tuple[int, ...], ...]:
     """Row e (0 <= e < n) expresses zeta_n^e over 1..zeta_n^{phi(n)-1}.
@@ -121,9 +231,8 @@ def _reduction_rows(n: int) -> tuple[tuple[int, ...], ...]:
     if n % 4 == 2:
         raise ValueError("internal: reduction tables only for n != 2 mod 4")
     d = euler_phi(n)
-    top = [int(c) for c in cyclotomic_poly(n, polys=True).all_coeffs()]
-    # x^d = -(top[1] x^{d-1} + ... + top[d]);  step[j] = coeff of x^j
-    step = tuple(-c for c in reversed(top[1:]))
+    # x^d = -(phi[0] + phi[1] x + ... + phi[d-1] x^{d-1});  step[j] = coeff of x^j
+    step = tuple(-c for c in _cyclotomic_coeffs(n)[:d])
     rows: list[tuple[int, ...]] = []
     for e in range(n):
         if e < d:

@@ -18,7 +18,7 @@ from helixpq.chartab import (
     trivial_chain,
     validate,
 )
-from helixpq.cyclo import cyc_rational, cyc_zero, galois_apply, root_of_unity
+from helixpq.cyclo import PRIME_BOUND, cyc_rational, cyc_zero, galois_apply, root_of_unity
 
 Z3 = {"conductor": 3, "terms": [[1, 1, 1]]}
 Z3SQ = {"conductor": 3, "terms": [[2, 1, 1]]}
@@ -100,6 +100,18 @@ def test_composite_brauer_characteristic_rejected():
         parse_table(bad)
 
 
+def test_primes_beyond_the_primality_bound_rejected():
+    # a key or characteristic too large to test is named, not guessed at
+    bad = cyclic3_table()
+    bad["classes"][1]["power_maps"] = {str(PRIME_BOUND): "3b"}
+    with pytest.raises(TableError, match="^class '3a': power-map key: .* too large"):
+        parse_table(bad)
+    bad = cyclic3_table()
+    bad["characters"][1]["characteristic"] = PRIME_BOUND
+    with pytest.raises(TableError, match="^character 'omega': characteristic: .* too large"):
+        parse_table(bad)
+
+
 # --- validation -------------------------------------------------------------
 
 def test_validate_accepts_good_table():
@@ -123,18 +135,21 @@ def test_validate_flags_orthogonality_violation():
     assert not report.ok
 
 
-@pytest.mark.parametrize("bad", [1.5, 3.0, True])
+@pytest.mark.parametrize("bad", [1.5, 3.0, True, "2.0"])
 @pytest.mark.parametrize("edit, field", [
     (lambda t, x: t["classes"][1].update(element_order=x),
      "class '3a': element_order"),
     (lambda t, x: t["classes"][1].update(size=x), "class '3a': size"),
+    (lambda t, x: t["classes"][1].update(power_maps={x: "3b"}),
+     "class '3a': power-map key"),
     (lambda t, x: t["characters"][1].update(degree=x), "character 'omega': degree"),
     (lambda t, x: t["characters"][1].update(characteristic=x),
      "character 'omega': characteristic"),
     (lambda t, x: t.update(order=x), "order"),
-], ids=["element_order", "size", "degree", "characteristic", "order"])
+], ids=["element_order", "size", "power_map_key", "degree", "characteristic", "order"])
 def test_integer_fields_refuse_floats_and_booleans(edit, field, bad):
-    # int() would truncate 1.5 and read True as 1
+    # int() would truncate 1.5, read True as 1 and fail on "2.0" without
+    # naming the field
     data = cyclic3_table()
     edit(data, bad)
     with pytest.raises(TableError, match=f"^{field} must be an integer"):

@@ -296,8 +296,13 @@ def test_verify_rejects_empty_chain_list(tmp_path, capsys):
     ({"unit_order": 2, "entries": {"2": {"2a": 1.7}}}, None,
      "chain entries['2']['2a'] must be an integer"),
     (None, lambda t: t.update(order=[60]), "order must be an integer"),
+    (None, lambda t: t["classes"][1]["power_maps"].update(x="1a"),
+     "class '2a': power-map key must be an integer, got 'x'"),
+    (None, lambda t: t["characters"][1].update(characteristic=10**30 + 57),
+     "characteristic: 1000000000000000000000000000057 is too large"),
 ], ids=["entries-list", "level-list", "chains-int", "classes-int",
-        "power-maps-list", "values-list", "augmentation-float", "order-list"])
+        "power-maps-list", "values-list", "augmentation-float", "order-list",
+        "power-map-key", "huge-characteristic"])
 def test_malformed_json_is_a_data_error(tmp_path, capsys, chain, edit, field):
     # each is a data error: not a traceback, and no float read as an integer
     table = tmp_path / "t.json"
@@ -373,3 +378,23 @@ def test_console_script_runs():
     )
     assert proc.returncode == 0, proc.stderr
     assert "result: ok" in proc.stdout
+
+
+def test_package_imports_without_sympy():
+    modules = ", ".join(f"helixpq.{m}" for m in (
+        "cli", "chartab", "cyclo", "engine", "lattice", "pq", "psl2", "datasets"))
+    code = f"import sys, {modules}; sys.exit('sympy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr or "sympy was imported"
+
+
+def test_huge_order_is_an_error_not_a_hang():
+    # solve_order factors the order first; a prime beyond the primality
+    # bound is refused at once rather than trial-divided for ever
+    proc = subprocess.run(
+        [sys.executable, "-m", "helixpq.cli", "solve", "--table", "gen:psl2:5",
+         "--order", str(10**30 + 57)],
+        capture_output=True, text=True, timeout=5,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("helixpq: error:")

@@ -1,17 +1,22 @@
 """Exact cyclotomic arithmetic: canonical forms, traces, Galois action."""
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from helixpq.cyclo import (
+    PRIME_BOUND,
     CycValue,
+    _cyclotomic_coeffs,
+    _factor,
     cyc_rational,
     cyc_zero,
     divisors,
     euler_phi,
     galois_apply,
+    isprime,
     mobius,
     parse_cyc,
     rational_trace,
@@ -170,6 +175,64 @@ def test_divisors_sorted_complete():
     assert divisors(12) == (1, 2, 3, 4, 6, 12)
     assert divisors(1) == (1,)
     assert divisors(49) == (1, 7, 49)
+
+
+# --- factoring, primality and Phi_n against sympy ---------------------------
+
+# 318665857834031151167461 passes the strong tests to the twelve prime bases
+# up to 37 and fails at 41; 3825123056546413051 passes those up to 23
+_STRONG_PSEUDOPRIMES = (3825123056546413051, 318665857834031151167461)
+
+
+def test_factor_matches_sympy():
+    from sympy import factorint
+
+    rng = random.Random(15)
+    large = [rng.randrange(10**6, 10**18) for _ in range(300)]
+    hard = [
+        1000000007 * 998244353,  # two ~10^9 prime factors for rho to split
+        1000000007**2,  # a prime square
+        999983 * 1000003 * 1000033,
+        2**61 - 1,  # a prime left after trial division
+        3**40 * 997**3,
+        PRIME_BOUND - 1,
+        *_STRONG_PSEUDOPRIMES,
+    ]
+    for n in [*range(1, 20000), *large, *hard]:
+        assert _factor(n) == tuple(sorted(factorint(n).items())), n
+
+
+def test_isprime_matches_sympy():
+    from sympy import isprime as sympy_isprime
+
+    rng = random.Random(15)
+    large = [rng.randrange(10**6, 10**24) for _ in range(3000)]
+    for n in [*range(-5, 20000), *large, *_STRONG_PSEUDOPRIMES, PRIME_BOUND - 1]:
+        assert isprime(n) == sympy_isprime(n), n
+    assert not isprime(318665857834031151167461)
+
+
+def test_cyclotomic_coeffs_match_sympy():
+    from sympy import cyclotomic_poly
+
+    for n in range(1, 1001):
+        want = [int(c) for c in reversed(cyclotomic_poly(n, polys=True).all_coeffs())]
+        assert list(_cyclotomic_coeffs(n)) == want, n
+
+
+def test_primality_bound_is_an_error_not_a_guess():
+    # PRIME_BOUND is the least composite that passes all 13 strong tests
+    for n in (PRIME_BOUND, PRIME_BOUND + 1, 10**30 + 57):
+        with pytest.raises(ValueError, match=f"^{n} is too large"):
+            isprime(n)
+    # neither has a prime factor below 1000
+    for n in (PRIME_BOUND, 10**30 + 57):
+        with pytest.raises(ValueError, match=f"^cannot factor {n}"):
+            _factor(n)
+    # a large number whose factors all lie below 1000 still factors
+    assert _factor(2**100 * 3**7) == ((2, 100), (3, 7))
+    with pytest.raises(ValueError, match="positive integer"):
+        _factor(0)
 
 
 # --- property tests ---------------------------------------------------------
