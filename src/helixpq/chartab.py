@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Optional
+from typing import Iterable, Mapping, Optional
 
 from .cyclo import (
     Coeff,
@@ -340,14 +340,8 @@ class ValidationReport:
     checks_run: list[str]
     problems: list[str]
 
-    def __str__(self):
-        head = "OK" if self.ok else "FAILED"
-        lines = [f"validation {head} ({len(self.checks_run)} checks)"]
-        lines += [f"  problem: {p}" for p in self.problems]
-        return "\n".join(lines)
 
-
-def _pair_sum(entries: list[tuple[CycValue, CycValue, int]]) -> CycValue:
+def _pair_sum(entries: Iterable[tuple[CycValue, CycValue, int]]) -> CycValue:
     """Exact sum of weight * a * conj(b) without per-term canonicalization."""
     lev = 1
     nonzero = [(a, b, w) for a, b, w in entries if a._c and b._c]
@@ -366,6 +360,19 @@ def _pair_sum(entries: list[tuple[CycValue, CycValue, int]]) -> CycValue:
                 e = (ea - eb) % lev
                 raw[e] = raw.get(e, 0) + wca * cb
     return CycValue._canonical(lev, raw)
+
+
+def _orthogonality(vectors, weights, diagonal, label) -> str:
+    """The detail of the first pair i <= j of vectors whose weighted inner
+    product is not diagonal[i] (i == j) or 0 (i < j), headed by
+    label(i, j); empty when every pair holds."""
+    for i, u in enumerate(vectors):
+        for j in range(i, len(vectors)):
+            got = _pair_sum(zip(u, vectors[j], weights))
+            want = diagonal[i] if i == j else 0
+            if got != want:
+                return f"{label(i, j)}{got!r}, expected {want}"
+    return ""
 
 
 def validate(table: CharacterTable) -> ValidationReport:
@@ -467,49 +474,30 @@ def validate(table: CharacterTable) -> ValidationReport:
         f"sum deg^2 = {sum(ch.degree ** 2 for ch in ordinary)} != {g}",
     )
 
-    # first (row) orthogonality
-    row_ok = True
-    detail = ""
-    for i, chi in enumerate(ordinary):
-        for j in range(i, len(ordinary)):
-            psi = ordinary[j]
-            entries = [
-                (chi.values[c.name], psi.values[c.name], c.size) for c in table.classes
-            ]
-            got = _pair_sum(entries)
-            want = g if i == j else 0
-            if got != want:
-                row_ok = False
-                detail = f"<{chi.name},{psi.name}> = {got!r}, expected {want}"
-                break
-        if not row_ok:
-            break
-    check("row-orthogonality", row_ok, detail)
-
-    # second (column) orthogonality
-    col_ok = True
-    detail = ""
-    for i, ca in enumerate(table.classes):
-        for j in range(i, len(table.classes)):
-            cb = table.classes[j]
-            entries = [
-                (ch.values[ca.name], ch.values[cb.name], 1) for ch in ordinary
-            ]
-            got = _pair_sum(entries)
-            want = g // ca.size if i == j else 0
-            if got != want:
-                col_ok = False
-                detail = f"columns {ca.name},{cb.name}: {got!r}, expected {want}"
-                break
-        if not col_ok:
-            break
-    check("column-orthogonality", col_ok, detail)
+    # first (row) and second (column) orthogonality
+    classes = table.classes
+    detail = _orthogonality(
+        [[ch.values[c.name] for c in classes] for ch in ordinary],
+        [c.size for c in classes], [g] * len(ordinary),
+        lambda i, j: f"<{ordinary[i].name},{ordinary[j].name}> = ",
+    )
+    check("row-orthogonality", not detail, detail)
+    detail = _orthogonality(
+        [[ch.values[c.name] for ch in ordinary] for c in classes],
+        [1] * len(ordinary), [g // c.size for c in classes],
+        lambda i, j: f"columns {classes[i].name},{classes[j].name}: ",
+    )
+    check("column-orthogonality", not detail, detail)
 
     return ValidationReport(ok=not problems, checks_run=checks, problems=problems)
 
 
 # ---------------------------------------------------------------------------
 # augmentation chains
+
+
+# a chain key "~s" stands for the total over the order-s classes
+AGGREGATE_PREFIX = "~"
 
 
 @dataclass
@@ -525,21 +513,16 @@ class PAChain:
     def entry(self, m: int) -> dict[str, int]:
         return self.entries[m]
 
-    def restricted(self, m: int) -> "PAChain":
-        """Chain of the power u^(unit_order/m)."""
-        if self.unit_order % m:
-            raise ValueError(f"{m} does not divide the unit order {self.unit_order}")
-        return PAChain(
-            unit_order=m,
-            entries={d: dict(self.entries[d]) for d in divisors(m) if d > 1},
-        )
-
     def is_nonnegative(self) -> bool:
         return all(v >= 0 for ent in self.entries.values() for v in ent.values())
 
 
-def check_chain_shape(table: CharacterTable, chain: PAChain) -> None:
-    """Structural validity: level set, class supports, augmentation sums."""
+def check_chain_shape(table: CharacterTable, chain: PAChain) -> set[int]:
+    """Structural validity: level set, class supports, augmentation sums.
+
+    A level m may carry the aggregated key "~s", the total over the
+    order-s classes, when s divides m and the level names none of those
+    classes on its own.  Returns the orders s aggregated at some level."""
     n = chain.unit_order
     want_levels = [d for d in divisors(n) if d > 1]
     if chain.levels() != want_levels:
@@ -547,22 +530,33 @@ def check_chain_shape(table: CharacterTable, chain: PAChain) -> None:
             f"chain levels {chain.levels()} != divisors of {n} greater than 1"
         )
     ident = table.identity_name()
+    aggregated: set[int] = set()
     for m in want_levels:
         ent = chain.entries[m]
-        allowed = {c.name for c in table.classes_of_order_dividing(m)}
+        orders = {c.name: c.element_order for c in table.classes_of_order_dividing(m)}
+        summed = set()
         for cname, eps in ent.items():
             if cname == ident:
                 raise TableError(f"level {m}: identity class carries augmentation")
-            if cname not in allowed:
-                raise TableError(
-                    f"level {m}: class {cname!r} absent or has order not dividing {m}"
-                )
+            if cname not in orders:
+                s = {f"{AGGREGATE_PREFIX}{o}": o for o in orders.values()}.get(cname)
+                if s is None:
+                    raise TableError(f"level {m}: class {cname!r} absent or has "
+                                     f"order not dividing {m}")
+                summed.add(s)
             if not isinstance(eps, int):
                 raise TableError(f"level {m}: augmentation {eps!r} is not an integer")
+        if summed:
+            mixed = sorted(c for c in ent if orders.get(c) in summed)
+            if mixed:
+                raise TableError(f"level {m}: class {mixed[0]!r} is also counted "
+                                 f"in '{AGGREGATE_PREFIX}{orders[mixed[0]]}'")
+            aggregated |= summed
         if sum(ent.values()) != 1:
             raise TableError(
                 f"level {m}: augmentations sum to {sum(ent.values())}, not 1"
             )
+    return aggregated
 
 
 def parse_chain(source) -> PAChain:

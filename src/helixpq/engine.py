@@ -69,6 +69,7 @@ from functools import lru_cache, partial
 from typing import Mapping, Optional, Sequence, Union
 
 from .chartab import (
+    AGGREGATE_PREFIX,
     Character,
     CharacterTable,
     PAChain,
@@ -95,8 +96,6 @@ __all__ = [
     "verify_chain",
     "classify_chain",
 ]
-
-AGGREGATE_PREFIX = "~"
 
 # above this many sub-chain combinations, solve_order switches from the
 # per-power recursion to the joint all-levels system
@@ -702,15 +701,20 @@ def verify_chain(
     *,
     congruences: str = "power",
 ) -> VerifyReport:
-    """Re-derive every constraint at every level of the chain and check it."""
-    check_chain_shape(table, chain)
+    """Re-derive every constraint at every level of the chain and check it.
+
+    A chain that aggregates the order-s classes as "~s" (from
+    `solve_s_constant`) is checked the way it was solved: every level
+    that s divides is built with `collapse_order=s`."""
+    aggregated = sorted(check_chain_shape(table, chain))
     chars = _resolve_chars(table, characters)
     failures: list[tuple[int, str]] = []
     checked = 0
     for m in chain.levels():
         powers = {d: chain.entry(d) for d in divisors(m) if 1 < d < m}
         system = build_system(
-            table, chars, m, powers, congruences=congruences
+            table, chars, m, powers, congruences=congruences,
+            collapse_order=next((s for s in aggregated if m % s == 0), None),
         )
         entry = {k: v for k, v in chain.entry(m).items() if v}
         checked += len(system.rows)

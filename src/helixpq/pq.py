@@ -23,8 +23,8 @@ exact character set used.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import Optional, Sequence, Union
 
 from .chartab import Character, CharacterTable, PAChain, render_chain
 from .cyclo import prime_divisors
@@ -129,37 +129,21 @@ class PQReport:
         return [(r.p, r.q) for r in self.pairs if r.outcome != "ruled_out"]
 
 
-def _as_pair(pair, what: str) -> frozenset:
+def _as_pair(pair) -> frozenset:
     """`pair` as a frozenset of two distinct integers, else a PQError."""
     try:
         p, q = (int(x) for x in pair)
     except (TypeError, ValueError):  # not iterable, not two items, not ints
         p = q = None
     if p is None or p == q:
-        raise PQError(f"{what} {pair!r} is not two distinct integers")
+        raise PQError(f"requested pair {pair!r} is not two distinct integers")
     return frozenset((p, q))
-
-
-def _normalize_plan(char_plan) -> dict[frozenset, dict]:
-    plan = {}
-    for key, value in (char_plan or {}).items():
-        pair = _as_pair(key, "char_plan key")
-        if not isinstance(value, Mapping):
-            # bare character list
-            value = {"characters": list(value)}
-        collapse = value.get("collapse")
-        if collapse is not None and collapse not in pair:
-            raise PQError(f"char_plan collapse prime {collapse!r} is not a "
-                          f"prime of the pair {sorted(pair)}")
-        plan[pair] = dict(value)
-    return plan
 
 
 def pq_check(
     table: CharacterTable,
     characters: Optional[Sequence[Union[str, Character]]] = None,
     *,
-    char_plan: Optional[Mapping] = None,
     cap: Optional[int] = None,
     pairs: Optional[Sequence] = None,
     congruences: str = "power",
@@ -169,10 +153,7 @@ def pq_check(
 
     `characters` defaults to all characters of the table (per pair,
     those whose characteristic divides p*q are dropped — they carry no
-    meaning there).  `char_plan` overrides per pair: a mapping from
-    {p,q} to either a character list or {"characters": [...],
-    "collapse": s} to force the aggregated strategy on the prime s.
-    Without an override, a pair where some side has more than
+    meaning there).  A pair where some side has more than
     `PLAIN_CLASS_LIMIT` classes is solved with that side aggregated,
     using the characters constant there.  `assume_coverage` lets a
     partial table through `prime_graph`, asserting its class list
@@ -182,12 +163,11 @@ def pq_check(
     """
     cap = _cap_or_default(cap)
     graph = prime_graph(table, assume_coverage=assume_coverage)
-    plan = _normalize_plan(char_plan)
     base_chars = (list(table.characters) if characters is None
                   else _resolve_chars(table, characters))
     todo = graph.non_edges()
     if pairs is not None:
-        wanted = {_as_pair(pr, "requested pair") for pr in pairs}
+        wanted = {_as_pair(pr) for pr in pairs}
         unknown = wanted - {frozenset(pr) for pr in todo}
         if unknown:
             raise PQError(
@@ -199,11 +179,7 @@ def pq_check(
     reports = []
     for p, q in todo:
         reports.append(
-            _check_pair(
-                table, base_chars, p, q,
-                plan.get(frozenset((p, q)), {}),
-                cap=cap, congruences=congruences,
-            )
+            _check_pair(table, base_chars, p, q, cap=cap, congruences=congruences)
         )
     verdict = (
         "HeLP_sufficient"
@@ -218,49 +194,38 @@ def pq_check(
     )
 
 
-def _check_pair(table, base_chars, p, q, plan, *, cap, congruences) -> PairReport:
+def _check_pair(table, base_chars, p, q, *, cap, congruences) -> PairReport:
     n = p * q
-    collapse = plan.get("collapse")
-    strategy = "plain" if collapse is None else f"collapse[{collapse}]"
-    chars = ()
+    chars = [ch for ch in base_chars
+             if not (ch.characteristic and n % ch.characteristic == 0)]
+    collapse, strategy = None, "plain"
+    np_ = sum(1 for c in table.classes if c.element_order == p)
+    nq_ = sum(1 for c in table.classes if c.element_order == q)
+    if max(np_, nq_) > PLAIN_CLASS_LIMIT:
+        collapse = p if np_ >= nq_ else q
+        strategy = f"collapse[{collapse}]"
+        chars = [ch for ch in chars
+                 if _constant_value(table, ch, collapse) is not None]
+    if not chars:
+        return PairReport(
+            p=p, q=q, outcome="error", strategy=strategy,
+            detail="no usable characters for this pair "
+                   "(none constant on the aggregated classes)",
+        )
     try:
-        chars = plan.get("characters")
-        if chars is not None:
-            chars = _resolve_chars(table, chars)
-        else:
-            chars = [ch for ch in base_chars if not (ch.characteristic and
-                                                     n % ch.characteristic == 0)]
-        if collapse is None and "characters" not in plan:
-            np_ = sum(1 for c in table.classes if c.element_order == p)
-            nq_ = sum(1 for c in table.classes if c.element_order == q)
-            if max(np_, nq_) > PLAIN_CLASS_LIMIT:
-                collapse = p if np_ >= nq_ else q
-                strategy = f"collapse[{collapse}]"
-                chars = [ch for ch in chars
-                         if _constant_value(table, ch, collapse) is not None]
-
-        if not chars:
-            return PairReport(
-                p=p, q=q, outcome="error", strategy=strategy,
-                detail="no usable characters for this pair "
-                       "(none constant on the aggregated classes)",
-            )
         if collapse is None:
             sol: SolutionSet = solve_order(
                 table, chars, n, congruences=congruences, cap=cap
             )
         else:
-            s = int(collapse)
-            t = q if s == p else p
             sol = solve_s_constant(
-                table, chars, s, t, congruences=congruences, cap=cap
+                table, chars, collapse, n // collapse,
+                congruences=congruences, cap=cap,
             )
     except ValueError as exc:
         return PairReport(
             p=p, q=q, outcome="error", strategy=strategy,
-            character_names=tuple(
-                ch if isinstance(ch, str) else ch.name for ch in (chars or ())
-            ),
+            character_names=tuple(ch.name for ch in chars),
             detail=str(exc),
         )
 

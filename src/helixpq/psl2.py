@@ -27,12 +27,13 @@ letter 'a'.
 Power maps are generated for every prime dividing the group order, which is
 what downstream congruence constraints consume.
 
-`gen_brauer3` adds the 3-dimensional Brauer character in the defining
-characteristic (the adjoint module): a projective matrix t = diag(t,1) acts
-on trace-zero matrices with eigenvalues t, 1, 1/t, so the value on a torus
-class with exponent parameter l is 1 + zeta^l + zeta^-l.  It is a character
-of the full projective group, hence only available for pgl2 (or even q,
-where PSL = PGL).
+`gen_table(..., include_brauer3=True)` appends the 3-dimensional Brauer
+character in the defining characteristic (the adjoint module): a
+projective matrix t = diag(t,1) acts on trace-zero matrices with
+eigenvalues t, 1, 1/t, so the value on a torus class with exponent
+parameter l is 1 + zeta^l + zeta^-l.  It is a character of the full
+projective group, hence only available for pgl2 (or even q, where
+PSL = PGL).
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from fractions import Fraction
 from .chartab import Character, CharacterTable, ConjClass
 from .cyclo import CycValue, cyc_rational, _factor, prime_divisors
 
-__all__ = ["gen_table", "gen_brauer3", "Psl2Params"]
+__all__ = ["gen_table", "Psl2Params"]
 
 
 @dataclass(frozen=True)
@@ -369,11 +370,3 @@ def _brauer3(ps: Psl2Params, specs, names) -> Character:
             vals[names[s]] = CycValue(n, Counter((0, s.param % n, -s.param % n)))
         # unipotent classes are p-singular: no Brauer value
     return Character(name="brauer3", degree=3, values=vals, characteristic=ps.p)
-
-
-def gen_brauer3(family: str, q: int) -> Character:
-    """Defining-characteristic Brauer character of the adjoint 3-dim module."""
-    ps = resolve_params(family, q)
-    specs = _class_specs(ps)
-    names = _name_classes(specs)
-    return _brauer3(ps, specs, names)

@@ -133,6 +133,18 @@ def test_validate_flags_orthogonality_violation():
     bad["characters"][1]["values"]["3b"] = 1  # no longer a character
     report = validate(parse_table(bad))
     assert not report.ok
+    # each relation reports its first failing pair, off the diagonal here
+    assert report.problems[-2:] == [
+        "row-orthogonality: <triv,omega> = CycValue('1 - z3'), expected 0",
+        "column-orthogonality: columns 1a,3b: CycValue('1 - z3'), expected 0",
+    ]
+    # a wrong class size breaks the column relation on the diagonal
+    bad = cyclic3_table(order=4)
+    bad["classes"][1]["size"] = 2
+    assert validate(parse_table(bad)).problems[-2:] == [
+        "row-orthogonality: <triv,omega> = CycValue('-1 - z3'), expected 0",
+        "column-orthogonality: columns 1a,1a: CycValue('3'), expected 4",
+    ]
 
 
 @pytest.mark.parametrize("bad", [1.5, 3.0, True, "2.0"])
@@ -247,9 +259,6 @@ def test_chain_round_trip_and_accessors():
     assert not chain.is_nonnegative()
     rebuilt = parse_chain(json.dumps(render_chain(chain)))
     assert rebuilt.unit_order == 6 and rebuilt.entries == chain.entries
-    assert chain.restricted(3).entries == {3: {"3a": 0, "3b": 1}}
-    with pytest.raises(ValueError):
-        chain.restricted(4)
 
 
 @pytest.mark.parametrize("bad", [1.7, 1.0, True])
@@ -268,7 +277,9 @@ def test_check_chain_shape_accepts_group_element_chain():
     chain = trivial_chain(table, "3a")
     assert chain.unit_order == 3
     assert chain.entries == {3: {"3a": 1, "3b": 0}}
-    check_chain_shape(table, chain)
+    assert check_chain_shape(table, chain) == set()
+    # "~3" stands for the total over 3a and 3b; the orders summed come back
+    assert check_chain_shape(table, PAChain(3, {3: {"~3": 1}})) == {3}
 
 
 def test_check_chain_shape_rejects_wrong_levels():

@@ -277,6 +277,28 @@ def test_verify_accepts_whole_solver_file(tmp_path, capsys):
     assert out.count("satisfied") == 3
 
 
+def test_verify_reads_what_solve_s_constant_writes(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, _, _ = run(capsys, "solve", "--table", "gen:psl2:7", "--order", "6",
+                     "--s-constant", "2", "--chars", "st", "--format", "json",
+                     "--out", "c6.json")
+    assert code == 0
+    verify = ("verify", "--table", "gen:psl2:7", "--chars", "st", "--chain")
+    code, out, _ = run(capsys, *verify, "c6.json")
+    assert code == 0 and "satisfied" in out
+    (chain,) = json.loads((tmp_path / "c6.json").read_text())["chains"]
+    assert chain["entries"]["6"] == {"3a": 3, "~2": -2}
+    chain["entries"]["6"] = {"3a": 10, "~2": -9}
+    (tmp_path / "bad.json").write_text(json.dumps(chain))
+    code, out, _ = run(capsys, *verify, "bad.json")
+    assert code == 1 and "VIOLATED" in out
+    chain["entries"]["6"] = {"2a": 0, "3a": 3, "~2": -2}
+    (tmp_path / "mixed.json").write_text(json.dumps(chain))
+    code, _, err = run(capsys, *verify, "mixed.json")
+    assert code == 1
+    assert err == "helixpq: error: level 6: class '2a' is also counted in '~2'\n"
+
+
 def test_verify_rejects_empty_chain_list(tmp_path, capsys):
     path = tmp_path / "empty.json"
     path.write_text(json.dumps({"chains": []}))

@@ -442,8 +442,11 @@ def test_collapse_requires_constancy(psl2_32):
     # 126 chains over the levels 3, 17 and 51
     ("l3", ["chi306", "chi4912", "chi9216"], 51, "plain"),
     ("psl2_32", None, 6, "joint"),
+    # chains with the aggregated key "~s" at every level that s divides
+    ("psl2_32", None, 6, "collapse[3]"),
+    ("psl2_16", ["triv", "st", "chi_5", "theta_1", "theta_8"], 10, "collapse[5]"),
 ], ids=["psl2_32", "psl2_3f_eta", "pgl2_3f_rows", "l3_17_aut_partial-51",
-        "psl2_32-joint"])
+        "psl2_32-joint", "psl2_32-collapse", "psl2_16-collapse"])
 def test_solutions_round_trip_through_verify(request, monkeypatch, name, chars,
                                              order, strategy):
     table = request.getfixturevalue(name)
@@ -452,7 +455,11 @@ def test_solutions_round_trip_through_verify(request, monkeypatch, name, chars,
         import helixpq.engine as eng
 
         monkeypatch.setattr(eng, "_JOINT_COMBO_LIMIT", 0)
-    sol = solve_order(table, chars, order)
+    if strategy.startswith("collapse"):
+        s = int(strategy[len("collapse["):-1])
+        sol = solve_s_constant(table, chars, s, order // s)
+    else:
+        sol = solve_order(table, chars, order)
     assert sol.status == "finite" and sol.chains
     assert sol.strategy == strategy
     for chain in sol.chains:
@@ -475,6 +482,25 @@ def test_verify_rejects_perturbed_chain(psl2_32):
 def test_verify_rejects_malformed_chain(psl2_32):
     with pytest.raises(TableError):
         verify_chain(psl2_32, ["st"], PAChain(6, {6: {"2a": 1}}))
+
+
+def test_verify_checks_aggregated_chains_as_solved(psl2_16):
+    # every character constant on the two order-5 classes
+    chars = ["triv", "st", "chi_5"] + [f"theta_{i}" for i in range(1, 9)]
+    (chain,) = solve_s_constant(psl2_16, chars, 5, 2).chains
+    assert chain.entries == {2: {"2a": 1}, 5: {"~5": 1}, 10: {"2a": -4, "~5": 5}}
+    entries = {m: dict(chain.entry(m)) for m in chain.levels()}
+    entries[10]["2a"] += 10
+    entries[10]["~5"] -= 10
+    report = verify_chain(psl2_16, chars, PAChain(10, entries))
+    assert not report.ok and {m for m, _ in report.failures} == {10}
+    # "~s" needs classes of order s that divides the level
+    entries[10] = {"2a": 1, "~3": 0}
+    with pytest.raises(TableError, match=r"class '~3' absent or has order not dividing 10"):
+        verify_chain(psl2_16, chars, PAChain(10, entries))
+    # a character that tells the order-5 classes apart cannot check "~5"
+    with pytest.raises(EngineError, match="'chi_1' is not constant on the classes of '~5'"):
+        verify_chain(psl2_16, ["chi_1"], chain)
 
 
 def test_classify_chain():

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from helixpq import datasets
+from helixpq.chartab import parse_table, render_table
 from helixpq.psl2 import gen_table
 from helixpq.pq import (
     PQError,
@@ -92,8 +93,6 @@ def test_malformed_pair_rejected(psl2_16, pair):
     with pytest.raises(PQError) as err:
         pq_check(psl2_16, pairs=[(2, 3), pair])
     assert str(err.value) == f"requested pair {pair!r} is not two distinct integers"
-    with pytest.raises(PQError, match="char_plan key"):
-        pq_check(psl2_16, pairs=[(2, 3)], char_plan={pair: ["triv"]})
 
 
 def test_pairs_subset(psl2_16):
@@ -101,48 +100,32 @@ def test_pairs_subset(psl2_16):
     assert [(r.p, r.q) for r in report.pairs] == [(2, 3)]
 
 
-def test_char_plan_is_honored(psl2_16):
-    report = pq_check(
-        psl2_16,
-        pairs=[(2, 17)],
-        char_plan={(2, 17): {"characters": ["triv", "st"], "collapse": 17}},
-    )
-    r = report.pair(2, 17)
-    assert r.strategy == "collapse[17]"
-    assert r.character_names == ("triv", "st")
-    assert r.outcome == "ruled_out"
-
-
-def test_char_plan_collapse_outside_its_pair_is_rejected(psl2_16):
-    # collapse 17 on the pair {2, 3} used to solve order 2*17 instead of 6
-    with pytest.raises(PQError, match="collapse prime 17"):
-        pq_check(psl2_16, pairs=[(2, 3)],
-                 char_plan={(2, 3): {"collapse": 17, "characters": ["triv"]}})
-
-
-def test_pair_errors_are_recorded_not_fatal(psl2_16):
-    report = pq_check(
-        psl2_16,
-        char_plan={(2, 3): {"characters": ["st"], "collapse": 3}},
-    )
+def test_pair_errors_are_recorded_not_fatal():
+    # a partial A5 table whose only character has no value on class 3a:
+    # every pair with 3 fails to build, the pair {2,5} is still decided
+    raw = render_table(gen_table("psl2", 5))
+    xi = next(ch for ch in raw["characters"] if ch["name"] == "xi_1")
+    del xi["values"]["3a"]
+    table = parse_table({**raw, "completeness": "partial", "characters": [xi]})
+    report = pq_check(table, assume_coverage=True)
+    assert [(r.p, r.q, r.outcome) for r in report.pairs] == [
+        (2, 3, "error"), (2, 5, "ruled_out"), (3, 5, "error")]
     r = report.pair(2, 3)
-    # collapsing order-3 classes is nonsense here (there is a single class
-    # of order 3 but no order-6 elements are excluded by it) OR it errors;
-    # either way every other pair must still be present
-    assert len(report.pairs) == 5
-    assert report.pair(2, 5).outcome == "ruled_out"
-
-
-def test_unusable_plan_yields_error_outcome(psl2_16):
-    report = pq_check(
-        psl2_16,
-        pairs=[(2, 3)],
-        char_plan={(2, 3): {"characters": ["nonexistent"]}},
-    )
-    r = report.pair(2, 3)
-    assert r.outcome == "error"
+    assert r.detail == "character 'xi_1' has no value on class '3a'"
+    assert r.strategy == "plain" and r.character_names == ("xi_1",)
+    assert r.status is None
     assert report.verdict == "HeLP_insufficient"
-    assert r.detail
+
+
+def test_no_usable_characters_yields_error_outcome():
+    # the 17-side has 8 classes and theta_1 is not constant on them
+    report = pq_check(gen_table("psl2", 16), characters=["theta_1"], pairs=[(2, 17)])
+    r = report.pair(2, 17)
+    assert r.outcome == "error" and r.strategy == "collapse[17]"
+    assert r.detail == ("no usable characters for this pair "
+                        "(none constant on the aggregated classes)")
+    assert r.character_names == ()
+    assert report.verdict == "HeLP_insufficient"
 
 
 def test_cap_marks_pair_undecided(psl2_16):
