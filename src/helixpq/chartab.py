@@ -560,8 +560,12 @@ def check_chain_shape(table: CharacterTable, chain: PAChain) -> set[int]:
 
 
 def parse_chain(source) -> PAChain:
+    """Build a PAChain from a dict or a JSON string."""
     if isinstance(source, str):
-        source = json.loads(source)
+        try:
+            source = json.loads(source)
+        except json.JSONDecodeError as exc:
+            raise TableError(f"not valid JSON: {exc}") from exc
     try:
         n, raw = source["unit_order"], source["entries"]
     except (KeyError, TypeError) as exc:

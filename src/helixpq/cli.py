@@ -178,8 +178,10 @@ def _cmd_solve(args) -> int:
 def _load_chains(path: str) -> list:
     """A chain file holds either one chain or a solver output with "chains"."""
     with open(path) as fh:
-        raw = fh.read()
-    obj = json.loads(raw)
+        try:
+            obj = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise TableError(f"{path}: not valid JSON: {exc}") from exc
     if isinstance(obj, dict) and "chains" in obj:
         if not isinstance(obj["chains"], list):
             raise TableError(f"{path}: chains must be an array, "
@@ -188,7 +190,7 @@ def _load_chains(path: str) -> list:
         if not chains:
             raise TableError(f"{path} contains an empty chain list")
         return chains
-    return [chartab.parse_chain(raw)]
+    return [chartab.parse_chain(obj)]
 
 
 def _cmd_verify(args) -> int:

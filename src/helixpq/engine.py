@@ -54,10 +54,12 @@ been seen before in the same system (unless deduplication is off).
 Systems are solved by exact integer enumeration (`lattice`).  Orders
 are solved recursively: the chains of u^p for each prime p | n are
 enumerated first, compatible combinations fix the power data, and each
-combination leaves a system in the top-level unknowns.  For orders s*t
-with a large prime s one can instead collapse all order-s classes into
-a single aggregated unknown, which is sound whenever every character
-in use is constant on the order-s classes.
+combination leaves a system in the top-level unknowns; the joint system
+replaces them when it has fewer unknowns than their flat systems
+together, or when a power alone exceeds the cap.  For orders s*t with a
+large prime s one can instead collapse all order-s classes into a single
+aggregated unknown, which is sound whenever every character in use is
+constant on the order-s classes.
 """
 
 from __future__ import annotations
@@ -96,11 +98,6 @@ __all__ = [
     "verify_chain",
     "classify_chain",
 ]
-
-# above this many sub-chain combinations, solve_order switches from the
-# per-power recursion to the joint all-levels system
-_JOINT_COMBO_LIMIT = 4096
-
 
 class EngineError(ValueError):
     pass
@@ -491,6 +488,13 @@ def _merge_chain_levels(combo: Sequence[PAChain]) -> Optional[dict[int, dict[str
     return merged
 
 
+def _prefer_joint(combos: int, v_flat: int, v_joint: int) -> bool:
+    """Whether one joint system is cheaper than the combinations: these
+    build and bound `combos` flat systems of `v_flat` unknowns each, the
+    joint system one of `v_joint` unknowns over all levels."""
+    return combos * v_flat > v_joint
+
+
 def solve_order(
     table: CharacterTable,
     characters: Sequence[Union[str, Character]],
@@ -504,7 +508,8 @@ def solve_order(
 
     Proper-power orders are solved first (memoized in `store`), compatible
     combinations of their chains fix the constants, and each combination's
-    system is enumerated exactly.
+    system is enumerated exactly, unless a power alone exceeds the cap or
+    `_prefer_joint` picks one joint system over all levels instead.
     """
     n = int(order)
     cap = _cap_or_default(cap)
@@ -529,9 +534,12 @@ def solve_order(
         if ss.status != "finite":
             break
     else:
-        combo_bound = math.prod(len(ss.chains) for _, ss in subs)
-        if combo_bound > _JOINT_COMBO_LIMIT:
-            joint_reason = f"{combo_bound} power-chain combinations"
+        combos = math.prod(len(ss.chains) for _, ss in subs)
+        v_joint = sum(
+            len(table.classes_of_order_dividing(m)) for m in divisors(n) if m > 1
+        )
+        if _prefer_joint(combos, len(table.classes_of_order_dividing(n)), v_joint):
+            joint_reason = f"{combos} power-chain combinations"
 
     store[n] = _solve_combos(
         table, chars, n, subs,

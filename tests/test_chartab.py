@@ -261,6 +261,11 @@ def test_chain_round_trip_and_accessors():
     assert rebuilt.unit_order == 6 and rebuilt.entries == chain.entries
 
 
+def test_parse_chain_refuses_text_that_is_not_json():
+    with pytest.raises(TableError, match="^not valid JSON: Expecting value"):
+        parse_chain("not json")
+
+
 @pytest.mark.parametrize("bad", [1.7, 1.0, True])
 def test_parse_chain_refuses_float_and_boolean_augmentations(bad):
     with pytest.raises(TableError, match=r"chain entries\['2'\]\['2a'\] must be"):

@@ -64,7 +64,8 @@ def test_bad_table_term_is_a_data_error(tmp_path, capsys, command, term):
 
 # sha256 of stdout and of each file written, for the README's examples run
 # in order in one directory (`verify` reads the file `solve --out` wrote),
-# plus `pq gen:psl2:16 --format json`; recorded at 63eaf0d
+# plus `pq gen:psl2:16 --format json`; recorded at 63eaf0d, the last one
+# again once its pair {2,5} was solved jointly (only strategy and detail moved)
 README_EXAMPLES = [
     (("gen", "--family", "psl2", "--q", "27", "--out", "psl2_27.json"), 0,
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
@@ -87,7 +88,7 @@ README_EXAMPLES = [
     (("pq", "--table", "gen:psl2:5", "--format", "text"), 0,
      "8ff043a1e305df836b4f31432140d03bebec205696a9738282951c0021c25cb6", {}),
     (("pq", "--table", "gen:psl2:16", "--format", "json"), 0,
-     "4f955015f030c0128c47f5bbb8fba1eab028f24e063b47de822682e51a71fc8d", {}),
+     "cb65d60d5bc753ce02dd5b31c035a5c39c57ab731e612af496d5ab3821bbf17c", {}),
 ]
 
 
@@ -306,6 +307,16 @@ def test_verify_rejects_empty_chain_list(tmp_path, capsys):
                        "--chain", str(path))
     assert code == 1
     assert "empty chain list" in err
+
+
+def test_verify_names_a_chain_file_that_is_not_json(tmp_path, capsys):
+    path = tmp_path / "notes.txt"
+    path.write_text("not json")
+    code, out, err = run(capsys, "verify", "--table", "gen:psl2:7",
+                         "--chain", str(path))
+    assert code == 1 and out == ""
+    assert err == (f"helixpq: error: {path}: not valid JSON: "
+                   f"Expecting value: line 1 column 1 (char 0)\n")
 
 
 @pytest.mark.parametrize("chain, edit, field", [

@@ -2,14 +2,17 @@
 
 import hashlib
 import json
+import math
 
 import pytest
 
 from helixpq import datasets
 from helixpq.chartab import PAChain, TableError, parse_table
+from helixpq.cyclo import prime_divisors
 from helixpq.engine import (
     EngineError,
     Row,
+    _prefer_joint,
     build_chain_system,
     build_system,
     classify_chain,
@@ -326,15 +329,40 @@ def test_capped_subproblem_switches_to_joint(psl2_32):
     assert "power alone exceeded the cap" in sol.detail
 
 
-def test_combo_explosion_switches_to_joint(psl2_32, monkeypatch):
-    import helixpq.engine as eng
-
-    monkeypatch.setattr(eng, "_JOINT_COMBO_LIMIT", 0)
+def test_combo_explosion_switches_to_joint(psl2_32, force_strategy):
+    force_strategy(True)
     sol = solve_order(psl2_32, list(psl2_32.characters), 6)
     assert sol.strategy == "joint"
     assert sol.status == "finite" and len(sol.chains) == 3
     top = {(c.entry(6)["2a"], c.entry(6)["3a"]) for c in sol.chains}
     assert top == {(-8, 9), (-2, 3), (4, -3)}
+
+
+@pytest.mark.parametrize("q, order, combos, strategy", [
+    # one combination: 1 * 2 flat unknowns against 1 + 1 + 2 joint ones
+    (32, 6, 1, "plain"),
+    # 15 combinations (order 7 has 15 chains): 15 * 4 against 1 + 3 + 4
+    (8, 14, 15, "joint"),
+])
+def test_counted_cost_picks_the_strategy(q, order, combos, strategy):
+    table = gen_table("psl2", q)
+    store = {}
+    sol = solve_order(table, list(table.characters), order, store=store)
+    assert sol.strategy == strategy
+    assert sol.detail == (None if strategy == "plain" else
+                          f"solved jointly across levels ({combos} power-chain combinations)")
+    assert combos == math.prod(
+        len(store[order // p].chains) for p in prime_divisors(order))
+
+
+def test_joint_is_preferred_when_the_combinations_have_more_unknowns():
+    # for a product of two primes the joint system has twice the flat
+    # system's unknowns, so two combinations stay flat and three go joint
+    assert not _prefer_joint(2, 5, 10)
+    assert _prefer_joint(3, 5, 10)
+    assert not _prefer_joint(0, 5, 10)
+    # a prime order has one level: one combination, the same unknowns
+    assert not _prefer_joint(1, 4, 4)
 
 
 def test_joint_fourier_row_sum(psl2_16):
@@ -435,26 +463,30 @@ def test_collapse_requires_constancy(psl2_32):
 
 # --- verification ---------------------------------------------------------------
 
-@pytest.mark.parametrize("name, chars, order, strategy", [
-    ("psl2_32", None, 6, "plain"),
-    ("psl2_3f_eta", None, 6, "plain"),
-    ("pgl2_3f_rows", None, 6, "plain"),
+# (fixture, characters, order, forced strategy or None, strategy)
+ROUND_TRIPS = [
+    ("psl2_32", None, 6, None, "plain"),
+    ("psl2_3f_eta", None, 6, None, "joint"),
+    ("pgl2_3f_rows", None, 6, None, "plain"),
     # 126 chains over the levels 3, 17 and 51
-    ("l3", ["chi306", "chi4912", "chi9216"], 51, "plain"),
-    ("psl2_32", None, 6, "joint"),
+    ("l3", ["chi306", "chi4912", "chi9216"], 51, None, "joint"),
+    ("psl2_32", None, 6, True, "joint"),
     # chains with the aggregated key "~s" at every level that s divides
-    ("psl2_32", None, 6, "collapse[3]"),
-    ("psl2_16", ["triv", "st", "chi_5", "theta_1", "theta_8"], 10, "collapse[5]"),
-], ids=["psl2_32", "psl2_3f_eta", "pgl2_3f_rows", "l3_17_aut_partial-51",
-        "psl2_32-joint", "psl2_32-collapse", "psl2_16-collapse"])
-def test_solutions_round_trip_through_verify(request, monkeypatch, name, chars,
-                                             order, strategy):
+    ("psl2_32", None, 6, None, "collapse[3]"),
+    ("psl2_16", ["triv", "st", "chi_5", "theta_1", "theta_8"], 10, None, "collapse[5]"),
+]
+ROUND_TRIP_IDS = ["psl2_32", "psl2_3f_eta", "pgl2_3f_rows", "l3_17_aut_partial-51",
+                  "psl2_32-joint", "psl2_32-collapse", "psl2_16-collapse"]
+
+
+@pytest.mark.parametrize("name, chars, order, force, strategy", ROUND_TRIPS,
+                         ids=ROUND_TRIP_IDS)
+def test_solutions_round_trip_through_verify(request, force_strategy, name, chars,
+                                             order, force, strategy):
     table = request.getfixturevalue(name)
     chars = list(table.characters) if chars is None else chars
-    if strategy == "joint":
-        import helixpq.engine as eng
-
-        monkeypatch.setattr(eng, "_JOINT_COMBO_LIMIT", 0)
+    if force is not None:
+        force_strategy(force)
     if strategy.startswith("collapse"):
         s = int(strategy[len("collapse["):-1])
         sol = solve_s_constant(table, chars, s, order // s)
@@ -466,6 +498,30 @@ def test_solutions_round_trip_through_verify(request, monkeypatch, name, chars,
         report = verify_chain(table, chars, chain)
         assert report.ok and not report.failures
         assert report.rows_checked > 0
+
+
+# every round trip above that is not collapsed, each once
+@pytest.mark.parametrize("name, chars, order", [
+    pytest.param(name, chars, order, id=case_id)
+    for (name, chars, order, force, strategy), case_id in zip(ROUND_TRIPS, ROUND_TRIP_IDS)
+    if force is None and not strategy.startswith("collapse")
+])
+def test_forced_strategies_agree(request, force_strategy, name, chars, order):
+    # the joint system and the flat system of each combination must give
+    # the same chains, in the same order, every one of them verified
+    table = request.getfixturevalue(name)
+    chars = list(table.characters) if chars is None else chars
+    sols = {}
+    for joint in (False, True):
+        force_strategy(joint)
+        sols[joint] = solve_order(table, chars, order)
+        assert sols[joint].strategy == ("joint" if joint else "plain")
+    plain, joint = sols[False], sols[True]
+    assert plain.status == joint.status == "finite"
+    assert plain.chains == joint.chains and plain.chains
+    assert plain.congruence_modes == joint.congruence_modes
+    for chain in plain.chains:
+        assert verify_chain(table, chars, chain).ok
 
 
 def test_verify_rejects_perturbed_chain(psl2_32):

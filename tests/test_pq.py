@@ -184,3 +184,42 @@ def test_report_serialization(psl2_16):
     text = format_report(report)
     assert "HeLP_insufficient" in text
     assert "{2,3}" in text and "undecided" in text
+
+
+# --- joint vs flat solving ---------------------------------------------------------
+
+# the tables of the benchmark's `screen` workload
+SCREEN_TABLES = [("psl2", q) for q in (5, 7, 8, 9, 11, 16)] + [
+    ("pgl2", q) for q in (7, 9, 11, 13, 16)]
+
+
+@pytest.mark.parametrize("family, q", SCREEN_TABLES,
+                         ids=[f"{f}:{q}" for f, q in SCREEN_TABLES])
+def test_missing_edges_agree_under_both_strategies(force_strategy, family, q):
+    def outcome(r):
+        return (r.p, r.q, r.outcome, r.status, r.count, r.nontrivial, r.sample,
+                r.character_names, r.congruence_modes)
+
+    table = gen_table(family, q)
+    pairs = {}
+    for joint in (False, True):
+        force_strategy(joint)
+        pairs[joint] = pq_check(table).pairs
+    assert list(map(outcome, pairs[False])) == list(map(outcome, pairs[True]))
+    # at most 2 chains per pair here, so the samples hold every chain
+    assert all(r.count == len(r.sample) for r in pairs[False])
+
+
+@pytest.mark.parametrize("q, open_pairs", [
+    (23, {}),
+    (29, {(2, 3): 2}),
+    (41, {(2, 3): 4}),
+    (43, {(2, 3): 4}),
+], ids=["psl2:23", "psl2:29", "psl2:41", "psl2:43"])
+def test_psl2_sweep_regime(q, open_pairs):
+    # pairs with up to 3,078 power-chain combinations, which the joint
+    # system decides in about a second; values recorded with flat solving
+    report = pq_check(gen_table("psl2", q), cap=2000)
+    assert report.verdict == ("HeLP_insufficient" if open_pairs else "HeLP_sufficient")
+    assert {pr: report.pair(*pr).count for pr in report.open_pairs()} == open_pairs
+    assert all(report.pair(*pr).outcome == "undecided" for pr in open_pairs)
