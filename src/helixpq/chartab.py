@@ -429,21 +429,22 @@ def validate(table: CharacterTable) -> ValidationReport:
         for p, target in sorted(c.power_maps.items()):
             if c.element_order % p == 0 or c.element_order == 1:
                 continue
-            consistent = True
+            detail = None
             for ch in table.characters:
                 if ch.characteristic and ch.characteristic != 0:
                     continue
                 v, w = ch.values.get(c.name), ch.values.get(target)
                 if v is None or w is None:
                     continue
-                if galois_apply(v, p) != w:
-                    consistent = False
+                if math.gcd(p, v.conductor) != 1:
+                    # no Galois twist by p exists in Q(zeta_conductor)
+                    detail = (f"{ch.name} at {c.name} has conductor "
+                              f"{v.conductor}, not coprime to {p}")
                     break
-            check(
-                f"power-map-galois[{c.name}^{p}]",
-                consistent,
-                f"ordinary values at {target} are not the {p}-th Galois twist",
-            )
+                if galois_apply(v, p) != w:
+                    detail = f"ordinary values at {target} are not the {p}-th Galois twist"
+                    break
+            check(f"power-map-galois[{c.name}^{p}]", detail is None, detail or "")
 
     if not full:
         return ValidationReport(ok=not problems, checks_run=checks, problems=problems)

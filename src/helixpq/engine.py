@@ -68,6 +68,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
+from operator import itemgetter
 from typing import Mapping, Optional, Sequence, Union
 
 from .chartab import (
@@ -470,12 +471,6 @@ def _cap_or_default(cap: Optional[int]) -> int:
     return int(cap)
 
 
-def _chain_key(chain: PAChain):
-    return tuple(
-        (m, tuple(sorted(chain.entries[m].items()))) for m in chain.levels()
-    )
-
-
 def _merge_chain_levels(combo: Sequence[PAChain]) -> Optional[dict[int, dict[str, int]]]:
     merged: dict[int, dict[str, int]] = {}
     for ch in combo:
@@ -639,7 +634,16 @@ def _solve_combos(
                 congruences=congruences, collapse_order=collapse,
             )
 
-    chains: list[PAChain] = []
+    # Chains are sorted by their values in (level, class name) order.  Every
+    # chain of one call has the same levels and classes: the variables
+    # depend only on the table, the order and the collapse, and the fixed
+    # levels come from sub-solution sets that are uniform in the same way.
+    # So the fixed levels' values in that order, then the point's values
+    # permuted into it, order the chains as their (level, sorted entries)
+    # tuples would, and the variables are mapped to their (level, class)
+    # slots once, with the first system.
+    keyed: list[tuple[tuple[int, ...], PAChain]] = []
+    slots = perm = fixed_slots = None
     status = "finite"
     modes: set[str] = set()
     detail = None
@@ -652,16 +656,31 @@ def _solve_combos(
             detail = ("a top-level system" if joint_reason is None else
                       f"{joint_reason}; the joint system") + " admits an integer ray"
             ray = {v: r for v, r in zip(system.variables, res.ray) if r}
-            chains = []
+            keyed = []
             break
+        fixed = fixed or {}
+        if slots is None:
+            if joint_reason is not None:  # variables named "<level>:<class>"
+                slots = [(int(lvl), cname) for lvl, cname in
+                         (v.split(":", 1) for v in system.variables)]
+            else:
+                slots = [(n, v) for v in system.variables]
+            perm = sorted(range(len(slots)), key=slots.__getitem__)
+            fixed_slots = sorted((m, c) for m, ent in fixed.items() for c in ent)
+            # each level's variables are consecutive: (level, start, classes)
+            spans, start = [], 0
+            for lvl, group in itertools.groupby(slots, key=itemgetter(0)):
+                classes = [cname for _, cname in group]
+                spans.append((lvl, start, classes))
+                start += len(classes)
+        head = tuple(fixed[m][c] for m, c in fixed_slots)
         for pt in res.points:
-            entries = {m: dict(ent) for m, ent in (fixed or {}).items()}
-            for v, x in zip(system.variables, pt):
-                # joint variables are named "<level>:<class>"
-                lvl, cname = v.split(":", 1) if fixed is None else (n, v)
-                entries.setdefault(int(lvl), {})[cname] = x
-            chains.append(PAChain(unit_order=n, entries=entries))
-        if res.status == "capped" or len(chains) > cap:
+            entries = {m: dict(ent) for m, ent in fixed.items()}
+            for lvl, start, classes in spans:
+                entries[lvl] = dict(zip(classes, pt[start:]))
+            keyed.append((head + tuple(map(pt.__getitem__, perm)),
+                          PAChain(unit_order=n, entries=entries)))
+        if res.status == "capped" or len(keyed) > cap:
             status = "capped"
             # a finite result has no limit: the chains of all combos passed the cap
             stop = {
@@ -677,12 +696,12 @@ def _solve_combos(
         if joint_reason is not None:
             detail = f"solved jointly across levels ({joint_reason})"
 
-    chains.sort(key=_chain_key)
+    keyed.sort(key=itemgetter(0))
     return SolutionSet(
         table_name=table.group_name,
         unit_order=n,
         status=status,
-        chains=tuple(chains),
+        chains=tuple(chain for _, chain in keyed),
         character_names=names,
         strategy=strategy,
         congruence_modes=tuple(sorted(modes)),

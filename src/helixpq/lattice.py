@@ -44,6 +44,12 @@ boxes the search visits.  A congruence is checked as soon as its last free
 variable is pinned, whether by a branch, by the rounded box or by
 propagation, through a per-variable congruence index, and a node whose
 pinned values break one is cut; a leaf then only reads its row activities.
+The bottom of the search is enumerated in closed form: at a node whose only
+free variables are the branch variable and at most one other, tied to it by
+a live equality, each branch value gives one candidate point (the other
+variable read off the equality), checked directly instead of in a child
+node.  Each candidate still counts as the node its child would have been,
+so node counts, budget stops and the order of the points are unchanged.
 A congruence whose constant the gcd of its modulus and coefficients does not
 divide, and congruences that clash modulo the gcd of two moduli, are
 rejected before any search.
@@ -405,6 +411,12 @@ def _dfs_enumerate(dim, ineqs, congs, lo, hi, cap, budget: _Budget):
     (through the index cocc[j]) whose support is now pinned is checked; a
     node that breaks one holds no point and is cut.  So at a leaf every
     congruence holds, and the point is kept when every row has mx >= 0.
+
+    A node whose free variables are only the branch variable x_j, or x_j
+    and one x_k that a live equality pair (two opposite rows, found once
+    per call among the last rows, where `_inequalities` puts them) holds
+    with x_j, makes no children: `bottom` decides them in closed form, one
+    node per candidate.  A node left with an x_k in no such pair branches.
     Returns (points, exhausted) where exhausted=False means the cap or node
     budget interrupted the search.
     """
@@ -436,6 +448,13 @@ def _dfs_enumerate(dim, ineqs, congs, lo, hi, cap, budget: _Budget):
     for (supp, _, _), (a, c, m) in zip(csupp, congs):
         for j in supp:
             cocc[j].append((supp.keys(), a, c, m))
+    # the equalities: the pairs of opposite rows that `_inequalities` puts
+    # last, as (the first row's index, its coefficients)
+    pairs = []
+    r = len(ineqs) - 2
+    while r >= 0 and ineqs[r + 1] == (tuple(-x for x in ineqs[r][0]), -ineqs[r][1]):
+        pairs.append((r, ineqs[r][0]))
+        r -= 2
     points: list[tuple[int, ...]] = []
 
     def shift(j, dl, dh, mn, mx, state):
@@ -529,6 +548,75 @@ def _dfs_enumerate(dim, ineqs, congs, lo, hi, cap, budget: _Budget):
             offset %= step
         return step, offset
 
+    def bottom(j, v, step, k, eq, lo, hi, mn, mx, state):
+        """The children of a node whose only free variables are x_j, the
+        branch variable, and x_k, tied to x_j by the live equality pair
+        whose first row is eq (k = eq = None when x_j is alone), in closed
+        form; the same return as rec.
+
+        The child x_j = v has one point at most, (v, x_k) with x_k read off
+        the equality, and rec would keep it exactly when x_k is an integer
+        in [lo_k, hi_k], every live row holds there (a retired one holds on
+        the whole box) and so does every congruence of x_k (those of x_j
+        alone shaped the progression).  Each candidate v counts as the node
+        its child would have been, with the same budget and cap checks."""
+        # the live rows of x_j and x_k: r -> [a_j, a_k]
+        coef: dict[int, list[int]] = {}
+        for t, i in enumerate((j,) if k is None else (j, k)):
+            for r, a in itertools.chain(*occ[i]):
+                if state[r] != _RETIRED:
+                    coef.setdefault(r, [0, 0])[t] = a
+
+        def least(a, i):
+            return a * (lo[i] if a > 0 else hi[i]) if a else 0
+
+        # such a row reads f + a_j*x_j + a_k*x_k >= 0, f its activity mn
+        # less the least terms of x_j and x_k; x_k's box adds two rows
+        lin = [(mn[r] - least(aj, j) - least(ak, k), aj, ak)
+               for r, (aj, ak) in coef.items()]
+        if k is None:
+            f0, ej, ek = 0, 0, 1
+            kcongs = []
+        else:
+            if coef[eq][1] < 0:
+                eq += 1  # the row of the pair with e_k > 0
+            ej, ek = coef[eq]
+            f0 = mn[eq] - least(ej, j) - least(ek, k)
+            lin += [(-lo[k], 0, 1), (hi[k], 0, -1)]
+            # (c + a.x less a_j*x_j and a_k*x_k, a_j, a_k, m)
+            kcongs = [(c + sum(map(mul, a, lo)) - a[j] * lo[j] - a[k] * lo[k], a[j], a[k], m)
+                      for _, a, c, m in cocc[k]]
+        # with x_k = -(f0 + e_j*v) / e_k, a row times e_k reads A + B*v >= 0
+        vl, vh = lo[j], hi[j]
+        # a row with mx < 0, such as a live row of fixed variables with a
+        # negative value, fails on the whole box
+        if min(mx) < 0:
+            vh = vl - 1
+        for f, aj, ak in lin:
+            a, b = ek * f - ak * f0, ek * aj - ak * ej
+            if b > 0:
+                vl = max(vl, -(a // b))
+            elif b < 0:
+                vh = min(vh, a // -b)
+            elif a < 0:
+                vh = vl - 1
+        point = list(lo)
+        while v <= hi[j]:
+            budget.nodes += 1
+            if budget.nodes > _NODE_BUDGET or len(points) > cap:
+                return False
+            if vl <= v <= vh:
+                x, rem = divmod(-f0 - ej * v, ek)
+                if not rem and all((c + aj * v + ak * x) % m == 0 for c, aj, ak, m in kcongs):
+                    point[j] = v
+                    if k is not None:
+                        point[k] = x
+                    points.append(tuple(point))
+                    if len(points) > cap:
+                        return False
+            v += step
+        return True
+
     def rec(lo, hi, mn, mx, state, free):
         """free: the variables free at the parent, less the one it branched
         on (every variable at the root)."""
@@ -559,6 +647,13 @@ def _dfs_enumerate(dim, ineqs, congs, lo, hi, cap, budget: _Budget):
         unfixed.remove(j)
         step, offset = prog
         v = lo[j] + (offset - lo[j]) % step
+        if not unfixed:
+            return bottom(j, v, step, None, None, lo, hi, mn, mx, state)
+        if len(unfixed) == 1:
+            k = unfixed[0]
+            for r, a in pairs:
+                if a[j] and a[k] and _RETIRED not in (state[r], state[r + 1]):
+                    return bottom(j, v, step, k, r, lo, hi, mn, mx, state)
         while v <= hi[j]:
             nlo, nhi = list(lo), list(hi)
             nlo[j] = nhi[j] = v

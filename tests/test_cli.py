@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from helixpq.chartab import parse_table, validate
 from helixpq.cli import main
 
 
@@ -60,6 +61,23 @@ def test_bad_table_term_is_a_data_error(tmp_path, capsys, command, term):
     assert code == 1
     assert "result: ok" not in out
     assert err.startswith("helixpq: error:") and "term" in err
+
+
+def test_value_outside_the_power_maps_galois_field_is_a_failed_check(tmp_path, capsys):
+    # zeta_8 at the order-5 class 5a: the power map 5a^2 asks for the Galois
+    # twist by 2, which does not exist in Q(zeta_8), and raised before
+    path = tmp_path / "t.json"
+    run(capsys, "gen", "--family", "psl2", "--q", "5", "--out", str(path))
+    data = json.loads(path.read_text())
+    data["characters"][1]["values"]["5a"] = {"conductor": 8, "terms": [[1, 1]]}
+    path.write_text(json.dumps(data))
+    report = validate(parse_table(path.read_text()))
+    assert not report.ok
+    assert "power-map-galois[5a^2]: st at 5a has conductor 8, not coprime to 2" \
+        in report.problems
+    code, out, err = run(capsys, "validate", "--table", str(path))
+    assert code == 1 and err == ""
+    assert out.splitlines()[-1] == "result: INVALID"
 
 
 # sha256 of stdout and of each file written, for the README's examples run

@@ -63,6 +63,16 @@ def pgl2_3f_rows():
     return datasets.load_embedded("pgl2_3f_rows")
 
 
+@pytest.fixture(scope="module")
+def pgl2_243_rows():
+    return datasets.load_embedded("pgl2_243_rows")
+
+
+@pytest.fixture(scope="module")
+def psl2_7():
+    return gen_table("psl2", 7)
+
+
 # --- system construction ------------------------------------------------------
 
 def test_system_shape_order_2(psp):
@@ -522,6 +532,44 @@ def test_forced_strategies_agree(request, force_strategy, name, chars, order):
     assert plain.congruence_modes == joint.congruence_modes
     for chain in plain.chains:
         assert verify_chain(table, chars, chain).ok
+
+
+def _chain_key(chain):
+    """The reference order of a solve's chains: by level, then by the
+    entries in class-name order."""
+    return tuple(
+        (m, tuple(sorted(chain.entries[m].items()))) for m in chain.levels()
+    )
+
+
+@pytest.mark.parametrize("name, chars, order, collapse, force, cap, strategy, count", [
+    # 19 power-chain combinations, each a flat system
+    pytest.param("l3", ["chi306", "chi4912", "chi9216"], 51, None, False, None,
+                 "plain", 126, id="l3_17_aut_partial-51-flat"),
+    pytest.param("psl2_3f_eta", None, 6, None, None, None, "joint", 12,
+                 id="psl2_3f_eta-6-joint"),
+    # "~2" sorts after the class names at levels 2 and 6
+    pytest.param("psl2_7", ["chi_1"], 6, 2, None, None, "collapse[2]", 2,
+                 id="psl2_7-6-collapse"),
+    pytest.param("pgl2_243_rows", None, 11, None, None, 20000, "plain", 20000,
+                 id="pgl2_243_rows-11-capped"),
+])
+def test_chains_come_in_level_and_class_name_order(request, force_strategy, name, chars,
+                                                   order, collapse, force, cap,
+                                                   strategy, count):
+    table = request.getfixturevalue(name)
+    chars = [ch.name for ch in table.characters] if chars is None else chars
+    if force is not None:
+        force_strategy(force)
+    if collapse is None:
+        sol = solve_order(table, chars, order, cap=cap)
+    else:
+        sol = solve_s_constant(table, chars, collapse, order // collapse, cap=cap)
+    assert (sol.strategy, len(sol.chains)) == (strategy, count)
+    assert sol.character_names == tuple(chars)
+    assert list(sol.chains) == sorted(sol.chains, key=_chain_key)
+    keys = [_chain_key(chain) for chain in sol.chains]
+    assert len(set(keys)) == len(keys)
 
 
 def test_verify_rejects_perturbed_chain(psl2_32):

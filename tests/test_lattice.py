@@ -337,6 +337,77 @@ def test_capped_search_keeps_its_node_count_and_chains(budgets):
         "041c60f20dd0f3ab7a0032f19671eb14b12e8ecda3cd3e9e8c1ed4d5f5b5ec14")
 
 
+def _bottom_heavy_system(rng):
+    """dim 2-4 in [-5, 5], mostly with one equality whose coefficients go up
+    to 3 and often with a congruence: the search mostly ends at nodes with
+    one or two free variables."""
+    dim = rng.randint(2, 4)
+    unit = [tuple(int(j == k) for j in range(dim)) for k in range(dim)]
+    ineqs = [(u, 5) for u in unit] + [(tuple(-x for x in u), 5) for u in unit]
+    for _ in range(rng.randint(0, 2)):
+        ineqs.append((tuple(rng.randint(-4, 4) for _ in range(dim)), rng.randint(0, 12)))
+    eqs = []
+    if rng.random() < 0.7:
+        eqs.append((tuple(rng.choice((-3, -2, -1, 0, 1, 2, 3)) for _ in range(dim)),
+                    rng.randint(-4, 4)))
+    congs = []
+    if rng.random() < 0.6:
+        congs.append((tuple(rng.randint(-3, 3) for _ in range(dim)), rng.randint(-2, 2),
+                      rng.choice((2, 3, 4, 6))))
+    return Polyhedron(dim=dim, ineqs=ineqs, eqs=eqs, congruences=congs)
+
+
+def test_closed_form_bottom_matches_oracle(budgets):
+    # the children of a node with one free variable x_j, or with x_j and an
+    # x_k tied to it by a live equality, are decided in closed form.  These
+    # systems reach such nodes where the equality's coefficient on x_k is 2
+    # or 3 (so some x_j give no integer x_k), where a congruence holds both
+    # x_j and x_k, and where x_k is in no equality, so the search branches
+    rng = random.Random(20261020)
+    nonempty = 0
+    for trial in range(120):
+        poly = _bottom_heavy_system(rng)
+        res = enumerate_integer_points(poly)
+        want = oracle_enumerate(poly, [(-5, 5)] * poly.dim)
+        assert res.status == "finite" and res.points == want, (trial, poly)
+        nonempty += bool(want)
+    assert nonempty == 102
+    # the node total from before the closed form, when every candidate was
+    # a child node
+    assert sum(b.nodes for b in budgets) == 93232
+
+
+def test_node_budget_stops_inside_a_closed_form_run(budgets, monkeypatch):
+    # x + 3y + 2z = 0 and x + y + z = 0 (mod 2) in [-4, 4]^3: each branch on
+    # x leaves y and z, tied by the equality, to the closed form, whose
+    # candidates count one node each.  Every budget short of the whole
+    # search stops after exactly budget + 1 nodes with the points found
+    # so far, a new one at each node below, as when every candidate was a
+    # child node
+    unit = [tuple(int(j == k) for j in range(3)) for k in range(3)]
+    poly = Polyhedron(
+        dim=3,
+        ineqs=[(u, 4) for u in unit] + [(tuple(-x for x in u), 4) for u in unit]
+        + [((1, 1, -1), 5)],
+        eqs=[((1, 3, 2), 0)],
+        congruences=[((1, 1, 1), 0, 2)],
+    )
+    full = enumerate_integer_points(poly)
+    assert full.points == oracle_enumerate(poly, [(-4, 4)] * 3)
+    assert [b.nodes for b in budgets] == [55]
+    found, seen = [], set()
+    for limit in range(55):
+        monkeypatch.setattr(lattice, "_NODE_BUDGET", limit)
+        res = enumerate_integer_points(poly)
+        assert (res.status, res.limit, budgets[-1].nodes) == ("capped", "node_budget", limit + 1)
+        assert seen <= set(res.points) <= set(full.points)
+        found += [limit] * (len(res.points) - len(seen))
+        seen = set(res.points)
+    # the last point comes at the last node
+    assert len(set(full.points) - seen) == 1
+    assert found == [7, 11, 19, 21, 25, 29, 37, 39, 43, 47, 51]
+
+
 @pytest.mark.parametrize(
     "dim, moduli",
     [
