@@ -5,7 +5,9 @@ power maps) and characters (ordinary or p-modular Brauer) with values in
 cyclotomic fields.  Tables are either `full` (every class and every ordinary
 character of the group, which enables the strong global checks: both
 orthogonality relations, sum of squared degrees, class equation) or `partial`
-(any subset of rows/columns; only local sanity checks apply).
+(any subset of rows/columns; only local sanity checks apply).  The column
+relation is derived from the row relation when the table is square and every
+class size divides |G|, and computed by its own pass otherwise.
 
 Classes are kept in canonical order: ascending element order, then name.
 Partial-augmentation chains for a unit of order n store, for every divisor
@@ -483,11 +485,16 @@ def validate(table: CharacterTable) -> ValidationReport:
         lambda i, j: f"<{ordinary[i].name},{ordinary[j].name}> = ",
     )
     check("row-orthogonality", not detail, detail)
-    detail = _orthogonality(
-        [[ch.values[c.name] for ch in ordinary] for c in classes],
-        [1] * len(ordinary), [g // c.size for c in classes],
-        lambda i, j: f"columns {classes[i].name},{classes[j].name}: ",
-    )
+    # X D X* = g I with X square and D invertible gives X* X = g D^-1, the
+    # column relation whenever g / size is the integer it is checked against
+    if detail or len(ordinary) != len(classes) or g <= 0 or not all(
+        c.size >= 1 and g % c.size == 0 for c in classes
+    ):
+        detail = _orthogonality(
+            [[ch.values[c.name] for ch in ordinary] for c in classes],
+            [1] * len(ordinary), [g // c.size for c in classes],
+            lambda i, j: f"columns {classes[i].name},{classes[j].name}: ",
+        )
     check("column-orthogonality", not detail, detail)
 
     return ValidationReport(ok=not problems, checks_run=checks, problems=problems)

@@ -39,11 +39,13 @@ class _Parser(argparse.ArgumentParser):
 
 def _load_table(source: str) -> chartab.CharacterTable:
     if source.startswith("gen:"):
-        parts = source.split(":")
-        if len(parts) != 3:
+        try:
+            _, family, q = source.split(":")
+            q = int(q)
+        except ValueError:
             raise TableError(f"bad generated-table source {source!r} "
-                             f"(want gen:psl2:Q or gen:pgl2:Q)")
-        return psl2.gen_table(parts[1], int(parts[2]))
+                             f"(want gen:psl2:Q or gen:pgl2:Q)") from None
+        return psl2.gen_table(family, q)
     if source.startswith("embedded:"):
         return datasets.load_embedded(source.split(":", 1)[1])
     path = source.split(":", 1)[1] if source.startswith("file:") else source

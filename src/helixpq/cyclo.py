@@ -32,6 +32,7 @@ the rational 1 taken at conductor 12 is 4, not 1).
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Mapping, Union
@@ -274,7 +275,7 @@ def _norm(c: Coeff) -> Coeff:
 def _reduce(n: int, raw: Mapping[int, Coeff]) -> dict[int, Coeff]:
     """sum c * zeta_n^e on the power basis of Q(zeta_n); zeros dropped."""
     d = euler_phi(n)
-    rows = _reduction_rows(n)
+    rows = None  # built only for a term at or above phi(n)
     acc: dict[int, Coeff] = {}
     for e, c in raw.items():
         if not c:
@@ -283,6 +284,8 @@ def _reduce(n: int, raw: Mapping[int, Coeff]) -> dict[int, Coeff]:
         if e < d:
             acc[e] = acc.get(e, 0) + c
         else:
+            if rows is None:
+                rows = _reduction_rows(n)
             for j, rc in enumerate(rows[e]):
                 if rc:
                     acc[j] = acc.get(j, 0) + c * rc
@@ -324,6 +327,8 @@ def _descend(n: int, p: int, vec: Mapping[int, Coeff]) -> dict[int, Coeff] | Non
 def _canonical_parts(n: int, raw: Mapping[int, Coeff]) -> tuple[int, dict[int, Coeff]]:
     if n <= 0:
         raise ValueError(f"conductor must be positive, got {n}")
+    if n > sys.maxsize:  # the reduction rows are indexed by exponents below n
+        raise ValueError(f"conductor {n} is too large (at most {sys.maxsize})")
     while n % 4 == 2:  # zeta_{2m} = -zeta_m^{(m+1)/2}, m odd
         m = n // 2
         nxt: dict[int, Coeff] = {}
@@ -573,7 +578,7 @@ def parse_cyc(obj) -> CycValue:
         return cyc_rational(_parse_ratio(obj, obj[0], obj[1]))
     if isinstance(obj, dict):
         try:
-            n = int(obj["conductor"])
+            n = _int_field(obj, obj["conductor"])
             entries = obj["terms"]
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed cyclotomic value {obj!r}") from exc

@@ -6,8 +6,10 @@ from fractions import Fraction
 
 import pytest
 
-from helixpq import chartab
+from helixpq import chartab, datasets
 from helixpq.chartab import (
+    Character,
+    ConjClass,
     PAChain,
     TableError,
     check_chain_shape,
@@ -19,6 +21,7 @@ from helixpq.chartab import (
     validate,
 )
 from helixpq.cyclo import PRIME_BOUND, cyc_rational, cyc_zero, galois_apply, root_of_unity
+from helixpq.psl2 import gen_table
 
 Z3 = {"conductor": 3, "terms": [[1, 1, 1]]}
 Z3SQ = {"conductor": 3, "terms": [[2, 1, 1]]}
@@ -145,6 +148,130 @@ def test_validate_flags_orthogonality_violation():
         "row-orthogonality: <triv,omega> = CycValue('-1 - z3'), expected 0",
         "column-orthogonality: columns 1a,1a: CycValue('3'), expected 4",
     ]
+
+
+def _two_pass_validate(table):
+    """The reference: `validate` with the column relation always computed
+    by its own orthogonality pass, as before it could be derived from the
+    row relation.  Every other check is `validate`'s."""
+    report = validate(table)
+    checks = [c for c in report.checks_run if c != "column-orthogonality"]
+    problems = [p for p in report.problems
+                if not p.startswith("column-orthogonality")]
+    if "row-orthogonality" in checks:
+        classes = table.classes
+        ordinary = [ch for ch in table.characters if ch.characteristic == 0]
+        detail = chartab._orthogonality(
+            [[ch.values[c.name] for ch in ordinary] for c in classes],
+            [1] * len(ordinary), [table.order // c.size for c in classes],
+            lambda i, j: f"columns {classes[i].name},{classes[j].name}: ",
+        )
+        checks.append("column-orthogonality")
+        if detail:
+            problems.append(f"column-orthogonality: {detail}")
+    return not problems, checks, problems
+
+
+def _report(table):
+    report = validate(table)
+    return report.ok, report.checks_run, report.problems
+
+
+def _corrupt(table, rng):
+    """A copy of `table` with one seeded corruption; sizes stay positive,
+    as `parse_table` requires."""
+    classes = list(table.classes)
+    chars = [Character(ch.name, ch.degree, dict(ch.values), ch.characteristic)
+             for ch in table.characters]
+    order = table.order
+    kind = rng.randrange(7)
+    if kind == 0:  # one value perturbed
+        ch = rng.choice(chars)
+        c = rng.choice(sorted(ch.values))
+        ch.values[c] = ch.values[c] + rng.choice([
+            cyc_rational(1), cyc_rational(-2), cyc_rational(Fraction(1, 2)),
+            root_of_unity(3, 1), root_of_unity(4, 1), root_of_unity(5, 2),
+        ])
+    elif kind == 1:  # two values of one row swapped
+        ch = rng.choice(chars)
+        if len(ch.values) > 1:
+            a, b = rng.sample(sorted(ch.values), 2)
+            ch.values[a], ch.values[b] = ch.values[b], ch.values[a]
+    elif kind == 2:  # two columns swapped
+        a, b = rng.sample([c.name for c in classes], 2)
+        for ch in chars:
+            va, vb = ch.values.pop(a, None), ch.values.pop(b, None)
+            if va is not None:
+                ch.values[b] = va
+            if vb is not None:
+                ch.values[a] = vb
+    elif kind == 3:  # one class size changed
+        i = rng.randrange(len(classes))
+        size = classes[i].size or 1
+        size = rng.choice([size + 1, max(1, size - 1), 2 * size, 7, 1,
+                           classes[rng.randrange(len(classes))].size or 3])
+        classes[i] = ConjClass(classes[i].name, classes[i].element_order, size,
+                               classes[i].power_maps)
+    elif kind == 4:  # the group order changed
+        g = order or 60
+        order = rng.choice([0, -g, -1, g - 1, g + 1, 2 * g, g // 2, None])
+    elif kind == 5:  # one character dropped
+        del chars[rng.randrange(len(chars))]
+    else:  # one character duplicated
+        i = rng.randrange(len(chars))
+        chars.insert(rng.randrange(len(chars) + 1), Character(
+            chars[i].name + "_dup", chars[i].degree, dict(chars[i].values),
+            chars[i].characteristic))
+    return chartab.CharacterTable(table.group_name, classes, chars, order,
+                                  table.completeness)
+
+
+def _differential_tables():
+    tables = [gen_table(fam, q) for fam in ("psl2", "pgl2")
+              for q in (4, 5, 7, 8, 9, 11, 13, 16, 25, 27, 32, 49)]
+    tables += [gen_table("pgl2", q, include_brauer3=True) for q in (5, 9, 16)]
+    tables += [datasets.load_embedded(n) for n in datasets.list_embedded()]
+    return tables
+
+
+def test_validate_matches_the_two_pass_reference():
+    tables = _differential_tables()
+    for table in tables:
+        assert _report(table) == _two_pass_validate(table), table.group_name
+    # corrupting only the tables with at most 17 classes keeps the run short
+    rng = random.Random(20261019)
+    small = [t for t in tables if len(t.classes) <= 17]
+    outcomes = set()
+    for _ in range(1200):
+        table = _corrupt(rng.choice(small), rng)
+        got = _report(table)
+        assert got == _two_pass_validate(table), (table.group_name, got)
+        if "row-orthogonality" in got[1]:
+            failed = {p.split(":")[0] for p in got[2]}
+            outcomes.add(("row-orthogonality" in failed,
+                          "column-orthogonality" in failed))
+    # every combination of the two relations failing or holding occurs
+    assert len(outcomes) == 4
+
+
+def test_column_relation_is_computed_when_it_is_not_implied():
+    # the row relation holds but the table is not square
+    table = gen_table("psl2", 5)
+    del table.characters[-1]
+    want = "column-orthogonality: columns 1a,1a: CycValue('51'), expected 60"
+    assert validate(table).problems[-1] == want
+    assert _report(table) == _two_pass_validate(table)
+    # the row relation holds but the class size 4 does not divide g = 1
+    table = parse_table({
+        "group_name": "bad", "order": 1, "completeness": "full",
+        "classes": [{"name": "1a", "element_order": 1, "size": 4}],
+        "characters": [{"name": "x", "degree": 1, "values": {"1a": "1/2"}}],
+    })
+    report = validate(table)
+    assert "row-orthogonality" not in " ".join(report.problems)
+    want = "column-orthogonality: columns 1a,1a: CycValue('1/4'), expected 0"
+    assert report.problems[-1] == want
+    assert _report(table) == _two_pass_validate(table)
 
 
 @pytest.mark.parametrize("bad", [1.5, 3.0, True, "2.0"])

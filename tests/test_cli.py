@@ -236,6 +236,15 @@ def test_solve_error_cases(capsys):
     assert code == 1 and "does not divide" in err
 
 
+@pytest.mark.parametrize("source", ["gen:psl2:x", "gen:psl2:3.0", "gen:psl2"])
+def test_bad_generated_table_source_is_named(capsys, source):
+    # a non-integer q was reported as int()'s "invalid literal" message
+    code, out, err = run(capsys, "validate", "--table", source)
+    assert (code, out) == (1, "")
+    assert err == (f"helixpq: error: bad generated-table source {source!r} "
+                   f"(want gen:psl2:Q or gen:pgl2:Q)\n")
+
+
 def test_usage_errors_exit_1(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["solve", "--order", "2"])  # no --table
@@ -351,9 +360,20 @@ def test_verify_names_a_chain_file_that_is_not_json(tmp_path, capsys):
      "class '2a': power-map key must be an integer, got 'x'"),
     (None, lambda t: t["characters"][1].update(characteristic=10**30 + 57),
      "characteristic: 1000000000000000000000000000057 is too large"),
+    # int() read 5.5 as conductor 5 and True as 1
+    *[(None, lambda t, n=n: t["characters"][1]["values"].update(
+        {"3a": {"conductor": n, "terms": [[0, 1, 1]]}}),
+       f"character 'st': bad value on class '3a': malformed cyclotomic value "
+       f"{{'conductor': {n!r}") for n in (5.5, 5.0, True)],
+    # building Phi_n for the reduction ended in an OverflowError traceback
+    (None, lambda t: t["characters"][1]["values"].update(
+        {"3a": {"conductor": 10**30, "terms": [[0, 1, 1]]}}),
+     "character 'st': bad value on class '3a': "
+     "conductor 1000000000000000000000000000000 is too large"),
 ], ids=["entries-list", "level-list", "chains-int", "classes-int",
         "power-maps-list", "values-list", "augmentation-float", "order-list",
-        "power-map-key", "huge-characteristic"])
+        "power-map-key", "huge-characteristic", "conductor-5.5",
+        "conductor-5.0", "conductor-true", "huge-conductor"])
 def test_malformed_json_is_a_data_error(tmp_path, capsys, chain, edit, field):
     # each is a data error: not a traceback, and no float read as an integer
     table = tmp_path / "t.json"

@@ -153,6 +153,16 @@ def test_parse_rejects_bad_rationals(obj):
         parse_cyc(obj)
 
 
+def test_conductor_past_the_index_range_is_refused():
+    # building Phi_n for the reduction ended in an OverflowError
+    with pytest.raises(ValueError, match=f"conductor {10**30} is too large"):
+        CycValue(10**30, {0: 1})
+    # terms below phi(n) need no reduction rows, so none are built; building
+    # them at this conductor ran out of memory
+    assert CycValue(10**18, {0: 3}) == 3
+    assert CycValue(10**18, {1: 1}).terms == {1: 1}
+
+
 def test_constructor_rejects_float_coefficients():
     with pytest.raises(TypeError, match="float"):
         CycValue(3, {1: 0.1})
