@@ -26,6 +26,7 @@ from typing import Iterable, Mapping, Optional
 from .cyclo import (
     Coeff,
     CycValue,
+    _factor,
     divisors,
     galois_apply,
     isprime,
@@ -134,13 +135,11 @@ class CharacterTable:
 
     def _power_walk(self, cls: ConjClass, k: int) -> Optional[str]:
         cur = cls
-        while k != 1:
-            p = next(q for q in range(2, k + 1) if k % q == 0)
-            nxt = self._prime_power_step(cur, p)
-            if nxt is None:
-                return None
-            cur = nxt
-            k //= p
+        for p, a in _factor(k):
+            for _ in range(a):
+                cur = self._prime_power_step(cur, p)
+                if cur is None:
+                    return None
         return cur.name
 
     def power_class(self, name: str, k: int) -> Optional[str]:

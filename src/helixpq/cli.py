@@ -63,7 +63,10 @@ def _select_chars(table, selector: str | None):
         if not token:
             continue
         if token.startswith("deg="):
-            degree = int(token[4:])
+            try:
+                degree = int(token[4:])
+            except ValueError:
+                raise TableError(f"bad character selector {token!r} (want deg=N)") from None
             hits = [c for c in table.characters if c.degree == degree]
             if not hits:
                 raise TableError(f"no character of degree {degree}")

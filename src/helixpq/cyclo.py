@@ -223,15 +223,25 @@ def _cyclotomic_coeffs(n: int) -> tuple[int, ...]:
     return tuple(poly)
 
 
+# the most entries n * phi(n) a reduction table may have: 7 times the most
+# the tests build (n = 2520) and 12 times the most a generated table up to
+# q = 1024 needs (n = 1025); past it the table would take gigabytes
+_MAX_REDUCTION_ENTRIES = 10**7
+
+
 @lru_cache(maxsize=None)
 def _reduction_rows(n: int) -> tuple[tuple[int, ...], ...]:
     """Row e (0 <= e < n) expresses zeta_n^e over 1..zeta_n^{phi(n)-1}.
 
-    Rows are integer vectors because Phi_n is monic over Z.
+    Rows are integer vectors because Phi_n is monic over Z.  A table of
+    more than _MAX_REDUCTION_ENTRIES entries is a ValueError.
     """
     if n % 4 == 2:
         raise ValueError("internal: reduction tables only for n != 2 mod 4")
     d = euler_phi(n)
+    if n * d > _MAX_REDUCTION_ENTRIES:
+        raise ValueError(f"conductor {n} needs a reduction table of {n} x {d} entries, "
+                         f"more than the limit of {_MAX_REDUCTION_ENTRIES}")
     # x^d = -(phi[0] + phi[1] x + ... + phi[d-1] x^{d-1});  step[j] = coeff of x^j
     step = tuple(-c for c in _cyclotomic_coeffs(n)[:d])
     rows: list[tuple[int, ...]] = []

@@ -40,16 +40,17 @@ summed once at the root and then shifted by each bound move through a
 per-variable occurrence index; a pass evaluates only the dirty rows, those
 with a variable moved since their last evaluation; and a row that holds on a
 whole box is retired for that node's subtree.  None of this changes which
-boxes the search visits.  A congruence is checked as soon as its last free
-variable is pinned, whether by a branch, by the rounded box or by
-propagation, through a per-variable congruence index, and a node whose
-pinned values break one is cut; a leaf then only reads its row activities.
-The bottom of the search is enumerated in closed form: at a node whose only
-free variables are the branch variable and at most one other, tied to it by
-a live equality, each branch value gives one candidate point (the other
-variable read off the equality), checked directly instead of in a child
-node.  Each candidate still counts as the node its child would have been,
-so node counts, budget stops and the order of the points are unchanged.
+boxes the search visits.  Congruences live in one per-variable index: a
+branch takes its values from the progression its variable's congruences
+allow, and a congruence is checked as soon as its last free variable is
+pinned, whether by a branch, by the rounded box or by propagation; a node
+whose pinned values break one is cut, so a leaf only reads its row
+activities.  At a node whose only free variables are the branch variable
+and one other, tied to it by a live equality, each branch value gives one
+candidate point (the other variable read off the equality), checked
+directly instead of in a child node.  Each candidate still counts as the
+node its child would have been, so node counts, budget stops and the order
+of the points are unchanged.
 A congruence whose constant the gcd of its modulus and coefficients does not
 divide, and congruences that clash modulo the gcd of two moduli, are
 rejected before any search.
@@ -385,13 +386,13 @@ def _dfs_enumerate(dim, ineqs, congs, lo, hi, cap, budget: _Budget):
 
     A branch pins one variable (lo_j == hi_j).  A row a.x + c >= 0 is held
     as (pos, neg, c) with pos the pairs (j, a_j) for a_j > 0 and neg the
-    pairs (j, -a_j) for a_j < 0, and a congruence as its support {j: a_j
-    mod m != 0}, so propagation touches no zero entry.  Besides the box, a
-    node owns two row activities, mn[r] and mx[r] (the minimum and maximum
-    of a_r.x + c_r over the box), and a row state, clean, dirty or retired.
-    The activities are summed only at the root; after that, a move of a
-    bound of x_j shifts them through the occurrence index occ[j], the pairs
-    (r, a_j) with a_j != 0 split by sign, and marks those rows dirty.
+    pairs (j, -a_j) for a_j < 0, so propagation touches no zero entry.
+    Besides the box, a node owns two row activities, mn[r] and mx[r] (the
+    minimum and maximum of a_r.x + c_r over the box), and a row state,
+    clean, dirty or retired.  The activities are summed only at the root;
+    after that, a move of a bound of x_j shifts them through the occurrence
+    index occ[j], the pairs (r, a_j) with a_j != 0 split by sign, and marks
+    those rows dirty.
 
     A node tightens the box by up to 4 Gauss-Seidel passes over the rows in
     index order; each row cuts with the activities read as its evaluation
@@ -403,20 +404,22 @@ def _dfs_enumerate(dim, ineqs, congs, lo, hi, cap, budget: _Budget):
     child copies its parent's lists, pins its variable and marks that
     variable's rows dirty; the root starts with every row dirty.
 
-    A congruence is decided once its last free variable is pinned.  A
-    branch takes its values from the progression the congruences of its
-    variable allow; every other pin, by the rounded box at the root or by
-    propagation, is found after the node's propagation among the variables
-    still free at its parent, and each congruence of such a variable
-    (through the index cocc[j]) whose support is now pinned is checked; a
-    node that breaks one holds no point and is cut.  So at a leaf every
-    congruence holds, and the point is kept when every row has mx >= 0.
+    Congruences are held once, in cocc[j]: those whose support {j: a_j mod
+    m != 0} holds x_j.  A congruence is decided once its last free variable
+    is pinned.  A branch on x_j takes its values from the progression its
+    congruences with every other variable pinned allow; every other pin, by
+    the rounded box at the root or by propagation, is found after the
+    node's propagation among the variables still free at its parent, and
+    each congruence of such a variable whose support is now pinned is
+    checked; a node that breaks one holds no point and is cut.  So at a
+    leaf every congruence holds, and the point is kept when every row has
+    mx >= 0.
 
-    A node whose free variables are only the branch variable x_j, or x_j
-    and one x_k that a live equality pair (two opposite rows, found once
-    per call among the last rows, where `_inequalities` puts them) holds
-    with x_j, makes no children: `bottom` decides them in closed form, one
-    node per candidate.  A node left with an x_k in no such pair branches.
+    A node whose free variables are the branch variable x_j and one x_k
+    that a live equality pair (two opposite rows, found once per call
+    among the last rows, where `_inequalities` puts them) holds with x_j
+    makes no children: `bottom` decides them in closed form, one node per
+    candidate.  Any other node branches, one child per value of x_j.
     Returns (points, exhausted) where exhausted=False means the cap or node
     budget interrupted the search.
     """
@@ -441,13 +444,12 @@ def _dfs_enumerate(dim, ineqs, congs, lo, hi, cap, budget: _Budget):
             rmx -= bj * lo[j]
         mn.append(rmn)
         mx.append(rmx)
-    csupp = [({j: x % m for j, x in enumerate(a) if x % m}, c, m) for a, c, m in congs]
-    # cocc[j] = the congruences whose support holds j, as (support indices,
-    # a, c, m)
+    # cocc[j] = the congruences whose support holds j, as (support, a, c, m)
     cocc: list[list] = [[] for _ in range(dim)]
-    for (supp, _, _), (a, c, m) in zip(csupp, congs):
+    for a, c, m in congs:
+        supp = {j for j, x in enumerate(a) if x % m}
         for j in supp:
-            cocc[j].append((supp.keys(), a, c, m))
+            cocc[j].append((supp, a, c, m))
     # the equalities: the pairs of opposite rows that `_inequalities` puts
     # last, as (the first row's index, its coefficients)
     pairs = []
@@ -522,15 +524,15 @@ def _dfs_enumerate(dim, ineqs, congs, lo, hi, cap, budget: _Budget):
 
     def cong_progression(j, lo, hi):
         """Combined progression x_j = offset (mod step) from the congruences
-        whose support holds j and otherwise only fixed variables (lo == hi),
-        each contributing a_k * lo_k to the constant; None when they admit
-        no value of x_j."""
+        of x_j whose other variables are all fixed (lo == hi), each
+        contributing a_k * lo_k to the constant; None when they admit no
+        value of x_j."""
         step, offset = 1, 0
-        for supp, c, m in csupp:
-            if j not in supp or any(lo[k] < hi[k] for k in supp if k != j):
+        for supp, a, c, m in cocc[j]:
+            if any(lo[k] < hi[k] for k in supp if k != j):
                 continue
-            aj = supp[j]
-            cc = (c + sum(ak * lo[k] for k, ak in supp.items() if k != j)) % m
+            aj = a[j] % m
+            cc = (c + sum(map(mul, a, lo)) - a[j] * lo[j]) % m
             g = math.gcd(aj, m)
             if cc % g:
                 return None
@@ -551,8 +553,7 @@ def _dfs_enumerate(dim, ineqs, congs, lo, hi, cap, budget: _Budget):
     def bottom(j, v, step, k, eq, lo, hi, mn, mx, state):
         """The children of a node whose only free variables are x_j, the
         branch variable, and x_k, tied to x_j by the live equality pair
-        whose first row is eq (k = eq = None when x_j is alone), in closed
-        form; the same return as rec.
+        whose first row is eq, in closed form; the same return as rec.
 
         The child x_j = v has one point at most, (v, x_k) with x_k read off
         the equality, and rec would keep it exactly when x_k is an integer
@@ -562,30 +563,26 @@ def _dfs_enumerate(dim, ineqs, congs, lo, hi, cap, budget: _Budget):
         its child would have been, with the same budget and cap checks."""
         # the live rows of x_j and x_k: r -> [a_j, a_k]
         coef: dict[int, list[int]] = {}
-        for t, i in enumerate((j,) if k is None else (j, k)):
+        for t, i in enumerate((j, k)):
             for r, a in itertools.chain(*occ[i]):
                 if state[r] != _RETIRED:
                     coef.setdefault(r, [0, 0])[t] = a
 
         def least(a, i):
-            return a * (lo[i] if a > 0 else hi[i]) if a else 0
+            return a * (lo[i] if a > 0 else hi[i])
 
         # such a row reads f + a_j*x_j + a_k*x_k >= 0, f its activity mn
         # less the least terms of x_j and x_k; x_k's box adds two rows
         lin = [(mn[r] - least(aj, j) - least(ak, k), aj, ak)
                for r, (aj, ak) in coef.items()]
-        if k is None:
-            f0, ej, ek = 0, 0, 1
-            kcongs = []
-        else:
-            if coef[eq][1] < 0:
-                eq += 1  # the row of the pair with e_k > 0
-            ej, ek = coef[eq]
-            f0 = mn[eq] - least(ej, j) - least(ek, k)
-            lin += [(-lo[k], 0, 1), (hi[k], 0, -1)]
-            # (c + a.x less a_j*x_j and a_k*x_k, a_j, a_k, m)
-            kcongs = [(c + sum(map(mul, a, lo)) - a[j] * lo[j] - a[k] * lo[k], a[j], a[k], m)
-                      for _, a, c, m in cocc[k]]
+        lin += [(-lo[k], 0, 1), (hi[k], 0, -1)]
+        if coef[eq][1] < 0:
+            eq += 1  # the row of the pair with e_k > 0
+        ej, ek = coef[eq]
+        f0 = mn[eq] - least(ej, j) - least(ek, k)
+        # (c + a.x less a_j*x_j and a_k*x_k, a_j, a_k, m)
+        kcongs = [(c + sum(map(mul, a, lo)) - a[j] * lo[j] - a[k] * lo[k], a[j], a[k], m)
+                  for _, a, c, m in cocc[k]]
         # with x_k = -(f0 + e_j*v) / e_k, a row times e_k reads A + B*v >= 0
         vl, vh = lo[j], hi[j]
         # a row with mx < 0, such as a live row of fixed variables with a
@@ -608,9 +605,7 @@ def _dfs_enumerate(dim, ineqs, congs, lo, hi, cap, budget: _Budget):
             if vl <= v <= vh:
                 x, rem = divmod(-f0 - ej * v, ek)
                 if not rem and all((c + aj * v + ak * x) % m == 0 for c, aj, ak, m in kcongs):
-                    point[j] = v
-                    if k is not None:
-                        point[k] = x
+                    point[j], point[k] = v, x
                     points.append(tuple(point))
                     if len(points) > cap:
                         return False
@@ -647,8 +642,6 @@ def _dfs_enumerate(dim, ineqs, congs, lo, hi, cap, budget: _Budget):
         unfixed.remove(j)
         step, offset = prog
         v = lo[j] + (offset - lo[j]) % step
-        if not unfixed:
-            return bottom(j, v, step, None, None, lo, hi, mn, mx, state)
         if len(unfixed) == 1:
             k = unfixed[0]
             for r, a in pairs:

@@ -159,12 +159,15 @@ def pq_check(
     partial table through `prime_graph`, asserting its class list
     covers all element orders relevant to the requested pairs.
     `pairs` restricts the screening to the given missing edges; each
-    pair must be two distinct integers.
+    pair must be two distinct integers.  An empty selection of
+    characters is a PQError.
     """
     cap = _cap_or_default(cap)
     graph = prime_graph(table, assume_coverage=assume_coverage)
     base_chars = (list(table.characters) if characters is None
                   else _resolve_chars(table, characters))
+    if not base_chars:
+        raise PQError("need at least one character")
     todo = graph.non_edges()
     if pairs is not None:
         wanted = {_as_pair(pr) for pr in pairs}
@@ -196,21 +199,24 @@ def pq_check(
 
 def _check_pair(table, base_chars, p, q, *, cap, congruences) -> PairReport:
     n = p * q
-    chars = [ch for ch in base_chars
-             if not (ch.characteristic and n % ch.characteristic == 0)]
     collapse, strategy = None, "plain"
     np_ = sum(1 for c in table.classes if c.element_order == p)
     nq_ = sum(1 for c in table.classes if c.element_order == q)
     if max(np_, nq_) > PLAIN_CLASS_LIMIT:
         collapse = p if np_ >= nq_ else q
         strategy = f"collapse[{collapse}]"
+    # the filter that empties the list names the reason
+    chars = [ch for ch in base_chars
+             if not (ch.characteristic and n % ch.characteristic == 0)]
+    why = f"the characteristic of every selected character divides {n}"
+    if chars and collapse is not None:
         chars = [ch for ch in chars
                  if _constant_value(table, ch, collapse) is not None]
+        why = "none constant on the aggregated classes"
     if not chars:
         return PairReport(
             p=p, q=q, outcome="error", strategy=strategy,
-            detail="no usable characters for this pair "
-                   "(none constant on the aggregated classes)",
+            detail=f"no usable characters for this pair ({why})",
         )
     try:
         if collapse is None:

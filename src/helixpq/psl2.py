@@ -221,7 +221,7 @@ def _sqrt_q(ps: Psl2Params) -> CycValue:
     return p ** ((f - 1) // 2) * _gauss_sum(p)
 
 
-def _characters(ps: Psl2Params, specs, names) -> list[Character]:
+def _characters(ps: Psl2Params, specs, names, include_brauer3) -> list[Character]:
     q = ps.q
     A, B = ps.split_order, ps.nonsplit_order
 
@@ -308,6 +308,11 @@ def _characters(ps: Psl2Params, specs, names) -> list[Character]:
                         lambda m: -((-1) ** m),
                     )
                 )
+
+    if include_brauer3:
+        # the unipotent classes are p-singular: no Brauer value
+        chars.append(build("brauer3", 3, lambda _x: None, lambda l: 1 + _torus_pair(A, l),
+                           lambda m: 1 + _torus_pair(B, m), characteristic=ps.p))
     return chars
 
 
@@ -325,9 +330,15 @@ def gen_table(family: str, q: int, include_brauer3: bool = False) -> CharacterTa
     """Full ordinary character table of PSL(2,q) or PGL(2,q).
 
     For even q the two groups coincide and both family tags are accepted.
-    Raises ValueError for q < 4 or q not a prime power.
+    Raises ValueError for q < 4, for q not a prime power, and for
+    `include_brauer3` on PSL(2,q) with q odd.
     """
     ps = resolve_params(family, q)
+    if include_brauer3 and ps.family != "pgl2" and not ps.is_even:
+        raise ValueError(
+            "the 3-dimensional adjoint Brauer character lives on the full "
+            "projective group; use family='pgl2' (or even q, where PSL = PGL)"
+        )
     specs = _class_specs(ps)
     names = _name_classes(specs)
     pmaps = _power_maps(ps, specs, names)
@@ -340,33 +351,11 @@ def gen_table(family: str, q: int, include_brauer3: bool = False) -> CharacterTa
         )
         for s in specs
     ]
-    chars = _characters(ps, specs, names)
-    table = CharacterTable(
+    chars = _characters(ps, specs, names, include_brauer3)
+    return CharacterTable(
         group_name=ps.group_name,
         classes=classes,
         characters=chars,
         order=ps.group_order,
         completeness="full",
     )
-    if include_brauer3:
-        table.characters.append(_brauer3(ps, specs, names))
-    return table
-
-
-def _brauer3(ps: Psl2Params, specs, names) -> Character:
-    if ps.family != "pgl2" and not ps.is_even:
-        raise ValueError(
-            "the 3-dimensional adjoint Brauer character lives on the full "
-            "projective group; use family='pgl2' (or even q, where PSL = PGL)"
-        )
-    A, B = ps.split_order, ps.nonsplit_order
-    vals: dict[str, CycValue] = {}
-    for s in specs:
-        if s.kind == "id":
-            vals[names[s]] = cyc_rational(3)
-        elif s.kind in ("split", "nonsplit"):
-            # 1 + zeta^l + zeta^-l
-            n = A if s.kind == "split" else B
-            vals[names[s]] = CycValue(n, Counter((0, s.param % n, -s.param % n)))
-        # unipotent classes are p-singular: no Brauer value
-    return Character(name="brauer3", degree=3, values=vals, characteristic=ps.p)

@@ -159,6 +159,24 @@ def test_solve_degree_selector(capsys):
     assert "characters: eta, eta_prime" in out
 
 
+@pytest.mark.parametrize("selector", ["deg=x", "st,deg=1.5", "deg="])
+def test_bad_degree_selector_is_named(capsys, selector):
+    # a non-integer degree was reported as int()'s "invalid literal" message
+    code, out, err = run(capsys, "solve", "--table", "gen:psl2:5",
+                         "--chars", selector, "--order", "6")
+    token = selector.split(",")[-1]
+    assert (code, out) == (1, "")
+    assert err == f"helixpq: error: bad character selector {token!r} (want deg=N)\n"
+
+
+def test_pq_refuses_an_empty_character_selection(capsys):
+    # it reported every pair as having no character constant on the
+    # aggregated classes, though no pair was aggregated
+    code, out, err = run(capsys, "pq", "--table", "gen:psl2:5", "--chars", ",")
+    assert (code, out) == (1, "")
+    assert err == "helixpq: error: need at least one character\n"
+
+
 def test_solve_aggregated(capsys):
     code, out, _ = run(capsys, "solve", "--table", "gen:psl2:32",
                        "--chars", "st", "--order", "62",
@@ -370,10 +388,18 @@ def test_verify_names_a_chain_file_that_is_not_json(tmp_path, capsys):
         {"3a": {"conductor": 10**30, "terms": [[0, 1, 1]]}}),
      "character 'st': bad value on class '3a': "
      "conductor 1000000000000000000000000000000 is too large"),
+    # a term past phi(n) needs the n x phi(n) reduction table: building it
+    # ended in a MemoryError traceback
+    (None, lambda t: t["characters"][1]["values"].update(
+        {"3a": {"conductor": 10**18, "terms": [[5 * 10**17 + 1, 1, 1]]}}),
+     "character 'st': bad value on class '3a': conductor 1000000000000000000 "
+     "needs a reduction table of 1000000000000000000 x 400000000000000000 "
+     "entries, more than the limit of 10000000"),
 ], ids=["entries-list", "level-list", "chains-int", "classes-int",
         "power-maps-list", "values-list", "augmentation-float", "order-list",
         "power-map-key", "huge-characteristic", "conductor-5.5",
-        "conductor-5.0", "conductor-true", "huge-conductor"])
+        "conductor-5.0", "conductor-true", "huge-conductor",
+        "huge-reduction-table"])
 def test_malformed_json_is_a_data_error(tmp_path, capsys, chain, edit, field):
     # each is a data error: not a traceback, and no float read as an integer
     table = tmp_path / "t.json"

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helixpq import cyclo
 from helixpq.cyclo import (
     PRIME_BOUND,
     CycValue,
@@ -161,6 +162,22 @@ def test_conductor_past_the_index_range_is_refused():
     # them at this conductor ran out of memory
     assert CycValue(10**18, {0: 3}) == 3
     assert CycValue(10**18, {1: 1}).terms == {1: 1}
+
+
+def test_reduction_table_past_the_limit_is_refused(monkeypatch):
+    # a term at or above phi(n) needs the dense n x phi(n) reduction table;
+    # at n = 10**18 building it ended in a MemoryError
+    with pytest.raises(ValueError, match=r"conductor 1000000000000000000 needs a reduction "
+                       r"table of 1000000000000000000 x 400000000000000000 entries, "
+                       r"more than the limit of 10000000"):
+        CycValue(10**18, {5 * 10**17 + 1: 1})
+    # the limit bounds n * phi(n) itself: 36 x 12 = 432 entries
+    build = cyclo._reduction_rows.__wrapped__  # past the cache
+    monkeypatch.setattr(cyclo, "_MAX_REDUCTION_ENTRIES", 432)
+    assert len(build(36)) == 36
+    monkeypatch.setattr(cyclo, "_MAX_REDUCTION_ENTRIES", 431)
+    with pytest.raises(ValueError, match="conductor 36 needs a reduction table of 36 x 12"):
+        build(36)
 
 
 def test_constructor_rejects_float_coefficients():

@@ -5,6 +5,7 @@ import itertools
 import json
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
@@ -358,11 +359,12 @@ def _bottom_heavy_system(rng):
 
 
 def test_closed_form_bottom_matches_oracle(budgets):
-    # the children of a node with one free variable x_j, or with x_j and an
-    # x_k tied to it by a live equality, are decided in closed form.  These
-    # systems reach such nodes where the equality's coefficient on x_k is 2
-    # or 3 (so some x_j give no integer x_k), where a congruence holds both
-    # x_j and x_k, and where x_k is in no equality, so the search branches
+    # the children of a node whose free variables are x_j and an x_k tied
+    # to it by a live equality are decided in closed form.  These systems
+    # reach such nodes where the equality's coefficient on x_k is 2 or 3
+    # (so some x_j give no integer x_k), where a congruence holds both x_j
+    # and x_k, and where x_k is in no equality or x_j is alone, so the
+    # search branches
     rng = random.Random(20261020)
     nonempty = 0
     for trial in range(120):
@@ -375,6 +377,38 @@ def test_closed_form_bottom_matches_oracle(budgets):
     # the node total from before the closed form, when every candidate was
     # a child node
     assert sum(b.nodes for b in budgets) == 93232
+
+
+def test_several_congruences_per_variable_match_oracle(budgets):
+    # 2-4 congruences per system on shared variables, with moduli that share
+    # factors (4 and 6, 6 and 9, ...): a branch merges every congruence of
+    # its variable whose other variables are pinned into one progression.
+    # Half the systems hold a hidden point, so their congruences agree
+    rng = random.Random(20261021)
+    nonempty = 0
+    for trial in range(150):
+        dim = rng.randint(2, 4)
+        unit = [tuple(int(j == k) for j in range(dim)) for k in range(dim)]
+        ineqs = [(u, 4) for u in unit] + [(tuple(-x for x in u), 4) for u in unit]
+        for _ in range(rng.randint(0, 2)):
+            ineqs.append((tuple(rng.randint(-3, 3) for _ in range(dim)), rng.randint(0, 10)))
+        eqs = []
+        if rng.random() < 0.3:
+            eqs.append((tuple(rng.randint(-2, 2) for _ in range(dim)), rng.randint(-3, 3)))
+        hidden = [rng.randint(-4, 4) for _ in range(dim)] if rng.random() < 0.5 else None
+        congs = []
+        for _ in range(rng.randint(2, 4)):
+            a = tuple(rng.randint(-5, 5) for _ in range(dim))
+            m = rng.choice((2, 3, 4, 6, 8, 9, 12))
+            c = rng.randint(-6, 6) if hidden is None else -sum(map(mul, a, hidden))
+            congs.append((a, c, m))
+        poly = Polyhedron(dim=dim, ineqs=ineqs, eqs=eqs, congruences=congs)
+        res = enumerate_integer_points(poly)
+        want = oracle_enumerate(poly, [(-4, 4)] * dim)
+        assert res.status == "finite" and res.points == want, (trial, poly)
+        nonempty += bool(want)
+    assert nonempty == 94
+    assert sum(b.nodes for b in budgets) == 24372
 
 
 def test_node_budget_stops_inside_a_closed_form_run(budgets, monkeypatch):

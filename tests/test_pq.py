@@ -128,6 +128,24 @@ def test_no_usable_characters_yields_error_outcome():
     assert report.verdict == "HeLP_insufficient"
 
 
+def test_pair_without_characters_of_other_characteristic_names_it():
+    # brauer3 lives in characteristic 3, so it is dropped for {2,3} and
+    # {3,5}; neither pair is aggregated, yet both were reported as having no
+    # character constant on the aggregated classes
+    table = gen_table("pgl2", 9, include_brauer3=True)
+    report = pq_check(table, characters=["brauer3"])
+    for p, q in ((2, 3), (3, 5)):
+        r = report.pair(p, q)
+        assert (r.outcome, r.strategy, r.character_names) == ("error", "plain", ())
+        assert r.detail == ("no usable characters for this pair (the characteristic "
+                            f"of every selected character divides {p * q})")
+
+
+def test_empty_character_selection_is_refused():
+    with pytest.raises(PQError, match="need at least one character"):
+        pq_check(gen_table("psl2", 5), characters=[])
+
+
 def test_cap_marks_pair_undecided(psl2_16):
     report = pq_check(psl2_16, pairs=[(2, 3)], cap=1)
     r = report.pair(2, 3)
