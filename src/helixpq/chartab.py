@@ -27,10 +27,10 @@ from .cyclo import (
     Coeff,
     CycValue,
     _factor,
+    _parse_cyc,
     divisors,
     galois_apply,
     isprime,
-    parse_cyc,
     render_cyc,
 )
 
@@ -219,7 +219,7 @@ def _parse_class(obj) -> ConjClass:
     return ConjClass(name=name, element_order=order, size=size, power_maps=pmaps)
 
 
-def _parse_character(obj) -> Character:
+def _parse_character(obj, memo: dict) -> Character:
     try:
         name = str(obj["name"])
         degree, values_raw = obj["degree"], obj["values"]
@@ -231,7 +231,7 @@ def _parse_character(obj) -> Character:
     values = {}
     for cname, v in _expect(values_raw, Mapping, f"character {name!r}: values").items():
         try:
-            values[str(cname)] = parse_cyc(v)
+            values[str(cname)] = _parse_cyc(v, memo)
         except (TypeError, ValueError) as exc:
             raise TableError(
                 f"character {name!r}: bad value on class {cname!r}: {exc}"
@@ -240,7 +240,12 @@ def _parse_character(obj) -> Character:
 
 
 def parse_table(source) -> CharacterTable:
-    """Build a CharacterTable from a dict or a JSON string."""
+    """Build a CharacterTable from a dict or a JSON string.
+
+    Every value is parsed and checked where it stands, but a value whose
+    conductor and parsed terms repeat one seen before in this call reuses
+    that one's canonical form, as a table repeats a few values many times.
+    """
     if isinstance(source, str):
         try:
             source = json.loads(source)
@@ -248,10 +253,11 @@ def parse_table(source) -> CharacterTable:
             raise TableError(f"not valid JSON: {exc}") from exc
     if not isinstance(source, dict):
         raise TableError(f"expected an object, got {type(source).__name__}")
+    memo: dict = {}
     try:
         group_name = str(source["group_name"])
         classes = [_parse_class(c) for c in _expect(source["classes"], list, "classes")]
-        characters = [_parse_character(c)
+        characters = [_parse_character(c, memo)
                       for c in _expect(source["characters"], list, "characters")]
     except KeyError as exc:
         raise TableError(f"missing required key {exc}") from exc
@@ -343,13 +349,20 @@ class ValidationReport:
 
 
 def _pair_sum(entries: Iterable[tuple[CycValue, CycValue, int]]) -> CycValue:
-    """Exact sum of weight * a * conj(b) without per-term canonicalization."""
+    """Exact sum of weight * a * conj(b) without per-term canonicalization.
+    Terms with both values rational are summed apart, as one number."""
     lev = 1
-    nonzero = [(a, b, w) for a, b, w in entries if a._c and b._c]
-    for a, b, _ in nonzero:
-        lev = math.lcm(lev, a._n, b._n)
-    raw: dict[int, Coeff] = {}
-    for a, b, w in nonzero:
+    rational: Coeff = 0
+    irrational = []
+    for a, b, w in entries:
+        if a._c and b._c:
+            if a._n == b._n == 1:
+                rational += w * a._c[0] * b._c[0]
+            else:
+                irrational.append((a, b, w))
+                lev = math.lcm(lev, a._n, b._n)
+    raw: dict[int, Coeff] = {0: rational}
+    for a, b, w in irrational:
         sa = lev // a._n
         sb = lev // b._n
         # conj(b): negate its exponents
@@ -377,6 +390,10 @@ def _orthogonality(vectors, weights, diagonal, label) -> str:
 
 
 def validate(table: CharacterTable) -> ValidationReport:
+    """Run every check that the table's completeness allows, in a fixed
+    order, and report each check's name and each failure's detail.  The
+    power-map Galois check twists each distinct irrational (value, p) once
+    per call; a rational is its own twist."""
     checks: list[str] = []
     problems: list[str] = []
 
@@ -426,6 +443,7 @@ def validate(table: CharacterTable) -> ValidationReport:
 
     # galois consistency of stored power maps for exponents coprime to the order
     full = table.completeness == "full"
+    twists: dict[tuple[CycValue, int], CycValue] = {}
     for c in table.classes:
         for p, target in sorted(c.power_maps.items()):
             if c.element_order % p == 0 or c.element_order == 1:
@@ -442,7 +460,13 @@ def validate(table: CharacterTable) -> ValidationReport:
                     detail = (f"{ch.name} at {c.name} has conductor "
                               f"{v.conductor}, not coprime to {p}")
                     break
-                if galois_apply(v, p) != w:
+                if v.is_rational():  # fixed by every automorphism
+                    twisted = v
+                else:
+                    twisted = twists.get((v, p))
+                    if twisted is None:
+                        twisted = twists[v, p] = galois_apply(v, p)
+                if twisted != w:
                     detail = f"ordinary values at {target} are not the {p}-th Galois twist"
                     break
             check(f"power-map-galois[{c.name}^{p}]", detail is None, detail or "")

@@ -26,7 +26,14 @@ of roots of unity and rationals, combine with +, -, *, apply Galois
 automorphisms, and take traces down to Q.  Traces accept an optional ambient
 conductor so that the trace of a value from a *larger* field than its
 conductor requires no awkward manual scaling by degree ratios (the trace of
-the rational 1 taken at conductor 12 is 4, not 1).
+the rational 1 taken at conductor 12 is 4, not 1).  A trace is a sum of
+Ramanujan sums, one per stored term.
+
+A rational is canonical as it stands, so `cyc_rational` builds it without
+the pipeline, and `galois_apply` returns it (and any value under the
+identity) unchanged.  Values are immutable, so `chartab.parse_table`,
+`chartab.validate` and `psl2.gen_table` canonicalise each distinct value
+once per call and share it.
 """
 
 from __future__ import annotations
@@ -192,13 +199,6 @@ def divisors(n: int) -> tuple[int, ...]:
     return tuple(sorted(out))
 
 
-@lru_cache(maxsize=None)
-def _coprime_residues(n: int) -> tuple[int, ...]:
-    if n == 1:
-        return (0,)
-    return tuple(k for k in range(1, n) if math.gcd(k, n) == 1)
-
-
 # ---------------------------------------------------------------------------
 # power-basis reduction modulo the cyclotomic polynomial
 
@@ -256,21 +256,18 @@ def _reduction_rows(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
+def _root_trace(n: int, j: int) -> int:
+    """The trace of zeta_n^j from Q(zeta_n) down to Q: the Ramanujan sum
+    mu(n/g) * phi(n)/phi(n/g) with g = gcd(j, n)."""
+    m = n // math.gcd(j, n)
+    return mobius(m) * euler_phi(n) // euler_phi(m)
+
+
 @lru_cache(maxsize=None)
 def root_trace_table(n: int) -> tuple[int, ...]:
-    """Traces of zeta_n^j from Q(zeta_n) down to Q, for j = 0..n-1.
-
-    These are Ramanujan sums: mu(n/g) * phi(n)/phi(n/g) with g = gcd(j, n).
-    The identity is property-tested against the Galois-orbit trace; this
-    table exists because row construction in the constraint engine calls it
-    in a tight loop.
-    """
-    out = []
-    for j in range(n):
-        g = math.gcd(j, n) if j else n
-        m = n // g
-        out.append(mobius(m) * euler_phi(n) // euler_phi(m))
-    return tuple(out)
+    """The traces `_root_trace(n, j)` for j = 0..n-1, as one tuple: row
+    construction in the constraint engine reads them in a tight loop."""
+    return tuple(_root_trace(n, j) for j in range(n))
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +498,12 @@ def cyc_zero() -> CycValue:
 
 
 def cyc_rational(q: _RatLike) -> CycValue:
-    return CycValue(1, {0: q})
+    """q as a value of conductor 1, built directly: a rational is already
+    canonical once its coefficient is an int when integral."""
+    c = _norm(_coefficient(q))
+    out = object.__new__(CycValue)
+    out._n, out._c = 1, ({0: c} if c else {})
+    return out
 
 
 def root_of_unity(order: int, power: int = 1) -> CycValue:
@@ -516,6 +518,8 @@ def galois_apply(value: CycValue, k: int) -> CycValue:
     n = value.conductor
     if math.gcd(k, n) != 1:
         raise ValueError(f"k={k} is not coprime to the conductor {n}")
+    if k % n == 1 % n:  # the identity, and every k on a rational
+        return value
     # an automorphism maps every subfield of Q(zeta_N) onto itself, so the
     # image keeps the conductor N and only needs reducing on the power basis
     out = object.__new__(CycValue)
@@ -528,23 +532,16 @@ def rational_trace(value: CycValue, level: int | None = None) -> Rat:
 
     `level` defaults to the value's own conductor and must otherwise be a
     multiple of it; a value of conductor c sits in the degree-phi(level)
-    field, so its trace picks up a factor phi(level)/phi(c).
+    field, so its trace picks up a factor phi(level)/phi(c).  The trace is
+    taken term by term in closed form (`_root_trace`), not over the Galois
+    orbit, so it costs no more at a large conductor than at a small one.
     """
     n = value.conductor
     lv = n if level is None else int(level)
     if lv <= 0 or lv % n:
         raise ValueError(f"trace level {lv} is not a multiple of the conductor {n}")
-    if value.is_zero():
-        return Rat(0)
-    acc: dict[int, Coeff] = {}
-    for k in _coprime_residues(n):
-        for e, c in value._c.items():
-            e2 = e * k % n
-            acc[e2] = acc.get(e2, 0) + c
-    total = CycValue._canonical(n, acc)
-    if not total.is_rational():  # pragma: no cover - Galois sums are rational
-        raise AssertionError("orbit sum failed to be rational")
-    return total.as_rational() * (euler_phi(lv) // euler_phi(n))
+    total = sum(c * _root_trace(n, e) for e, c in value._c.items())
+    return Rat(total * (euler_phi(lv) // euler_phi(n)))
 
 
 def terms_at_level(value: CycValue, level: int) -> list[tuple[int, Coeff]]:
@@ -575,6 +572,13 @@ def _parse_ratio(term, num, den=1) -> Coeff:
 
 
 def parse_cyc(obj) -> CycValue:
+    return _parse_cyc(obj, {})
+
+
+def _parse_cyc(obj, memo: dict) -> CycValue:
+    """`parse_cyc`, sharing through `memo` the canonical form of each
+    (conductor, parsed terms) seen before.  Every term is parsed and
+    checked on every call; only the canonicalisation is shared."""
     if isinstance(obj, bool):
         raise TypeError("booleans are not cyclotomic values")
     if isinstance(obj, int):
@@ -598,7 +602,10 @@ def parse_cyc(obj) -> CycValue:
                 raise ValueError(f"malformed term {ent!r}")
             e = _int_field(ent, ent[0])
             raw[e] = raw.get(e, 0) + _parse_ratio(ent, *ent[1:])
-        return CycValue(n, raw)
+        key = (n, tuple(raw.items()))
+        if key not in memo:
+            memo[key] = CycValue(n, raw)
+        return memo[key]
     raise TypeError(f"cannot parse {obj!r} as a cyclotomic value")
 
 

@@ -202,11 +202,6 @@ def _power_maps(ps: Psl2Params, specs: list[_Spec], names) -> dict[_Spec, dict[i
 # character values
 
 
-def _torus_pair(order: int, expo: int) -> CycValue:
-    # zeta^e + zeta^-e; Counter gives coefficient 2 when 2e = 0 (mod order)
-    return CycValue(order, Counter((expo % order, -expo % order)))
-
-
 def _gauss_sum(p: int) -> CycValue:
     """Quadratic Gauss sum: sqrt(p) for p = 1 mod 4, sqrt(-p) for p = 3 mod 4."""
     total = CycValue(p, {a: 1 if pow(a, (p - 1) // 2, p) == 1 else -1 for a in range(1, p)})
@@ -222,8 +217,19 @@ def _sqrt_q(ps: Psl2Params) -> CycValue:
 
 
 def _characters(ps: Psl2Params, specs, names, include_brauer3) -> list[Character]:
+    """The characters of the table.  A torus value zeta^e + zeta^-e recurs
+    on many classes and characters, so each distinct one is canonicalised
+    once per call and shared."""
     q = ps.q
     A, B = ps.split_order, ps.nonsplit_order
+    pairs: dict[tuple[int, int], CycValue] = {}
+
+    def torus(order: int, expo: int) -> CycValue:
+        # zeta^e + zeta^-e; Counter gives coefficient 2 when 2e = 0 (mod order)
+        e = expo % order
+        if (order, e) not in pairs:
+            pairs[order, e] = CycValue(order, Counter((e, -e % order)))
+        return pairs[order, e]
 
     def build(name, degree, on_uni, on_split, on_nonsplit, characteristic=0):
         vals: dict[str, CycValue] = {}
@@ -269,7 +275,7 @@ def _characters(ps: Psl2Params, specs, names, include_brauer3) -> list[Character
                 f"chi_{i}",
                 q + 1,
                 lambda _x: uni_chi,
-                lambda l, i=i: _torus_pair(A, i * l),
+                lambda l, i=i: torus(A, i * l),
                 lambda m: 0,
             )
         )
@@ -280,7 +286,7 @@ def _characters(ps: Psl2Params, specs, names, include_brauer3) -> list[Character
                 q - 1,
                 lambda _x: uni_theta,
                 lambda l: 0,
-                lambda m, j=j: -_torus_pair(B, j * m),
+                lambda m, j=j: -torus(B, j * m),
             )
         )
 
@@ -311,8 +317,8 @@ def _characters(ps: Psl2Params, specs, names, include_brauer3) -> list[Character
 
     if include_brauer3:
         # the unipotent classes are p-singular: no Brauer value
-        chars.append(build("brauer3", 3, lambda _x: None, lambda l: 1 + _torus_pair(A, l),
-                           lambda m: 1 + _torus_pair(B, m), characteristic=ps.p))
+        chars.append(build("brauer3", 3, lambda _x: None, lambda l: 1 + torus(A, l),
+                           lambda m: 1 + torus(B, m), characteristic=ps.p))
     return chars
 
 

@@ -1,5 +1,6 @@
 """Character-table data model: parsing, validation, power maps, chains."""
 
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -20,7 +21,14 @@ from helixpq.chartab import (
     trivial_chain,
     validate,
 )
-from helixpq.cyclo import PRIME_BOUND, cyc_rational, cyc_zero, galois_apply, root_of_unity
+from helixpq.cyclo import (
+    PRIME_BOUND,
+    cyc_rational,
+    cyc_zero,
+    galois_apply,
+    parse_cyc,
+    root_of_unity,
+)
 from helixpq.psl2 import gen_table
 
 Z3 = {"conductor": 3, "terms": [[1, 1, 1]]}
@@ -226,24 +234,32 @@ def _corrupt(table, rng):
                                   table.completeness)
 
 
+def _acceptance_tables():
+    return [gen_table(fam, q) for fam in ("psl2", "pgl2")
+            for q in (4, 5, 7, 8, 9, 11, 13, 16, 25, 27, 32, 49)]
+
+
 def _differential_tables():
-    tables = [gen_table(fam, q) for fam in ("psl2", "pgl2")
-              for q in (4, 5, 7, 8, 9, 11, 13, 16, 25, 27, 32, 49)]
+    tables = _acceptance_tables()
     tables += [gen_table("pgl2", q, include_brauer3=True) for q in (5, 9, 16)]
     tables += [datasets.load_embedded(n) for n in datasets.list_embedded()]
     return tables
+
+
+def _seeded_corruptions(tables):
+    """1,200 seeded corruptions of the tables with at most 17 classes,
+    which keeps the runs short."""
+    rng = random.Random(20261019)
+    small = [t for t in tables if len(t.classes) <= 17]
+    return [_corrupt(rng.choice(small), rng) for _ in range(1200)]
 
 
 def test_validate_matches_the_two_pass_reference():
     tables = _differential_tables()
     for table in tables:
         assert _report(table) == _two_pass_validate(table), table.group_name
-    # corrupting only the tables with at most 17 classes keeps the run short
-    rng = random.Random(20261019)
-    small = [t for t in tables if len(t.classes) <= 17]
     outcomes = set()
-    for _ in range(1200):
-        table = _corrupt(rng.choice(small), rng)
+    for table in _seeded_corruptions(tables):
         got = _report(table)
         assert got == _two_pass_validate(table), (table.group_name, got)
         if "row-orthogonality" in got[1]:
@@ -303,6 +319,55 @@ def test_parse_table_rejects_truncated_or_undefined_terms():
             parse_table(bad)
 
 
+@pytest.mark.parametrize("term, detail", [
+    ([True, 1, 1], "term [True, 1, 1]: True is not an integer"),
+    ([1.0, 1, 1], "term [1.0, 1, 1]: 1.0 is not an integer"),
+    ([1, True, 1], "term [1, True, 1]: True is not an integer"),
+    ([1, 1.0, 1], "term [1, 1.0, 1]: 1.0 is not an integer"),
+    ([1, 1, True], "term [1, 1, True]: True is not an integer"),
+    ([1, 1, 1.0], "term [1, 1, 1.0]: 1.0 is not an integer"),
+    ([1, 1, 0], "term [1, 1, 0] has a zero denominator"),
+])
+def test_a_repeated_value_is_checked_again(term, detail):
+    # omega's value Z3 on 3a repeats as omega2's value on 3b, where one
+    # field is now bad; True and 1.0 equal 1, so a value shared by its
+    # unparsed terms would let them through.  The messages are the
+    # parser's from before values were shared.
+    good = parse_table(cyclic3_table())
+    first = good.character_by_name("omega").values["3a"]
+    assert good.character_by_name("omega2").values["3b"] is first
+    data = cyclic3_table()
+    data["characters"][2]["values"]["3b"] = {"conductor": 3, "terms": [term]}
+    with pytest.raises(TableError) as exc:
+        parse_table(data)
+    assert str(exc.value) == f"character 'omega2': bad value on class '3b': {detail}"
+
+
+def test_equal_terms_at_other_conductors_stay_apart():
+    data = cyclic3_table(completeness="partial")
+    # Z3's terms again, at conductors 5 and 7
+    data["characters"][0]["values"]["3a"] = {"conductor": 5, "terms": [[1, 1, 1]]}
+    data["characters"][0]["values"]["3b"] = {"conductor": 7, "terms": [[1, 1, 1]]}
+    table = parse_table(data)
+    triv = table.character_by_name("triv")
+    assert [triv.values[c] for c in ("3a", "3b")] == [root_of_unity(5), root_of_unity(7)]
+    assert table.character_by_name("omega").values["3a"] == root_of_unity(3)
+
+
+def test_parse_table_values_match_parse_cyc_one_by_one():
+    tables = _acceptance_tables()
+    tables += [datasets.load_embedded(n) for n in datasets.list_embedded()]
+    for table in tables:
+        data = render_table(table)
+        parsed = parse_table(data)
+        for obj, ch in zip(data["characters"], parsed.characters):
+            assert obj["values"].keys() == ch.values.keys()
+            for cname, raw in obj["values"].items():
+                got, want = ch.values[cname], parse_cyc(raw)
+                assert (got.conductor, got.terms) == (want.conductor, want.terms), (
+                    table.group_name, ch.name, cname)
+
+
 def _random_value(rng):
     n = rng.choice([1, 3, 4, 5, 7, 8, 9, 12, 15, 20])
     v = cyc_zero()
@@ -324,6 +389,54 @@ def test_pair_sum_matches_cyclotomic_arithmetic():
             want = want + w * a * galois_apply(b, -1)
         got = chartab._pair_sum(entries)
         assert (got.conductor, got.terms) == (want.conductor, want.terms), entries
+
+
+def test_pair_sum_matches_the_reference_on_every_row_pair():
+    # the reference is sum of w * a * conj(b) in CycValue arithmetic; each
+    # distinct value is kept once, so that ids can key its memos
+    canon, terms, pairs = {}, {}, {}
+
+    def reference(u, v, weights):
+        key = (tuple(map(id, u)), tuple(map(id, v)), weights)
+        total = pairs.get(key)
+        if total is None:
+            total = cyc_zero()
+            for a, b, w in zip(u, v, weights):
+                term = terms.get((id(a), id(b), w))
+                if term is None:
+                    term = terms[id(a), id(b), w] = w * a * galois_apply(b, -1)
+                if term:
+                    total = total + term
+            pairs[key] = total
+        return total
+
+    seen = set()
+    for table in _acceptance_tables() + _seeded_corruptions(_differential_tables()):
+        weights = tuple(c.size or 1 for c in table.classes)
+        rows = [[canon.setdefault(x, x)
+                 for x in (ch.values.get(c.name, cyc_zero()) for c in table.classes)]
+                for ch in table.characters]
+        for i, u in enumerate(rows):
+            seen.add((len({x.is_rational() for x in u}), all(x.is_integral() for x in u)))
+            for v in rows[i:]:
+                got = chartab._pair_sum(zip(u, v, weights))
+                want = reference(u, v, weights)
+                assert (got.conductor, got.terms) == (want.conductor, want.terms)
+    # rows mixing rational and irrational values occur, with and without
+    # Fraction values
+    assert {(2, True), (2, False)} <= seen
+
+
+def test_validate_reports_are_pinned():
+    # sha256 of every (ok, checks_run, problems) over the differential
+    # tables and their seeded corruptions, recorded before values were
+    # shared and rational terms summed apart
+    digest = hashlib.sha256()
+    tables = _differential_tables()
+    for table in tables + _seeded_corruptions(tables):
+        digest.update(json.dumps(_report(table)).encode())
+    assert digest.hexdigest() == (
+        "b18e5e0a5c6bb626a69e62ebf334c7e1973e0a1bedc86f7ced12892846c15e1c")
 
 
 def test_validate_flags_power_map_order_mismatch():

@@ -100,6 +100,66 @@ def test_root_trace_table_matches_two_independent_routes():
             assert tab[j] == direct == _ramanujan_formula(n, j), (n, j)
 
 
+def _orbit_trace(value, level=None):
+    """The reference trace: the sum of the value's Galois conjugates, over
+    every unit k below the conductor n, times phi(level)/phi(n)."""
+    import math
+
+    n = value.conductor
+    acc = {}
+    for k in range(n):
+        if math.gcd(k, n) == 1:  # k = 0 alone when n = 1
+            for e, c in value.terms.items():
+                acc[e * k % n] = acc.get(e * k % n, 0) + c
+    total = CycValue(n, acc)
+    assert total.is_rational()
+    lv = n if level is None else level
+    return total.as_rational() * (euler_phi(lv) // euler_phi(n))
+
+
+def test_rational_trace_matches_the_galois_orbit_sum():
+    rng = random.Random(21)
+    conductors = (1, 2, 3, 4, 5, 6, 7, 8, 9, 11, 12, 15, 16, 20, 21, 24, 30, 36, 45)
+    for n in conductors:
+        for _ in range(25):
+            v = CycValue(n, {rng.randrange(n): Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+                             for _ in range(rng.randint(0, 4))})
+            for mult in (1, 2, 3):
+                level = v.conductor * mult
+                got = rational_trace(v, level=level)
+                assert got == _orbit_trace(v, level), (v, level)
+                assert type(got) is Fraction
+
+
+def test_rational_trace_at_a_huge_conductor_is_immediate():
+    # the orbit sum walked every residue below 10**18 and did not end;
+    # mu(10**18) = 0 gives the trace of zeta term by term
+    assert rational_trace(CycValue(10**18, {1: 1})) == 0
+    assert rational_trace(CycValue(10**18, {0: 3}), level=10**18) == 3 * euler_phi(10**18)
+
+
+@pytest.mark.parametrize("q", [0, 3, -2, Fraction(4, 2), Fraction(1, 2), True])
+def test_cyc_rational_matches_the_constructor(q):
+    fast, slow = cyc_rational(q), CycValue(1, {0: q})
+    assert (fast.conductor, fast._c) == (slow.conductor, slow._c)
+    assert [type(c) for c in fast._c.values()] == [type(c) for c in slow._c.values()]
+
+
+def test_galois_fast_paths_return_the_value_itself():
+    with pytest.raises(TypeError, match="float"):
+        cyc_rational(1.5)
+    for q in (0, 5, Fraction(-7, 3)):
+        v = cyc_rational(q)
+        for k in (-1, 1, 2, 7, 10**20):
+            assert galois_apply(v, k) is v
+    for n, e in ((3, 1), (5, 2), (12, 5), (45, 7)):
+        v = root_of_unity(n, e) + cyc_rational(Fraction(1, 2))
+        for k in (1, n + 1, 1 - n, 5 * n + 1):
+            assert galois_apply(v, k) is v
+    with pytest.raises(ValueError, match="not coprime"):
+        galois_apply(root_of_unity(6), 3)
+
+
 def test_root_trace_table_smallest_cases():
     assert root_trace_table(1) == (1,)
     assert root_trace_table(2) == (1, -1)
