@@ -7,16 +7,20 @@ A `Polyhedron` is given by integer rows:
 * congruences   (a, c, m):  a.x + c == 0  (mod m)
 
 `variable_bounds` computes, for each coordinate, exact rational extrema of
-the linear relaxation (ignoring congruences) with a two-phase primal simplex
-using Bland's rule, so it terminates and certifies unboundedness with an
-explicit recession direction.  The tableau is condensed (dictionary form):
-it keeps only the nonbasic columns, one per free variable x = u - v while u
-and v are both nonbasic.  It is fraction-free (Edmonds' integer-preserving
-elimination): integer entries over one common denominator, the basis
-determinant, so only the returned bounds are `Fraction`s.  It builds one
-tableau and runs one phase 1 per polyhedron; the 2*dim objectives (max and
-min of each coordinate) are then warm-started, each from the basis the
-previous one left.
+the linear relaxation (ignoring congruences).  The equalities are
+substituted out first, fraction-free, each on its variable of least
+|coefficient|, so each coordinate becomes an affine function (w.y + t) / den
+of the kept variables y.  A two-phase primal simplex using Bland's rule then
+bounds those functions over the reduced inequalities, so it terminates and
+certifies unboundedness with an explicit recession direction, lifted back
+to x; when the equalities fix every coordinate no simplex runs.  The
+tableau is condensed (dictionary form): it keeps only the nonbasic columns,
+one per free variable y = u - v while u and v are both nonbasic.  It is
+fraction-free (Edmonds' integer-preserving elimination): integer entries
+over one common denominator, the basis determinant, so only the returned
+bounds are `Fraction`s.  It builds one tableau and runs one phase 1 per
+polyhedron; the objectives (max and min of each coordinate that is not
+fixed) are then warm-started, each from the basis the previous one left.
 
 `enumerate_integer_points` returns all integer solutions, or reports an
 infinite family (with an integer ray along which solutions repeat: the ray is
@@ -24,8 +28,9 @@ a recession direction of the inequalities, annihilated by the equalities and
 scaled by the lcm of the congruence moduli so that stepping by it preserves
 every congruence), or gives up honestly at a cap.  Once the rows are tidied,
 each equality a.x + c == 0 is split into the inequalities a.x + c >= 0 and
--a.x - c >= 0, the pair that the LP's standard form writes for it, so the
-bounds and the search below see a single row kind.  The main structural
+-a.x - c >= 0, placed after all the others, so the search below sees a
+single row kind; the bounds find the equalities there as the trailing pairs
+of opposite rows and substitute them out.  The main structural
 move: columns that agree in every row are aggregated (the difference of two
 such variables is never constrained), which removes the lineality space that
 aggregate-style constraint systems produce; after that the enumeration is a
@@ -112,8 +117,11 @@ class Polyhedron:
 
 def _int_row(kind, row):
     """The row with int entries; ValueError when one is not an integer (a
-    float is not, as in `cyclo.parse_cyc`)."""
+    float is not, as in `cyclo.parse_cyc`).  A tuple row of plain ints, as
+    the engine builds them, is returned as it is."""
     a, *rest = row
+    if type(row) is tuple and type(a) is tuple and all(type(x) is int for x in (*a, *rest)):
+        return row
     if not all(isinstance(x, numbers.Rational) and x.denominator == 1 for x in (*a, *rest)):
         raise ValueError(f"{kind} row {row!r} has a non-integer entry")
     return (tuple(map(int, a)), *map(int, rest))
@@ -295,18 +303,9 @@ def _tidy(poly: Polyhedron):
     is the gcd of two moduli present (one modulus with itself included, so
     g = m).
     """
-    best: dict = {}  # key -> (c, g, row); the tightest has the least c/g
-    for a, c in poly.ineqs:
-        if not any(a):
-            if c < 0:
-                return False, [], []
-            continue
-        g = math.gcd(*a)
-        key = tuple(x // g for x in a)
-        cur = best.get(key)
-        if cur is None or c * cur[1] < cur[0] * g:
-            best[key] = (c, g, (a, c))
-    ineqs = [row for _, _, row in best.values()]
+    ineqs = _tightest(poly.ineqs)
+    if ineqs is None:
+        return False, [], []
 
     eqs: dict = {}  # key -> the first equality with that key
     for a, c in poly.eqs:
@@ -348,6 +347,24 @@ def _tidy(poly: Polyhedron):
     return True, _inequalities(ineqs, eqs.values()), congs
 
 
+def _tightest(ineqs):
+    """The inequalities with each set of proportional coefficient vectors
+    merged into its tightest row, in the order of first occurrence, and the
+    zero rows dropped; None when a zero row reads c >= 0 with c < 0."""
+    best: dict = {}  # key -> (c, g, row); the tightest has the least c/g
+    for a, c in ineqs:
+        if not any(a):
+            if c < 0:
+                return None
+            continue
+        g = math.gcd(*a)
+        key = tuple(x // g for x in a)
+        cur = best.get(key)
+        if cur is None or c * cur[1] < cur[0] * g:
+            best[key] = (c, g, (a, c))
+    return [row for _, _, row in best.values()]
+
+
 def _inequalities(ineqs, eqs):
     """The inequalities, then each equality a.x + c == 0 as the pair a.x + c
     >= 0, -a.x - c >= 0."""
@@ -357,9 +374,22 @@ def _inequalities(ineqs, eqs):
     return out
 
 
+def _equality_pairs(ineqs):
+    """The equalities among the last rows: the pairs of opposite rows that
+    `_inequalities` puts last, as (the first row's index, its
+    coefficients), the last pair first."""
+    pairs = []
+    r = len(ineqs) - 2
+    while r >= 0 and ineqs[r + 1] == (tuple(-x for x in ineqs[r][0]), -ineqs[r][1]):
+        pairs.append((r, ineqs[r][0]))
+        r -= 2
+    return pairs
+
+
 def variable_bounds(poly: Polyhedron) -> Bounds:
-    """Exact rational extrema of each coordinate over the linear relaxation."""
-    bounds = _bounds_raw(poly.dim, _inequalities(poly.ineqs, poly.eqs))
+    """Exact rational extrema of each coordinate over the linear relaxation,
+    with the equalities substituted out before the simplex (`_bounds`)."""
+    bounds = _bounds(poly.dim, _inequalities(poly.ineqs, poly.eqs))
     if bounds == "infeasible":
         return Bounds("infeasible", [], [])
     lower, upper, _ = bounds
@@ -450,13 +480,7 @@ def _dfs_enumerate(dim, ineqs, congs, lo, hi, cap, budget: _Budget):
         supp = {j for j, x in enumerate(a) if x % m}
         for j in supp:
             cocc[j].append((supp, a, c, m))
-    # the equalities: the pairs of opposite rows that `_inequalities` puts
-    # last, as (the first row's index, its coefficients)
-    pairs = []
-    r = len(ineqs) - 2
-    while r >= 0 and ineqs[r + 1] == (tuple(-x for x in ineqs[r][0]), -ineqs[r][1]):
-        pairs.append((r, ineqs[r][0]))
-        r -= 2
+    pairs = _equality_pairs(ineqs)
     points: list[tuple[int, ...]] = []
 
     def shift(j, dl, dh, mn, mx, state):
@@ -708,7 +732,7 @@ def enumerate_integer_points(poly: Polyhedron, cap: int | None = None) -> Enumer
     pineqs, pcongs = _project(groups, ineqs, congs)
     k = len(groups)
 
-    bounds = _bounds_raw(k, pineqs)
+    bounds = _bounds(k, pineqs)
     if bounds == "infeasible":
         return EnumerationResult("finite", [])
     lo, hi, ray = bounds
@@ -756,30 +780,115 @@ def enumerate_integer_points(poly: Polyhedron, cap: int | None = None) -> Enumer
     return EnumerationResult("finite", sorted(pts))
 
 
-def _bounds_raw(dim, ineqs):
-    """Bounds for the already-tidied system; returns 'infeasible' or
-    (lo list, hi list, ray-or-None): lo/hi entries None when unbounded.
+def _bounds_raw(dim, ineqs, coords=None):
+    """The simplex core: bounds over the system {a.x + c >= 0} as it is
+    written, equalities and all (`_bounds` substitutes them out first);
+    returns 'infeasible' or (lo list, hi list, ray-or-None): lo/hi entries
+    None when unbounded, and ray a primitive x-direction along which the
+    first unbounded objective grows.
 
-    All 2*dim objectives run on one feasible tableau, each starting from the
+    The bounds are the extrema of the affine functions (w.x + t) / den
+    listed in coords, by default each coordinate x_i; one with w = 0 is the
+    constant t / den and takes no simplex.  All the objectives, max then min
+    of each function, run on one feasible tableau, each starting from the
     basis the previous one left, which stays feasible.
     """
     tab = _feasible_tableau(dim, ineqs)
     if tab is None:
         return "infeasible"
     rows, basis, slots, d = tab
+    if coords is None:
+        coords = [(tuple(int(i == j) for j in range(dim)), 0, 1) for i in range(dim)]
     lo: list[Optional[Rat]] = []
     hi: list[Optional[Rat]] = []
     ray = None
-    for i in range(dim):
+    for w, t, den in coords:
+        if not any(w):
+            lo.append(Rat(t, den))
+            hi.append(Rat(t, den))
+            continue
         for sgn, out in ((1, hi), (-1, lo)):
-            obj = _price(rows, basis, slots, d, {i: sgn, dim + i: -sgn})
+            cost = {}
+            for j, x in enumerate(w):
+                if x:
+                    cost[j], cost[dim + j] = sgn * x, -sgn * x
+            obj = _price(rows, basis, slots, d, cost)
             d, k = _run_simplex(rows, obj, basis, slots, d, dim)
             if k is None:
-                out.append(Rat(sgn * obj[-1], d))
+                out.append(Rat(sgn * obj[-1] + t * d, d * den))
             else:
                 out.append(None)
                 ray = ray or _ray(rows, basis, slots, d, k, dim)
     return lo, hi, ray
+
+
+def _bounds(dim, ineqs):
+    """`_bounds_raw(dim, ineqs)` with the equalities substituted out first:
+    'infeasible' or (lo, hi, ray), with the same lo and hi.
+
+    The equalities are the trailing pairs of opposite rows
+    (`_equality_pairs`).  Each e.x + c == 0 in turn is solved for the
+    variable x_p with the least nonzero |e_p| (the lowest p on ties), and
+    x_p is put into the other rows fraction-free (`_substitute`).  An
+    equality that reduces to 0 == c with c != 0, or an inequality that
+    reduces to a negative constant, makes the system infeasible.  Each
+    coordinate is tracked as an affine function (w.y + t) / den of the
+    kept variables y, and the simplex runs once, on the reduced rows in y,
+    for the extrema of those functions; when every coordinate is fixed, no
+    simplex runs.  The extrema of a coordinate over a polyhedron do not
+    depend on how it is written, so only the ray may differ from
+    `_bounds_raw`'s: one found in y is lifted to x and made primitive.
+    """
+    pairs = _equality_pairs(ineqs)
+    rows = ineqs[:len(ineqs) - 2 * len(pairs)]
+    eqs = [ineqs[r] for r, _ in pairs]
+    coords = [(tuple(int(i == j) for j in range(dim)), 0, 1) for i in range(dim)]
+    kept = set(range(dim))
+    while eqs:
+        e, c = eqs.pop()
+        if not any(e):
+            if c:
+                return "infeasible"
+            continue
+        p = min((abs(x), j) for j, x in enumerate(e) if x)[1]
+        kept.remove(p)
+        eqs = _substitute(eqs, e, c, p)
+        rows = _substitute(rows, e, c, p)
+        coords = _substitute(coords, e, c, p)
+    kept = sorted(kept)
+    reduced = _tightest([(tuple(a[j] for j in kept), c) for a, c in rows])
+    if reduced is None:
+        return "infeasible"
+    coords = [(tuple(w[j] for j in kept), t, den) for w, t, den in coords]
+    bounds = _bounds_raw(len(kept), reduced, coords)
+    if bounds == "infeasible" or bounds[2] is None:
+        return bounds
+    lo, hi, ray = bounds
+    # x_i moves by w.ray / den along the ray: scaled by the lcm of the dens
+    scale = math.lcm(*(den for _, _, den in coords))
+    lifted = [sum(map(mul, w, ray)) * (scale // den) for w, _, den in coords]
+    g = math.gcd(*lifted)
+    return lo, hi, tuple(x // g for x in lifted)
+
+
+def _substitute(rows, e, c, p):
+    """The rows (a, b, *rest) with x_p put in from e.x + c == 0: a row with
+    a_p != 0 becomes |e_p| times itself less a_p*sign(e_p) times (e, c, 0,
+    ...), so a_p becomes 0, an inequality a.x + b >= 0 keeps its direction
+    and a trailing denominator is scaled by |e_p|; then it is divided by the
+    gcd of its entries."""
+    f = abs(e[p])
+    out = []
+    for a, b, *rest in rows:
+        s = a[p] if e[p] > 0 else -a[p]
+        if s:
+            a = [f * x - s * y for x, y in zip(a, e)]
+            b = f * b - s * c
+            rest = [f * x for x in rest]
+            g = math.gcd(*a, b, *rest) or 1
+            a, b, rest = tuple(x // g for x in a), b // g, [x // g for x in rest]
+        out.append((a, b, *rest))
+    return out
 
 
 # ---------------------------------------------------------------------------

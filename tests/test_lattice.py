@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import json
+import math
 import random
 from fractions import Fraction
 from operator import mul
@@ -21,6 +22,7 @@ from helixpq.lattice import (
     oracle_enumerate,
     variable_bounds,
 )
+from helixpq.pq import pq_check
 from helixpq.psl2 import gen_table
 
 
@@ -90,7 +92,8 @@ def test_rational_equality_without_integer_solution():
 
 
 def test_degenerate_zero_rows_are_feasibility_checks():
-    # variable_bounds hands zero rows to the simplex untidied
+    # variable_bounds gets zero rows untidied; its presolve reads them as
+    # constants, and a zero equality pair as 0 == c
     sat = Polyhedron(dim=1, ineqs=[((0,), 3), ((1,), 0), ((-1,), 2)],
                      eqs=[((0,), 0)], congruences=[((0,), 0, 5)])
     assert enumerate_integer_points(sat).points == [(0,), (1,), (2,)]
@@ -222,12 +225,17 @@ def test_oracle_box_mismatch_rejected():
     {"ineqs": [((2.0,), 1)]},
     {"eqs": [((float("nan"),), 0)]},
     {"ineqs": [((1,), float("inf"))]},
+    # a float among plain ints misses the fast path for int rows
+    {"eqs": [((1,), 3.0)]},
 ])
 def test_non_integer_rows_are_rejected(rows):
     with pytest.raises(ValueError, match="row .* non-integer entry"):
         Polyhedron(dim=1, **rows)
-    # an integral Fraction is read as an int
-    assert Polyhedron(dim=1, ineqs=[((2,), Fraction(-4, 2))]).ineqs == [((2,), -2)]
+    # an integral Fraction and a bool are read as ints
+    poly = Polyhedron(dim=1, ineqs=[((2,), Fraction(-4, 2))],
+                      eqs=[((Fraction(4, 2),), True)])
+    assert poly.ineqs == [((2,), -2)] and poly.eqs == [((2,), 1)]
+    assert all(type(x) is int for a, c in poly.ineqs + poly.eqs for x in (*a, c))
 
 
 def test_negative_cap_is_rejected():
@@ -606,7 +614,9 @@ def test_variable_bounds_with_large_coefficients_match_vertex_enumeration():
 
 def test_redundant_equalities_drive_an_artificial_out(monkeypatch):
     # x + y = 2, x - y = 0, x = 1: phase 1 ends with an artificial basic at
-    # zero, and driving it out pivots on a negative entry
+    # zero, and driving it out pivots on a negative entry.  The simplex core
+    # sees the equalities as pairs; variable_bounds substitutes all three out
+    # and pivots on none
     seen = []
     pivot = lattice._pivot
 
@@ -615,11 +625,12 @@ def test_redundant_equalities_drive_an_artificial_out(monkeypatch):
         return pivot(rows, obj, basis, slots, d, r, k)
 
     monkeypatch.setattr(lattice, "_pivot", spy)
-    poly = Polyhedron(dim=2, eqs=[((1, 1), -2), ((1, -1), 0), ((1, 0), -1)])
-    got = variable_bounds(poly)
-    assert got.status == "ok"
-    assert got.lower == got.upper == [Fraction(1), Fraction(1)]
-    assert all(type(b) is Fraction for b in got.lower + got.upper)
+    eqs = [((1, 1), -2), ((1, -1), 0), ((1, 0), -1)]
+    got = lattice._bounds_raw(2, lattice._inequalities([], eqs))
+    assert got != "infeasible"
+    lower, upper, _ = got
+    assert lower == upper == [Fraction(1), Fraction(1)]
+    assert all(type(b) is Fraction for b in lower + upper)
     assert min(seen) < 0
 
 
@@ -670,3 +681,116 @@ def test_bounds_and_pivot_count_are_pinned(monkeypatch):
     assert len(calls) == 8617
     assert digest.hexdigest() == (
         "2f5130a73e7d6a4220e32f8636dbaab3036b579d84303c2578b1cc4501dbd357")
+
+
+# --- the presolve: bounds with the equalities substituted out ----------------
+# `_bounds` must give what the simplex core gives on the unreduced rows: the
+# extrema of a coordinate do not depend on how the polyhedron is written.
+
+
+def _check_presolved(dim, ineqs):
+    """`_bounds` against `_bounds_raw` on the same rows: the same (lo, hi) or
+    "infeasible", and a ray exactly when the core has one; a lifted ray is a
+    nonzero primitive integer recession direction of the rows, annihilated
+    by the equalities.  Returns the presolved result."""
+    want = lattice._bounds_raw(dim, ineqs)
+    got = lattice._bounds(dim, ineqs)
+    if want == "infeasible":
+        assert got == "infeasible", (dim, ineqs)
+        return got
+    assert got != "infeasible", (dim, ineqs)
+    assert got[:2] == want[:2], (dim, ineqs)
+    ray = got[2]
+    assert (ray is None) == (want[2] is None), (dim, ineqs)
+    if ray is not None:
+        assert len(ray) == dim and all(type(x) is int for x in ray)
+        assert any(ray) and math.gcd(*ray) == 1, (dim, ineqs, ray)
+        assert all(sum(map(mul, a, ray)) >= 0 for a, _ in ineqs), (dim, ineqs, ray)
+        for _, a in lattice._equality_pairs(ineqs):
+            assert sum(map(mul, a, ray)) == 0, (dim, ineqs, ray)
+    return got
+
+
+@pytest.mark.parametrize("seed", [20261019, 1])
+def test_presolved_bounds_match_the_core_on_random_systems(seed):
+    kinds = set()
+    for dim, ineqs, eqs in _random_lp_systems(seed, 600):
+        got = _check_presolved(dim, lattice._inequalities(ineqs, eqs))
+        kinds.add("infeasible" if got == "infeasible" else
+                  "unbounded" if got[2] else "bounded")
+    assert kinds == {"infeasible", "unbounded", "bounded"}
+
+
+# the tables of the benchmark's `screen` workload
+SCREEN_TABLES = [("psl2", q) for q in (5, 7, 8, 9, 11, 16)] + [
+    ("pgl2", q) for q in (7, 9, 11, 13, 16)]
+
+
+def test_presolved_bounds_match_the_core_on_screen_systems(monkeypatch):
+    # every LP that enumerate_integer_points bounds while pq_check screens
+    # the 11 tables: the tidied, projected rows, equalities last
+    seen = []
+    presolved = lattice._bounds
+
+    def spy(dim, ineqs):
+        seen.append((dim, ineqs))
+        return presolved(dim, ineqs)
+
+    monkeypatch.setattr(lattice, "_bounds", spy)
+    for family, q in SCREEN_TABLES:
+        pq_check(gen_table(family, q))
+    monkeypatch.undo()
+    assert len(seen) > 100
+    for dim, ineqs in seen:
+        assert lattice._equality_pairs(ineqs), (dim, ineqs)
+        _check_presolved(dim, ineqs)
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    fn = getattr(lattice, name)
+
+    def spy(*args):
+        calls.append(1)
+        return fn(*args)
+
+    monkeypatch.setattr(lattice, name, spy)
+    return calls
+
+
+def test_presolve_substitutes_on_a_non_unit_coefficient():
+    # 2x + 3y = 7 in the box |x|, |y| <= 5: x = (7 - 3y)/2 is substituted
+    # out, and x <= 5 cuts y to [-1, 5]
+    box = [((1, 0), 5), ((-1, 0), 5), ((0, 1), 5), ((0, -1), 5)]
+    ineqs = lattice._inequalities(box, [((2, 3), -7)])
+    got = _check_presolved(2, ineqs)
+    assert got == ([Fraction(-4), Fraction(-1)], [Fraction(5), Fraction(5)], None)
+    poly = Polyhedron(dim=2, ineqs=box, eqs=[((2, 3), -7)])
+    assert variable_bounds(poly) == Bounds("ok", [-4, -1], [5, 5])
+    assert enumerate_integer_points(poly).points == [(-4, 5), (-1, 3), (2, 1), (5, -1)]
+
+
+def test_presolve_runs_no_simplex_when_the_equalities_fix_every_coordinate(monkeypatch):
+    runs = _count_calls(monkeypatch, "_run_simplex")
+    pivots = _count_calls(monkeypatch, "_pivot")
+    eqs = [((1, 1), -2), ((1, -1), 0)]
+    # x = y = 1, and x >= 0 reduces to the constant 1 >= 0
+    ineqs = lattice._inequalities([((1, 0), 0)], eqs)
+    got = lattice._bounds(2, ineqs)
+    assert got == ([Fraction(1), Fraction(1)], [Fraction(1), Fraction(1)], None)
+    assert all(type(b) is Fraction for b in got[0] + got[1])
+    # x >= 2 reduces to the constant -1 >= 0
+    assert lattice._bounds(2, lattice._inequalities([((1, 0), -2)], eqs)) == "infeasible"
+    assert runs == [] and pivots == []
+    assert _check_presolved(2, ineqs) == got
+
+
+def test_presolve_finds_an_equality_that_reduces_to_a_nonzero_constant(monkeypatch):
+    # x + y = 1 and 2x + 2y = 4: the second reduces to 0 = 2
+    runs = _count_calls(monkeypatch, "_run_simplex")
+    ineqs = lattice._inequalities([((1, 0), 0)], [((1, 1), -1), ((2, 2), -4)])
+    assert lattice._bounds(2, ineqs) == "infeasible"
+    assert runs == []
+    assert lattice._bounds_raw(2, ineqs) == "infeasible"
+    poly = Polyhedron(dim=2, eqs=[((1, 1), -1), ((2, 2), -4)])
+    assert variable_bounds(poly).status == "infeasible"

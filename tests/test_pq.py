@@ -1,5 +1,6 @@
 """Prime-graph screening: graphs, pair outcomes, verdicts, monotonicity."""
 
+import hashlib
 import json
 
 import pytest
@@ -226,6 +227,33 @@ def test_missing_edges_agree_under_both_strategies(force_strategy, family, q):
     assert list(map(outcome, pairs[False])) == list(map(outcome, pairs[True]))
     # at most 2 chains per pair here, so the samples hold every chain
     assert all(r.count == len(r.sample) for r in pairs[False])
+
+
+# sha256 of `helixpq pq --table gen:FAMILY:Q --format json`, recorded before
+# the LP bounds substituted the equalities out: a change to the LP or the
+# DFS shows here as soon as it moves an output byte
+SCREEN_JSON_SHA256 = {
+    "psl2:5": "b295d82e7f947b6a14c7aee9d1eca9bd8bbfc2736c2d6b7c0eb716ad879b7bd3",
+    "psl2:7": "191b41d2abca791ec63da17fd916b18b378c136ff19e14d0b52d0c35a6bf44f8",
+    "psl2:8": "f98fa9949db60eb6084773c1a3121f863291f8e85e17157cc323354924779fc1",
+    "psl2:9": "c489430d76cab5a1e9a663fa773e6da0dd9512d26dc2d5647028ef84a3c55f5d",
+    "psl2:11": "014775361bda5ea1f073566a1bb3ba479a515f0f305bceeaa172d822ad959cfb",
+    "psl2:16": "b0d25611766fa95fea893eeacc3a8e1d4511562263da1425081d39d97ab8cb8f",
+    "pgl2:7": "335988b680128229db62046fc2420a0befd3859544985c47c4a413519364fcf9",
+    "pgl2:9": "b777929461d573ae48a0225c9f151ab48a8b4d670110dfbbeff91dc8d582b774",
+    "pgl2:11": "26f9293403ca5bc31700663c75895fb6ab5ae042fa787256ff9d9f814c673b47",
+    "pgl2:13": "68fc579c8e7dbc94ee53db03b05c56367e36961832da531cd5e5d7a90d9c4429",
+    "pgl2:16": "4fdfb22d424c85d7f40031a3bc9813083352242cba02b82b0c6fb97d5165a877",
+}
+
+
+@pytest.mark.parametrize("family, q", SCREEN_TABLES,
+                         ids=[f"{f}:{q}" for f, q in SCREEN_TABLES])
+def test_pq_json_is_pinned(family, q):
+    report = pq_check(gen_table(family, q))
+    blob = json.dumps(report_to_dict(report), indent=1, sort_keys=True)
+    want = SCREEN_JSON_SHA256[f"{family}:{q}"]
+    assert hashlib.sha256(blob.encode()).hexdigest() == want
 
 
 @pytest.mark.parametrize("q, open_pairs", [
