@@ -164,8 +164,10 @@ def _cmd_solve(args) -> int:
     table = _load_table(args.table)
     chars = _select_chars(table, args.chars)
     cap = _default_cap(args)
-    if args.s_constant:
+    if args.s_constant is not None:
         s = args.s_constant
+        if s < 1:
+            raise TableError(f"--s-constant {s} is not a positive integer")
         if args.order % s:
             raise TableError(f"--s-constant {s} does not divide order {args.order}")
         t = args.order // s
@@ -205,7 +207,7 @@ def _cmd_verify(args) -> int:
     lines = []
     all_ok = True
     for chain in chains:
-        if args.order and args.order != chain.unit_order:
+        if args.order is not None and args.order != chain.unit_order:
             raise TableError(
                 f"--order {args.order} does not match the chain's unit order "
                 f"{chain.unit_order}"
@@ -236,7 +238,7 @@ def _cmd_pq(args) -> int:
     table = _load_table(args.table)
     chars = None if args.chars in (None, "all") else _select_chars(table, args.chars)
     pairs = None
-    if args.pairs:
+    if args.pairs is not None:
         pairs = [_parse_pair(chunk) for chunk in args.pairs.split(";") if chunk.strip()]
     report = pqmod.pq_check(
         table, chars,

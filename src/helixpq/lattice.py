@@ -26,15 +26,15 @@ fixed) are then warm-started, each from the basis the previous one left.
 infinite family (with an integer ray along which solutions repeat: the ray is
 a recession direction of the inequalities, annihilated by the equalities and
 scaled by the lcm of the congruence moduli so that stepping by it preserves
-every congruence), or gives up honestly at a cap.  Once the rows are tidied,
-each equality a.x + c == 0 is split into the inequalities a.x + c >= 0 and
--a.x - c >= 0, placed after all the others, so the search below sees a
-single row kind; the bounds find the equalities there as the trailing pairs
-of opposite rows and substitute them out.  The main structural
-move: columns that agree in every row are aggregated (the difference of two
-such variables is never constrained), which removes the lineality space that
-aggregate-style constraint systems produce; after that the enumeration is a
-depth-first interval-propagation search, exact in integers throughout.  It
+every congruence), or gives up honestly at a cap.  The tidied equalities
+stay a list of their own, which the bounds substitute out; only the search
+splits each a.x + c == 0 into the inequalities a.x + c >= 0 and -a.x - c
+>= 0, placed after all the others, so that it sees a single row kind.  The
+main structural move: columns that agree in every row are aggregated (the
+difference of two such variables is never constrained), which removes the
+lineality space that aggregate-style constraint systems produce; after that
+the enumeration is a depth-first
+interval-propagation search, exact in integers throughout.  It
 searches the integer box (lo, hi): the LP bounds rounded once (None on an
 unbounded side, clipped to each probe window); a branch pins one variable,
 and congruences read pinned values off lo.  Each row is split once into its
@@ -291,31 +291,30 @@ def _ray(rows, basis, slots, d, k, dim):
 def _tidy(poly: Polyhedron):
     """Deduplicate/merge rows; detect trivial integer infeasibility.
 
-    Returns (feasible, ineqs, congs).  Inequalities with proportional
+    Returns (feasible, ineqs, eqs, congs).  Inequalities with proportional
     coefficient vectors keep only the tightest constant; zero-coefficient
     rows become pure feasibility checks, and an equality whose coefficient
-    gcd does not divide its constant has no integer point; each kept
-    equality a.x + c == 0 becomes the inequalities (a, c) and (-a, -c),
-    placed after all the others.  Congruence rows are reduced mod m, and
-    one whose constant is not divisible by the gcd of m and its
-    coefficients has no integer point; two whose left-hand sides agree
-    modulo g must agree in their constants modulo g, for each g > 1 that
-    is the gcd of two moduli present (one modulus with itself included, so
-    g = m).
+    gcd does not divide its constant has no integer point; of equalities
+    that are multiples of one another the first is kept.  Congruence rows
+    are reduced mod m, and one whose constant is not divisible by the gcd of
+    m and its coefficients has no integer point; two whose left-hand sides
+    agree modulo g must agree in their constants modulo g, for each g > 1
+    that is the gcd of two moduli present (one modulus with itself included,
+    so g = m).
     """
     ineqs = _tightest(poly.ineqs)
     if ineqs is None:
-        return False, [], []
+        return False, [], [], []
 
     eqs: dict = {}  # key -> the first equality with that key
     for a, c in poly.eqs:
         if not any(a):
             if c != 0:
-                return False, [], []
+                return False, [], [], []
             continue
         g = math.gcd(*a)
         if c % g:
-            return False, [], []
+            return False, [], [], []
         if next(x for x in a if x) < 0:
             g = -g
         eqs.setdefault((tuple(x // g for x in a), c // g), (a, c))
@@ -329,7 +328,7 @@ def _tidy(poly: Polyhedron):
         rc = c % m
         # a.x takes exactly the multiples of gcd(m, a) modulo m
         if rc % math.gcd(m, *ra):
-            return False, [], []
+            return False, [], [], []
         if not any(ra):
             continue
         if (ra, rc, m) not in seenc:
@@ -343,8 +342,8 @@ def _tidy(poly: Polyhedron):
             if m % g == 0:
                 key = tuple(x % g for x in a)
                 if residues.setdefault(key, c % g) != c % g:
-                    return False, [], []
-    return True, _inequalities(ineqs, eqs.values()), congs
+                    return False, [], [], []
+    return True, ineqs, list(eqs.values()), congs
 
 
 def _tightest(ineqs):
@@ -374,22 +373,10 @@ def _inequalities(ineqs, eqs):
     return out
 
 
-def _equality_pairs(ineqs):
-    """The equalities among the last rows: the pairs of opposite rows that
-    `_inequalities` puts last, as (the first row's index, its
-    coefficients), the last pair first."""
-    pairs = []
-    r = len(ineqs) - 2
-    while r >= 0 and ineqs[r + 1] == (tuple(-x for x in ineqs[r][0]), -ineqs[r][1]):
-        pairs.append((r, ineqs[r][0]))
-        r -= 2
-    return pairs
-
-
 def variable_bounds(poly: Polyhedron) -> Bounds:
     """Exact rational extrema of each coordinate over the linear relaxation,
     with the equalities substituted out before the simplex (`_bounds`)."""
-    bounds = _bounds(poly.dim, _inequalities(poly.ineqs, poly.eqs))
+    bounds = _bounds(poly.dim, poly.ineqs, poly.eqs)
     if bounds == "infeasible":
         return Bounds("infeasible", [], [])
     lower, upper, _ = bounds
@@ -411,18 +398,19 @@ class _Budget:
         self.nodes = 0
 
 
-def _dfs_enumerate(dim, ineqs, congs, lo, hi, cap, budget: _Budget):
+def _dfs_enumerate(dim, ineqs, eqs, congs, lo, hi, cap, budget: _Budget):
     """All integer points in the box satisfying all rows.
 
-    A branch pins one variable (lo_j == hi_j).  A row a.x + c >= 0 is held
-    as (pos, neg, c) with pos the pairs (j, a_j) for a_j > 0 and neg the
-    pairs (j, -a_j) for a_j < 0, so propagation touches no zero entry.
-    Besides the box, a node owns two row activities, mn[r] and mx[r] (the
-    minimum and maximum of a_r.x + c_r over the box), and a row state,
-    clean, dirty or retired.  The activities are summed only at the root;
-    after that, a move of a bound of x_j shifts them through the occurrence
-    index occ[j], the pairs (r, a_j) with a_j != 0 split by sign, and marks
-    those rows dirty.
+    The rows are the inequalities, then each equality as its pair of
+    opposite rows (`_inequalities`).  A branch pins one variable (lo_j ==
+    hi_j).  A row a.x + c >= 0 is held as (pos, neg, c) with pos the pairs
+    (j, a_j) for a_j > 0 and neg the pairs (j, -a_j) for a_j < 0, so
+    propagation touches no zero entry.  Besides the box, a node owns two row
+    activities, mn[r] and mx[r] (the minimum and maximum of a_r.x + c_r over
+    the box), and a row state, clean, dirty or retired.  The activities are
+    summed only at the root; after that, a move of a bound of x_j shifts
+    them through the occurrence index occ[j], the pairs (r, a_j) with a_j !=
+    0 split by sign, and marks those rows dirty.
 
     A node tightens the box by up to 4 Gauss-Seidel passes over the rows in
     index order; each row cuts with the activities read as its evaluation
@@ -446,8 +434,7 @@ def _dfs_enumerate(dim, ineqs, congs, lo, hi, cap, budget: _Budget):
     mx >= 0.
 
     A node whose free variables are the branch variable x_j and one x_k
-    that a live equality pair (two opposite rows, found once per call
-    among the last rows, where `_inequalities` puts them) holds with x_j
+    that a live equality pair (the last equality first) holds with x_j
     makes no children: `bottom` decides them in closed form, one node per
     candidate.  Any other node branches, one child per value of x_j.
     Returns (points, exhausted) where exhausted=False means the cap or node
@@ -456,7 +443,7 @@ def _dfs_enumerate(dim, ineqs, congs, lo, hi, cap, budget: _Budget):
     rows = [
         ([(j, x) for j, x in enumerate(a) if x > 0],
          [(j, -x) for j, x in enumerate(a) if x < 0], c)
-        for a, c in ineqs
+        for a, c in _inequalities(ineqs, eqs)
     ]
     # occ[j] = (rows with a_j > 0, rows with a_j < 0), as pairs (r, a_j);
     # the root's activities mn, mx are summed along the way
@@ -480,7 +467,8 @@ def _dfs_enumerate(dim, ineqs, congs, lo, hi, cap, budget: _Budget):
         supp = {j for j, x in enumerate(a) if x % m}
         for j in supp:
             cocc[j].append((supp, a, c, m))
-    pairs = _equality_pairs(ineqs)
+    # each equality as (its first row, its coefficients), the last first
+    pairs = [(len(ineqs) + 2 * i, eqs[i][0]) for i in reversed(range(len(eqs)))]
     points: list[tuple[int, ...]] = []
 
     def shift(j, dl, dh, mn, mx, state):
@@ -689,22 +677,24 @@ def _dfs_enumerate(dim, ineqs, congs, lo, hi, cap, budget: _Budget):
 # column aggregation (lineality quotient) and the public enumeration
 
 
-def _column_groups(dim, ineqs, congs) -> list[list[int]]:
+def _column_groups(dim, ineqs, eqs, congs) -> list[list[int]]:
     sigs: dict[tuple, list[int]] = {}
     for j in range(dim):
         sig = (
             tuple(a[j] for a, _ in ineqs),
+            tuple(a[j] for a, _ in eqs),
             tuple(a[j] % m for a, _, m in congs),
         )
         sigs.setdefault(sig, []).append(j)
     return sorted(sigs.values(), key=lambda g: g[0])
 
 
-def _project(groups, ineqs, congs):
+def _project(groups, ineqs, eqs, congs):
     reps = [g[0] for g in groups]
     pineqs = [(tuple(a[r] for r in reps), c) for a, c in ineqs]
+    peqs = [(tuple(a[r] for r in reps), c) for a, c in eqs]
     pcongs = [(tuple(a[r] for r in reps), c, m) for a, c, m in congs]
-    return pineqs, pcongs
+    return pineqs, peqs, pcongs
 
 
 def enumerate_integer_points(poly: Polyhedron, cap: int | None = None) -> EnumerationResult:
@@ -723,16 +713,16 @@ def enumerate_integer_points(poly: Polyhedron, cap: int | None = None) -> Enumer
     cap = DEFAULT_CAP if cap is None else int(cap)
     if cap < 0:
         raise ValueError(f"cap must be nonnegative, got {cap}")
-    ok, ineqs, congs = _tidy(poly)
+    ok, ineqs, eqs, congs = _tidy(poly)
     if not ok:
         return EnumerationResult("finite", [])
 
-    groups = _column_groups(poly.dim, ineqs, congs)
+    groups = _column_groups(poly.dim, ineqs, eqs, congs)
     merged = len(groups) < poly.dim
-    pineqs, pcongs = _project(groups, ineqs, congs)
+    pineqs, peqs, pcongs = _project(groups, ineqs, eqs, congs)
     k = len(groups)
 
-    bounds = _bounds(k, pineqs)
+    bounds = _bounds(k, pineqs, peqs)
     if bounds == "infeasible":
         return EnumerationResult("finite", [])
     lo, hi, ray = bounds
@@ -752,7 +742,7 @@ def enumerate_integer_points(poly: Polyhedron, cap: int | None = None) -> Enumer
             whi = [w if h is None else min(h, w) for h in hi]
             if any(a > b for a, b in zip(wlo, whi)):
                 continue
-            if _dfs_enumerate(k, pineqs, pcongs, wlo, whi, 0, budget)[0]:
+            if _dfs_enumerate(k, pineqs, peqs, pcongs, wlo, whi, 0, budget)[0]:
                 # scaled by the lcm of the moduli, on each group's first column
                 step = math.lcm(*(m for _, _, m in pcongs))
                 lifted = [0] * poly.dim
@@ -767,7 +757,7 @@ def enumerate_integer_points(poly: Polyhedron, cap: int | None = None) -> Enumer
     # with merged columns one point settles it: any solution of the reduced
     # system lifts in infinitely many ways through a group of size >= 2
     # (x_i - x_j is unconstrained there)
-    pts, exhausted = _dfs_enumerate(k, pineqs, pcongs, lo, hi,
+    pts, exhausted = _dfs_enumerate(k, pineqs, peqs, pcongs, lo, hi,
                                     0 if merged else cap, budget)
     if merged and pts:
         big = next(g for g in groups if len(g) > 1)
@@ -822,12 +812,12 @@ def _bounds_raw(dim, ineqs, coords=None):
     return lo, hi, ray
 
 
-def _bounds(dim, ineqs):
-    """`_bounds_raw(dim, ineqs)` with the equalities substituted out first:
-    'infeasible' or (lo, hi, ray), with the same lo and hi.
+def _bounds(dim, ineqs, eqs):
+    """`_bounds_raw(dim, _inequalities(ineqs, eqs))` with the equalities
+    substituted out first: 'infeasible' or (lo, hi, ray), with the same lo
+    and hi.
 
-    The equalities are the trailing pairs of opposite rows
-    (`_equality_pairs`).  Each e.x + c == 0 in turn is solved for the
+    Each equality e.x + c == 0 in turn, in order, is solved for the
     variable x_p with the least nonzero |e_p| (the lowest p on ties), and
     x_p is put into the other rows fraction-free (`_substitute`).  An
     equality that reduces to 0 == c with c != 0, or an inequality that
@@ -839,9 +829,7 @@ def _bounds(dim, ineqs):
     depend on how it is written, so only the ray may differ from
     `_bounds_raw`'s: one found in y is lifted to x and made primitive.
     """
-    pairs = _equality_pairs(ineqs)
-    rows = ineqs[:len(ineqs) - 2 * len(pairs)]
-    eqs = [ineqs[r] for r, _ in pairs]
+    eqs = eqs[::-1]  # a copy, popped from its end, so the first goes first
     coords = [(tuple(int(i == j) for j in range(dim)), 0, 1) for i in range(dim)]
     kept = set(range(dim))
     while eqs:
@@ -853,10 +841,10 @@ def _bounds(dim, ineqs):
         p = min((abs(x), j) for j, x in enumerate(e) if x)[1]
         kept.remove(p)
         eqs = _substitute(eqs, e, c, p)
-        rows = _substitute(rows, e, c, p)
+        ineqs = _substitute(ineqs, e, c, p)
         coords = _substitute(coords, e, c, p)
     kept = sorted(kept)
-    reduced = _tightest([(tuple(a[j] for j in kept), c) for a, c in rows])
+    reduced = _tightest([(tuple(a[j] for j in kept), c) for a, c in ineqs])
     if reduced is None:
         return "infeasible"
     coords = [(tuple(w[j] for j in kept), t, den) for w, t, den in coords]

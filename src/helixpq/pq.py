@@ -160,7 +160,7 @@ def pq_check(
     covers all element orders relevant to the requested pairs.
     `pairs` restricts the screening to the given missing edges; each
     pair must be two distinct integers.  An empty selection of
-    characters is a PQError.
+    characters or of pairs is a PQError.
     """
     cap = _cap_or_default(cap)
     graph = prime_graph(table, assume_coverage=assume_coverage)
@@ -171,6 +171,8 @@ def pq_check(
     todo = graph.non_edges()
     if pairs is not None:
         wanted = {_as_pair(pr) for pr in pairs}
+        if not wanted:
+            raise PQError("need at least one pair")
         unknown = wanted - {frozenset(pr) for pr in todo}
         if unknown:
             raise PQError(

@@ -177,6 +177,14 @@ def test_pq_refuses_an_empty_character_selection(capsys):
     assert err == "helixpq: error: need at least one character\n"
 
 
+def test_pq_refuses_an_empty_pair_selection(capsys):
+    # it printed "verdict: HeLP_sufficient" and exited 0 with no pair checked
+    for pairs in (";", ""):
+        code, out, err = run(capsys, "pq", "--table", "gen:psl2:7", "--pairs", pairs)
+        assert (code, out) == (1, "")
+        assert err == "helixpq: error: need at least one pair\n"
+
+
 def test_solve_aggregated(capsys):
     code, out, _ = run(capsys, "solve", "--table", "gen:psl2:32",
                        "--chars", "st", "--order", "62",
@@ -254,6 +262,15 @@ def test_solve_error_cases(capsys):
     assert code == 1 and "does not divide" in err
 
 
+@pytest.mark.parametrize("s", ["0", "-2"])
+def test_solve_refuses_a_non_positive_s_constant(capsys, s):
+    # S = 0 ran the plain solve and exited 0; S < 0 split on its sign
+    code, out, err = run(capsys, "solve", "--table", "gen:psl2:7", "--order", "6",
+                         "--s-constant", s)
+    assert (code, out) == (1, "")
+    assert err == f"helixpq: error: --s-constant {s} is not a positive integer\n"
+
+
 @pytest.mark.parametrize("source", ["gen:psl2:x", "gen:psl2:3.0", "gen:psl2"])
 def test_bad_generated_table_source_is_named(capsys, source):
     # a non-integer q was reported as int()'s "invalid literal" message
@@ -309,6 +326,15 @@ def test_verify_order_cross_check(chain_file, capsys):
                        "--chain", str(chain_file), "--order", "10")
     assert code == 1
     assert "does not match" in err
+
+
+def test_verify_order_zero_is_cross_checked(chain_file, capsys):
+    # --order 0 skipped the cross-check and reported the chain satisfied
+    code, out, err = run(capsys, "verify", "--table", "embedded:psp4_7_partial",
+                         "--chain", str(chain_file), "--order", "0")
+    assert (code, out) == (1, "")
+    assert err == ("helixpq: error: --order 0 does not match the chain's unit "
+                   "order 2\n")
 
 
 def test_verify_accepts_whole_solver_file(tmp_path, capsys):

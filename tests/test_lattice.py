@@ -688,26 +688,28 @@ def test_bounds_and_pivot_count_are_pinned(monkeypatch):
 # extrema of a coordinate do not depend on how the polyhedron is written.
 
 
-def _check_presolved(dim, ineqs):
-    """`_bounds` against `_bounds_raw` on the same rows: the same (lo, hi) or
-    "infeasible", and a ray exactly when the core has one; a lifted ray is a
-    nonzero primitive integer recession direction of the rows, annihilated
-    by the equalities.  Returns the presolved result."""
-    want = lattice._bounds_raw(dim, ineqs)
-    got = lattice._bounds(dim, ineqs)
+def _check_presolved(dim, ineqs, eqs):
+    """`_bounds` against `_bounds_raw` on the same rows, the equalities as
+    pairs: the same (lo, hi) or "infeasible", and a ray exactly when the
+    core has one; a lifted ray is a nonzero primitive integer recession
+    direction of the rows, annihilated by the equalities.  Returns the
+    presolved result."""
+    rows = lattice._inequalities(ineqs, eqs)
+    want = lattice._bounds_raw(dim, rows)
+    got = lattice._bounds(dim, ineqs, eqs)
     if want == "infeasible":
-        assert got == "infeasible", (dim, ineqs)
+        assert got == "infeasible", (dim, ineqs, eqs)
         return got
-    assert got != "infeasible", (dim, ineqs)
-    assert got[:2] == want[:2], (dim, ineqs)
+    assert got != "infeasible", (dim, ineqs, eqs)
+    assert got[:2] == want[:2], (dim, ineqs, eqs)
     ray = got[2]
-    assert (ray is None) == (want[2] is None), (dim, ineqs)
+    assert (ray is None) == (want[2] is None), (dim, ineqs, eqs)
     if ray is not None:
         assert len(ray) == dim and all(type(x) is int for x in ray)
-        assert any(ray) and math.gcd(*ray) == 1, (dim, ineqs, ray)
-        assert all(sum(map(mul, a, ray)) >= 0 for a, _ in ineqs), (dim, ineqs, ray)
-        for _, a in lattice._equality_pairs(ineqs):
-            assert sum(map(mul, a, ray)) == 0, (dim, ineqs, ray)
+        assert any(ray) and math.gcd(*ray) == 1, (dim, ineqs, eqs, ray)
+        assert all(sum(map(mul, a, ray)) >= 0 for a, _ in rows), (dim, ineqs, eqs, ray)
+        for a, _ in eqs:
+            assert sum(map(mul, a, ray)) == 0, (dim, ineqs, eqs, ray)
     return got
 
 
@@ -715,7 +717,7 @@ def _check_presolved(dim, ineqs):
 def test_presolved_bounds_match_the_core_on_random_systems(seed):
     kinds = set()
     for dim, ineqs, eqs in _random_lp_systems(seed, 600):
-        got = _check_presolved(dim, lattice._inequalities(ineqs, eqs))
+        got = _check_presolved(dim, ineqs, eqs)
         kinds.add("infeasible" if got == "infeasible" else
                   "unbounded" if got[2] else "bounded")
     assert kinds == {"infeasible", "unbounded", "bounded"}
@@ -726,24 +728,35 @@ SCREEN_TABLES = [("psl2", q) for q in (5, 7, 8, 9, 11, 16)] + [
     ("pgl2", q) for q in (7, 9, 11, 13, 16)]
 
 
+def test_screen_node_totals_are_pinned(budgets):
+    # the DFS nodes of all the solves of each table's screen: a change to
+    # how the rows are held can keep every point and still move these
+    totals = []
+    for family, q in SCREEN_TABLES:
+        budgets.clear()
+        pq_check(gen_table(family, q))
+        totals.append(sum(b.nodes for b in budgets))
+    assert totals == [13, 14, 47, 27, 38, 28, 8, 14, 25, 65, 28]
+
+
 def test_presolved_bounds_match_the_core_on_screen_systems(monkeypatch):
     # every LP that enumerate_integer_points bounds while pq_check screens
-    # the 11 tables: the tidied, projected rows, equalities last
+    # the 11 tables: the tidied, projected rows and equalities
     seen = []
     presolved = lattice._bounds
 
-    def spy(dim, ineqs):
-        seen.append((dim, ineqs))
-        return presolved(dim, ineqs)
+    def spy(dim, ineqs, eqs):
+        seen.append((dim, ineqs, eqs))
+        return presolved(dim, ineqs, eqs)
 
     monkeypatch.setattr(lattice, "_bounds", spy)
     for family, q in SCREEN_TABLES:
         pq_check(gen_table(family, q))
     monkeypatch.undo()
     assert len(seen) > 100
-    for dim, ineqs in seen:
-        assert lattice._equality_pairs(ineqs), (dim, ineqs)
-        _check_presolved(dim, ineqs)
+    for dim, ineqs, eqs in seen:
+        assert eqs, (dim, ineqs)
+        _check_presolved(dim, ineqs, eqs)
 
 
 def _count_calls(monkeypatch, name):
@@ -762,8 +775,7 @@ def test_presolve_substitutes_on_a_non_unit_coefficient():
     # 2x + 3y = 7 in the box |x|, |y| <= 5: x = (7 - 3y)/2 is substituted
     # out, and x <= 5 cuts y to [-1, 5]
     box = [((1, 0), 5), ((-1, 0), 5), ((0, 1), 5), ((0, -1), 5)]
-    ineqs = lattice._inequalities(box, [((2, 3), -7)])
-    got = _check_presolved(2, ineqs)
+    got = _check_presolved(2, box, [((2, 3), -7)])
     assert got == ([Fraction(-4), Fraction(-1)], [Fraction(5), Fraction(5)], None)
     poly = Polyhedron(dim=2, ineqs=box, eqs=[((2, 3), -7)])
     assert variable_bounds(poly) == Bounds("ok", [-4, -1], [5, 5])
@@ -775,22 +787,22 @@ def test_presolve_runs_no_simplex_when_the_equalities_fix_every_coordinate(monke
     pivots = _count_calls(monkeypatch, "_pivot")
     eqs = [((1, 1), -2), ((1, -1), 0)]
     # x = y = 1, and x >= 0 reduces to the constant 1 >= 0
-    ineqs = lattice._inequalities([((1, 0), 0)], eqs)
-    got = lattice._bounds(2, ineqs)
+    ineqs = [((1, 0), 0)]
+    got = lattice._bounds(2, ineqs, eqs)
     assert got == ([Fraction(1), Fraction(1)], [Fraction(1), Fraction(1)], None)
     assert all(type(b) is Fraction for b in got[0] + got[1])
     # x >= 2 reduces to the constant -1 >= 0
-    assert lattice._bounds(2, lattice._inequalities([((1, 0), -2)], eqs)) == "infeasible"
+    assert lattice._bounds(2, [((1, 0), -2)], eqs) == "infeasible"
     assert runs == [] and pivots == []
-    assert _check_presolved(2, ineqs) == got
+    assert _check_presolved(2, ineqs, eqs) == got
 
 
 def test_presolve_finds_an_equality_that_reduces_to_a_nonzero_constant(monkeypatch):
     # x + y = 1 and 2x + 2y = 4: the second reduces to 0 = 2
     runs = _count_calls(monkeypatch, "_run_simplex")
-    ineqs = lattice._inequalities([((1, 0), 0)], [((1, 1), -1), ((2, 2), -4)])
-    assert lattice._bounds(2, ineqs) == "infeasible"
+    ineqs, eqs = [((1, 0), 0)], [((1, 1), -1), ((2, 2), -4)]
+    assert lattice._bounds(2, ineqs, eqs) == "infeasible"
     assert runs == []
-    assert lattice._bounds_raw(2, ineqs) == "infeasible"
+    assert lattice._bounds_raw(2, lattice._inequalities(ineqs, eqs)) == "infeasible"
     poly = Polyhedron(dim=2, eqs=[((1, 1), -1), ((2, 2), -4)])
     assert variable_bounds(poly).status == "infeasible"

@@ -96,6 +96,28 @@ def test_malformed_pair_rejected(psl2_16, pair):
     assert str(err.value) == f"requested pair {pair!r} is not two distinct integers"
 
 
+def test_empty_pair_selection_is_refused():
+    # it was reported as HeLP_sufficient with no missing edges to check,
+    # though the full screen of PSL(2,7) leaves {2,3} undecided
+    with pytest.raises(PQError, match="need at least one pair"):
+        pq_check(gen_table("psl2", 7), pairs=[])
+
+
+def test_table_without_missing_edges_is_settled():
+    # C2: one prime, so no missing edge, and nothing to screen
+    c2 = parse_table({
+        "group_name": "C2", "order": 2,
+        "classes": [{"name": "1a", "element_order": 1, "size": 1},
+                    {"name": "2a", "element_order": 2, "size": 1,
+                     "power_maps": {"2": "1a"}}],
+        "characters": [{"name": "triv", "degree": 1, "values": {"1a": 1, "2a": 1}},
+                       {"name": "sign", "degree": 1, "values": {"1a": 1, "2a": -1}}],
+    })
+    report = pq_check(c2)
+    assert (report.pairs, report.verdict) == ((), "HeLP_sufficient")
+    assert format_report(report).endswith("(no missing edges to check)")
+
+
 def test_pairs_subset(psl2_16):
     report = pq_check(psl2_16, pairs=[(2, 3)])
     assert [(r.p, r.q) for r in report.pairs] == [(2, 3)]
