@@ -209,12 +209,16 @@ def _parse_class(obj) -> ConjClass:
     if size is not None and size < 1:
         raise TableError(f"class {name!r} has non-positive size {size}")
     pm_raw = _expect(obj.get("power_maps", {}), Mapping, f"class {name!r}: power_maps")
-    pmaps = {}
+    pmaps, keys = {}, {}
     what = f"class {name!r}: power-map key"
     for key, target in pm_raw.items():
         p = _as_int(key, what)
         if not _is_prime(p, what):
             raise TableError(f"class {name!r}: power-map key {key!r} is not prime")
+        if p in keys:
+            raise TableError(f"class {name!r}: power-map keys {keys[p]!r} and "
+                             f"{key!r} name the same prime {p}")
+        keys[p] = key
         pmaps[p] = str(target)
     return ConjClass(name=name, element_order=order, size=size, power_maps=pmaps)
 
@@ -602,13 +606,18 @@ def parse_chain(source) -> PAChain:
     except (KeyError, TypeError) as exc:
         raise TableError(f"malformed chain {source!r}") from exc
     n = _as_int(n, "chain unit_order")
-    entries = {}
+    if n < 1:
+        raise TableError(f"chain unit_order must be at least 1, got {n}")
+    entries, keys = {}, {}
     for m, vec in _expect(raw, Mapping, "chain entries").items():
         where = f"chain entries[{m!r}]"
         vec = _expect(vec, Mapping, where)
-        entries[_as_int(m, f"{where} level")] = {
-            str(c): _as_int(v, f"{where}[{c!r}]") for c, v in vec.items()
-        }
+        level = _as_int(m, f"{where} level")
+        if level in keys:
+            raise TableError(f"chain entries {keys[level]!r} and {m!r} name the "
+                             f"same level {level}")
+        keys[level] = m
+        entries[level] = {str(c): _as_int(v, f"{where}[{c!r}]") for c, v in vec.items()}
     return PAChain(unit_order=n, entries=entries)
 
 

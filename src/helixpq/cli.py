@@ -82,7 +82,7 @@ def _select_chars(table, selector: str | None):
 
 
 def _default_cap(args) -> int | None:
-    if getattr(args, "cap", None) is not None:
+    if args.cap is not None:
         return args.cap
     env = os.environ.get("HELIX_PQ_CAP")
     if not env:
@@ -171,13 +171,9 @@ def _cmd_solve(args) -> int:
         if args.order % s:
             raise TableError(f"--s-constant {s} does not divide order {args.order}")
         t = args.order // s
-        sol = engine.solve_s_constant(
-            table, chars, s, t, congruences=args.congruences, cap=cap
-        )
+        sol = engine.solve_s_constant(table, chars, s, t, cap=cap)
     else:
-        sol = engine.solve_order(
-            table, chars, args.order, congruences=args.congruences, cap=cap
-        )
+        sol = engine.solve_order(table, chars, args.order, cap=cap)
     _emit(_solution_payload(sol, args.format), args.out)
     return 0 if sol.status == "finite" else 2
 
@@ -212,8 +208,7 @@ def _cmd_verify(args) -> int:
                 f"--order {args.order} does not match the chain's unit order "
                 f"{chain.unit_order}"
             )
-        report = engine.verify_chain(table, chars, chain,
-                                     congruences=args.congruences)
+        report = engine.verify_chain(table, chars, chain)
         all_ok = all_ok and report.ok
         lines += [f"chain of unit order {chain.unit_order} vs {table.group_name}: "
                   + ("satisfied" if report.ok else "VIOLATED"),
@@ -236,14 +231,12 @@ def _parse_pair(chunk: str) -> tuple[int, int]:
 
 def _cmd_pq(args) -> int:
     table = _load_table(args.table)
-    chars = None if args.chars in (None, "all") else _select_chars(table, args.chars)
     pairs = None
     if args.pairs is not None:
         pairs = [_parse_pair(chunk) for chunk in args.pairs.split(";") if chunk.strip()]
     report = pqmod.pq_check(
-        table, chars,
+        table, _select_chars(table, args.chars),
         cap=_default_cap(args), pairs=pairs,
-        congruences=args.congruences,
         assume_coverage=args.assume_coverage,
     )
     if args.format == "json":
@@ -285,7 +278,6 @@ def main(argv=None) -> int:
                        help="aggregate the order-S classes (requires S*T = order, "
                             "characters constant on them)")
     p_sol.add_argument("--cap", type=int)
-    p_sol.add_argument("--congruences", choices=("power", "none"), default="power")
     p_sol.add_argument("--format", choices=("text", "json"), default="text")
     p_sol.add_argument("--out")
     p_sol.set_defaults(func=_cmd_solve)
@@ -295,7 +287,6 @@ def main(argv=None) -> int:
     p_ver.add_argument("--chain", required=True, help="path to a chain JSON file")
     p_ver.add_argument("--order", type=int, help="expected unit order (cross-check)")
     p_ver.add_argument("--chars", help="character selection (default all)")
-    p_ver.add_argument("--congruences", choices=("power", "none"), default="power")
     p_ver.add_argument("--out")
     p_ver.set_defaults(func=_cmd_verify)
 
@@ -304,7 +295,6 @@ def main(argv=None) -> int:
     p_pq.add_argument("--chars", help="character selection (default all)")
     p_pq.add_argument("--pairs", help="restrict to pairs, e.g. '2,3;3,11'")
     p_pq.add_argument("--cap", type=int)
-    p_pq.add_argument("--congruences", choices=("power", "none"), default="power")
     p_pq.add_argument("--assume-coverage", action="store_true",
                       help="accept a partial table, asserting its class list "
                            "covers the element orders of the requested pairs")

@@ -24,6 +24,8 @@ prime p | n and every class C,
 
     sum_{K : K^p = C} eps_K(u)  ==  eps_C(u^p)   (mod p).
 
+They hold for every torsion unit, so every system carries them.
+
 When the table carries enough power-map data to resolve K -> K^p for
 every class in the support, the congruence is emitted per class
 ("class" mode).  Otherwise the rows are first summed over all classes
@@ -164,6 +166,13 @@ class ConstraintSystem:
         return bad
 
 
+def _unit_order(order) -> int:
+    n = int(order)
+    if n < 2:
+        raise EngineError(f"unit order must be at least 2, got {n}")
+    return n
+
+
 def _resolve_chars(
     table: CharacterTable, characters: Sequence[Union[str, Character]]
 ) -> list[Character]:
@@ -192,11 +201,11 @@ def build_system(
     order: int,
     powers: Optional[Mapping[int, Mapping[str, int]]] = None,
     *,
-    congruences: str = "power",
     collapse_order: Optional[int] = None,
     dedupe: bool = True,
 ) -> ConstraintSystem:
-    """Integer constraint system for the top-level partial augmentations.
+    """Integer constraint system for the top-level partial augmentations:
+    the multiplicity rows, the augmentation and the power congruences.
 
     `powers` maps each order m of a proper power (1 < m < order, m | order)
     to that power's partial augmentations; all such m must be present.
@@ -207,7 +216,7 @@ def build_system(
     """
     return _build(
         table, characters, order, powers or {},
-        congruences=congruences, collapse_order=collapse_order, dedupe=dedupe,
+        collapse_order=collapse_order, dedupe=dedupe,
     )
 
 
@@ -216,7 +225,6 @@ def build_chain_system(
     characters: Sequence[Union[str, Character]],
     order: int,
     *,
-    congruences: str = "power",
     dedupe: bool = True,
 ) -> ConstraintSystem:
     """One system over the augmentations of u *and all its proper powers*.
@@ -229,10 +237,7 @@ def build_chain_system(
     bounds flow across levels, which matters when some proper power is
     badly underdetermined on its own.
     """
-    return _build(
-        table, characters, order, None,
-        congruences=congruences, collapse_order=None, dedupe=dedupe,
-    )
+    return _build(table, characters, order, None, collapse_order=None, dedupe=dedupe)
 
 
 @lru_cache(maxsize=None)
@@ -249,7 +254,7 @@ def _trace_block(value, level):
     )
 
 
-def _build(table, characters, order, powers, *, congruences, collapse_order, dedupe):
+def _build(table, characters, order, powers, *, collapse_order, dedupe):
     """The row generator behind `build_system` and `build_chain_system`.
 
     With `powers=None` (joint) every level m > 1 dividing the order has
@@ -269,11 +274,7 @@ def _build(table, characters, order, powers, *, congruences, collapse_order, ded
     system keeps the first row of each key, with its provenance, in
     generation order; without it every row is kept.
     """
-    n = int(order)
-    if n < 2:
-        raise EngineError(f"unit order must be at least 2, got {n}")
-    if congruences not in ("power", "none"):
-        raise EngineError(f"congruences must be 'power' or 'none', got {congruences!r}")
+    n = _unit_order(order)
     chars = _resolve_chars(table, characters)
     if not chars:
         raise EngineError("need at least one character")
@@ -374,17 +375,14 @@ def _build(table, characters, order, powers, *, congruences, collapse_order, ded
 
     # -- prime-power congruences ----------------------------------------------
     mode: dict[int, str] = {}
-    if congruences == "power":
-        for m in free_levels:
-            for p in prime_divisors(m):
-                prows, pmode = _power_rows(
-                    table, columns, m, p, fixed.get(m // p), f"@{m}" if joint else ""
-                )
-                rows.extend(
-                    r for r in prows if fresh(r.kind, r.coeffs, r.const, r.modulus)
-                )
-                if mode.get(p) != "order":  # report the weakest level's mode
-                    mode[p] = pmode
+    for m in free_levels:
+        for p in prime_divisors(m):
+            prows, pmode = _power_rows(
+                table, columns, m, p, fixed.get(m // p), f"@{m}" if joint else ""
+            )
+            rows.extend(r for r in prows if fresh(r.kind, r.coeffs, r.const, r.modulus))
+            if mode.get(p) != "order":  # report the weakest level's mode
+                mode[p] = pmode
 
     return ConstraintSystem(
         table_name=table.group_name,
@@ -495,18 +493,18 @@ def solve_order(
     characters: Sequence[Union[str, Character]],
     order: int,
     *,
-    congruences: str = "power",
     cap: Optional[int] = None,
     store: Optional[dict] = None,
 ) -> SolutionSet:
-    """All chains of partial augmentations for units of the given order.
+    """All chains of partial augmentations for units of the given order,
+    under the multiplicity rows and the power congruences of every level.
 
     Proper-power orders are solved first (memoized in `store`), compatible
     combinations of their chains fix the constants, and each combination's
     system is enumerated exactly, unless a power alone exceeds the cap or
     `_prefer_joint` picks one joint system over all levels instead.
     """
-    n = int(order)
+    n = _unit_order(order)
     cap = _cap_or_default(cap)
     chars = _resolve_chars(table, characters)
     if store is None:
@@ -517,9 +515,7 @@ def solve_order(
     subs: list[tuple[int, SolutionSet]] = []
     joint_reason = None
     for m in sorted({n // p for p in prime_divisors(n)} - {1}):
-        ss = solve_order(
-            table, chars, m, congruences=congruences, cap=cap, store=store
-        )
+        ss = solve_order(table, chars, m, cap=cap, store=store)
         if ss.status == "capped":
             # a proper power is badly underdetermined on its own; solve
             # the whole chain as one system so the level-n rows prune it
@@ -536,10 +532,7 @@ def solve_order(
         if _prefer_joint(combos, len(table.classes_of_order_dividing(n)), v_joint):
             joint_reason = f"{combos} power-chain combinations"
 
-    store[n] = _solve_combos(
-        table, chars, n, subs,
-        congruences=congruences, cap=cap, joint_reason=joint_reason,
-    )
+    store[n] = _solve_combos(table, chars, n, subs, cap=cap, joint_reason=joint_reason)
     return store[n]
 
 
@@ -549,7 +542,6 @@ def solve_s_constant(
     s: int,
     t: int,
     *,
-    congruences: str = "power",
     cap: Optional[int] = None,
 ) -> SolutionSet:
     """Chains for order s*t with the order-s classes aggregated into one unknown.
@@ -576,12 +568,8 @@ def solve_s_constant(
                 f"table {table.group_name!r} has no classes of order {o} ({label})"
             )
 
-    sub_t = solve_order(table, chars, t, congruences=congruences, cap=cap)
-    return _solve_combos(
-        table, chars, n, [(t, sub_t)],
-        congruences=congruences, cap=cap,
-        collapse=s,
-    )
+    sub_t = solve_order(table, chars, t, cap=cap)
+    return _solve_combos(table, chars, n, [(t, sub_t)], cap=cap, collapse=s)
 
 
 def _solve_combos(
@@ -590,7 +578,6 @@ def _solve_combos(
     n: int,
     subs: Sequence[tuple[int, SolutionSet]],
     *,
-    congruences: str,
     cap: int,
     collapse: Optional[int] = None,
     joint_reason: Optional[str] = None,
@@ -621,7 +608,7 @@ def _solve_combos(
 
     def systems():
         if joint_reason is not None:
-            yield None, build_chain_system(table, chars, n, congruences=congruences)
+            yield None, build_chain_system(table, chars, n)
             return
         for combo in itertools.product(*(ss.chains for _, ss in subs)):
             fixed = _merge_chain_levels(combo)
@@ -629,10 +616,7 @@ def _solve_combos(
                 continue
             if collapse is not None:
                 fixed[collapse] = {f"{AGGREGATE_PREFIX}{collapse}": 1}
-            yield fixed, build_system(
-                table, chars, n, fixed,
-                congruences=congruences, collapse_order=collapse,
-            )
+            yield fixed, build_system(table, chars, n, fixed, collapse_order=collapse)
 
     # Chains are sorted by their values in (level, class name) order.  Every
     # chain of one call has the same levels and classes: the variables
@@ -725,10 +709,9 @@ def verify_chain(
     table: CharacterTable,
     characters: Sequence[Union[str, Character]],
     chain: PAChain,
-    *,
-    congruences: str = "power",
 ) -> VerifyReport:
-    """Re-derive every constraint at every level of the chain and check it.
+    """Re-derive every constraint at every level of the chain, the power
+    congruences included, and check it.
 
     A chain that aggregates the order-s classes as "~s" (from
     `solve_s_constant`) is checked the way it was solved: every level
@@ -740,7 +723,7 @@ def verify_chain(
     for m in chain.levels():
         powers = {d: chain.entry(d) for d in divisors(m) if 1 < d < m}
         system = build_system(
-            table, chars, m, powers, congruences=congruences,
+            table, chars, m, powers,
             collapse_order=next((s for s in aggregated if m % s == 0), None),
         )
         entry = {k: v for k, v in chain.entry(m).items() if v}

@@ -146,7 +146,6 @@ def pq_check(
     *,
     cap: Optional[int] = None,
     pairs: Optional[Sequence] = None,
-    congruences: str = "power",
     assume_coverage: bool = False,
 ) -> PQReport:
     """Screen every missing prime-graph edge for order-p*q torsion units.
@@ -181,11 +180,7 @@ def pq_check(
             )
         todo = [pr for pr in todo if frozenset(pr) in wanted]
 
-    reports = []
-    for p, q in todo:
-        reports.append(
-            _check_pair(table, base_chars, p, q, cap=cap, congruences=congruences)
-        )
+    reports = [_check_pair(table, base_chars, p, q, cap=cap) for p, q in todo]
     verdict = (
         "HeLP_sufficient"
         if all(r.outcome == "ruled_out" for r in reports)
@@ -199,7 +194,7 @@ def pq_check(
     )
 
 
-def _check_pair(table, base_chars, p, q, *, cap, congruences) -> PairReport:
+def _check_pair(table, base_chars, p, q, *, cap) -> PairReport:
     n = p * q
     collapse, strategy = None, "plain"
     np_ = sum(1 for c in table.classes if c.element_order == p)
@@ -222,14 +217,9 @@ def _check_pair(table, base_chars, p, q, *, cap, congruences) -> PairReport:
         )
     try:
         if collapse is None:
-            sol: SolutionSet = solve_order(
-                table, chars, n, congruences=congruences, cap=cap
-            )
+            sol: SolutionSet = solve_order(table, chars, n, cap=cap)
         else:
-            sol = solve_s_constant(
-                table, chars, collapse, n // collapse,
-                congruences=congruences, cap=cap,
-            )
+            sol = solve_s_constant(table, chars, collapse, n // collapse, cap=cap)
     except ValueError as exc:
         return PairReport(
             p=p, q=q, outcome="error", strategy=strategy,

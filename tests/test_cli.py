@@ -124,6 +124,44 @@ def test_readme_examples_are_pinned(tmp_path, capsys, monkeypatch):
         assert written == want_files, argv
 
 
+# exit code and sha256 of `solve --format json` stdout: the six solves of
+# perfbench/workloads.py SOLVES (same tables, characters, orders and caps),
+# then the collapsed PSL(2,7) order-6 solve, whose chain file `verify`
+# reads back (its stdout digest is the last entry); recorded at 00953fd
+SOLVE_JSON = [
+    (("--table", "embedded:l3_17_aut_partial", "--chars", "chi306,chi4912,chi9216",
+      "--order", "51"), 0,
+     "1496f9cbb45b09aeaa4bfabe594510633d127df14ce0f9c2849007a9587b6155"),
+    (("--table", "embedded:pgl2_243_rows", "--order", "11", "--cap", "20000"), 2,
+     "f8661872f74af55616d1655a7614acb4d291f3f651ec9cf186242ed6163f3e8b"),
+    (("--table", "embedded:pgl2_3f_rows", "--order", "6"), 0,
+     "296d1288b9233b6241fd4c71d2859a08ee4ae706601b24c862a24d743673e8c5"),
+    (("--table", "embedded:psl2_3f_eta", "--order", "6"), 0,
+     "e523fce79a548b3f4ca4ba1c96d6e4f4d36aeea5302eb544969ae9dc5af569db"),
+    (("--table", "gen:psl2:25", "--order", "39"), 0,
+     "58908a7c5e59222d224a0f4630988145e731add90d1934078837fbe6ef46a073"),
+    (("--table", "gen:psl2:25", "--order", "26"), 0,
+     "65e8d0e82dee98cb168564b6a5f52d666dd1b275616c7e41edc2c09f01e9085e"),
+    (("--table", "gen:psl2:7", "--order", "6", "--s-constant", "2", "--chars", "st"), 0,
+     "9779aa6825ee73c445a7d725cc157d35d6683d42b26f1271df1c4b3a90f1765c"),
+]
+VERIFY_C6_SHA256 = "cbbe09687b127839dc4aad652ecc17ce3825046ec314843fdf7078609576800e"
+
+
+def test_solve_json_is_pinned(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("HELIX_PQ_CAP", raising=False)
+    for argv, want_code, want in SOLVE_JSON:
+        code, out, _ = run(capsys, "solve", *argv, "--format", "json")
+        assert code == want_code, argv
+        assert hashlib.sha256(out.encode()).hexdigest() == want, argv
+    path = tmp_path / "c6.json"
+    path.write_text(out)
+    code, out, _ = run(capsys, "verify", "--table", "gen:psl2:7", "--chars", "st",
+                       "--chain", str(path))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_C6_SHA256
+
+
 # --- solve ----------------------------------------------------------------------
 
 def test_solve_involutions_text(capsys):
@@ -271,6 +309,14 @@ def test_solve_refuses_a_non_positive_s_constant(capsys, s):
     assert err == f"helixpq: error: --s-constant {s} is not a positive integer\n"
 
 
+@pytest.mark.parametrize("order", ["0", "-6"])
+def test_solve_refuses_a_unit_order_below_2(capsys, order):
+    # the message came from factoring the order: "positive integer required"
+    code, out, err = run(capsys, "solve", "--table", "gen:psl2:7", "--order", order)
+    assert (code, out) == (1, "")
+    assert err == f"helixpq: error: unit order must be at least 2, got {order}\n"
+
+
 @pytest.mark.parametrize("source", ["gen:psl2:x", "gen:psl2:3.0", "gen:psl2"])
 def test_bad_generated_table_source_is_named(capsys, source):
     # a non-integer q was reported as int()'s "invalid literal" message
@@ -402,6 +448,16 @@ def test_verify_names_a_chain_file_that_is_not_json(tmp_path, capsys):
     (None, lambda t: t.update(order=[60]), "order must be an integer"),
     (None, lambda t: t["classes"][1]["power_maps"].update(x="1a"),
      "class '2a': power-map key must be an integer, got 'x'"),
+    # the later of two keys that read as one integer won without a word:
+    # the chain verified as satisfied, the table validated ok
+    ({"unit_order": 2, "entries": {"02": {"2a": 3}, "2": {"2a": 1}}}, None,
+     "chain entries '02' and '2' name the same level 2"),
+    (None, lambda t: t["classes"][1].update(
+        power_maps={"02": "2a", **t["classes"][1]["power_maps"]}),
+     "class '2a': power-map keys '02' and '2' name the same prime 2"),
+    # the message came from factoring the order: "positive integer required"
+    *[({"unit_order": n, "entries": {}}, None,
+       f"chain unit_order must be at least 1, got {n}") for n in (0, -6)],
     (None, lambda t: t["characters"][1].update(characteristic=10**30 + 57),
      "characteristic: 1000000000000000000000000000057 is too large"),
     # int() read 5.5 as conductor 5 and True as 1
@@ -423,7 +479,8 @@ def test_verify_names_a_chain_file_that_is_not_json(tmp_path, capsys):
      "entries, more than the limit of 10000000"),
 ], ids=["entries-list", "level-list", "chains-int", "classes-int",
         "power-maps-list", "values-list", "augmentation-float", "order-list",
-        "power-map-key", "huge-characteristic", "conductor-5.5",
+        "power-map-key", "duplicate-level", "duplicate-power-map-key",
+        "unit-order-0", "unit-order-negative", "huge-characteristic", "conductor-5.5",
         "conductor-5.0", "conductor-true", "huge-conductor",
         "huge-reduction-table"])
 def test_malformed_json_is_a_data_error(tmp_path, capsys, chain, edit, field):

@@ -219,12 +219,6 @@ def test_unknown_character_name_rejected(psp):
         build_system(psp, ["zeta"], 2)
 
 
-def test_congruences_none_mode(psp):
-    system = build_system(psp, ["phi"], 2, congruences="none")
-    assert system.congruence_mode == {}
-    assert all(r.kind != "cong" or "mult" in r.provenance for r in system.rows)
-
-
 def test_check_point_flags_violations(psp):
     sys2 = build_system(psp, ["phi"], 2)
     assert sys2.check_point({"2a": 1, "2b": 0}) == []
