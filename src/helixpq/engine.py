@@ -68,6 +68,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from operator import itemgetter
@@ -166,8 +167,16 @@ class ConstraintSystem:
         return bad
 
 
+def _integer(x, what: str) -> int:
+    """`x` as an int, else an EngineError (a ValueError) naming `what`: a
+    bool or a float, even 2.0, is refused rather than truncated."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Integral):
+        raise EngineError(f"{what} must be an integer, got {x!r}")
+    return int(x)
+
+
 def _unit_order(order) -> int:
-    n = int(order)
+    n = _integer(order, "unit order")
     if n < 2:
         raise EngineError(f"unit order must be at least 2, got {n}")
     return n
@@ -464,9 +473,10 @@ def _cap_or_default(cap: Optional[int]) -> int:
     """DEFAULT_CAP for None, else the cap, which must be nonnegative."""
     if cap is None:
         return DEFAULT_CAP
-    if int(cap) < 0:
+    cap = _integer(cap, "cap")
+    if cap < 0:
         raise EngineError(f"cap must be nonnegative, got {cap}")
-    return int(cap)
+    return cap
 
 
 def _merge_chain_levels(combo: Sequence[PAChain]) -> Optional[dict[int, dict[str, int]]]:
@@ -551,7 +561,7 @@ def solve_s_constant(
     order-s partial augmentations apart, so only their total matters.
     The order-s power data collapses to "~s": 1 (its augmentation is 1).
     """
-    s, t = int(s), int(t)
+    s, t = _integer(s, "s"), _integer(t, "t")
     cap = _cap_or_default(cap)
     if s == t or tuple(prime_divisors(s)) != (s,) or tuple(prime_divisors(t)) != (t,):
         raise EngineError(f"need two distinct primes, got s={s}, t={t}")
@@ -716,6 +726,7 @@ def verify_chain(
     A chain that aggregates the order-s classes as "~s" (from
     `solve_s_constant`) is checked the way it was solved: every level
     that s divides is built with `collapse_order=s`."""
+    _unit_order(chain.unit_order)
     aggregated = sorted(check_chain_shape(table, chain))
     chars = _resolve_chars(table, characters)
     failures: list[tuple[int, str]] = []

@@ -43,15 +43,14 @@ incremental, as in the activity-based bound propagation of MIP solvers: each
 node carries every row's activities (its minimum and maximum over the box),
 summed once at the root and then shifted by each bound move through a
 per-variable occurrence index; a pass evaluates only the dirty rows, those
-with a variable moved since their last evaluation; and a row that holds on a
-whole box is retired for that node's subtree.  None of this changes which
-boxes the search visits.  Congruences live in one per-variable index: a
+with a variable moved since their last evaluation.  None of this changes
+which boxes the search visits.  Congruences live in one per-variable index: a
 branch takes its values from the progression its variable's congruences
 allow, and a congruence is checked as soon as its last free variable is
 pinned, whether by a branch, by the rounded box or by propagation; a node
 whose pinned values break one is cut, so a leaf only reads its row
 activities.  At a node whose only free variables are the branch variable
-and one other, tied to it by a live equality, each branch value gives one
+and one other, tied to it by an equality, each branch value gives one
 candidate point (the other variable read off the equality), checked
 directly instead of in a child node.  Each candidate still counts as the
 node its child would have been, so node counts, budget stops and the order
@@ -387,10 +386,6 @@ def variable_bounds(poly: Polyhedron) -> Bounds:
 # DFS over integer boxes with exact propagation
 
 
-# row states in _dfs_enumerate
-_CLEAN, _DIRTY, _RETIRED = 0, 1, 2
-
-
 class _Budget:
     __slots__ = ("nodes",)
 
@@ -407,20 +402,19 @@ def _dfs_enumerate(dim, ineqs, eqs, congs, lo, hi, cap, budget: _Budget):
     (j, a_j) for a_j > 0 and neg the pairs (j, -a_j) for a_j < 0, so
     propagation touches no zero entry.  Besides the box, a node owns two row
     activities, mn[r] and mx[r] (the minimum and maximum of a_r.x + c_r over
-    the box), and a row state, clean, dirty or retired.  The activities are
-    summed only at the root; after that, a move of a bound of x_j shifts
-    them through the occurrence index occ[j], the pairs (r, a_j) with a_j !=
-    0 split by sign, and marks those rows dirty.
+    the box), and a dirty flag per row.  The activities are summed only at
+    the root; after that, a move of a bound of x_j shifts them through the
+    occurrence index occ[j], the pairs (r, a_j) with a_j != 0 split by sign,
+    and marks those rows dirty.
 
     A node tightens the box by up to 4 Gauss-Seidel passes over the rows in
     index order; each row cuts with the activities read as its evaluation
     starts.  A pass evaluates only the dirty rows: a clean row has seen no
     move of its variables since its last evaluation, or only its own moves,
     which cannot change its cuts, so evaluating it again changes nothing.
-    A row with mn >= 0 holds on the whole box, and so on every box of the
-    subtree; it is retired there, neither evaluated nor shifted again.  A
-    child copies its parent's lists, pins its variable and marks that
-    variable's rows dirty; the root starts with every row dirty.
+    A row with mn >= 0 holds on the whole box and cuts nothing.  A child
+    copies its parent's lists, pins its variable and marks that variable's
+    rows dirty; the root starts with every row dirty.
 
     Congruences are held once, in cocc[j]: those whose support {j: a_j mod
     m != 0} holds x_j.  A congruence is decided once its last free variable
@@ -434,7 +428,7 @@ def _dfs_enumerate(dim, ineqs, eqs, congs, lo, hi, cap, budget: _Budget):
     mx >= 0.
 
     A node whose free variables are the branch variable x_j and one x_k
-    that a live equality pair (the last equality first) holds with x_j
+    that an equality pair (the last equality first) holds with x_j
     makes no children: `bottom` decides them in closed form, one node per
     candidate.  Any other node branches, one child per value of x_j.
     Returns (points, exhausted) where exhausted=False means the cap or node
@@ -471,31 +465,27 @@ def _dfs_enumerate(dim, ineqs, eqs, congs, lo, hi, cap, budget: _Budget):
     pairs = [(len(ineqs) + 2 * i, eqs[i][0]) for i in reversed(range(len(eqs)))]
     points: list[tuple[int, ...]] = []
 
-    def shift(j, dl, dh, mn, mx, state):
+    def shift(j, dl, dh, mn, mx, dirty):
         """lo_j moved by dl and hi_j by dh: shift the activities of the
-        live rows of x_j and mark them dirty.  lo_j bounds a_j*x_j from
-        below when a_j > 0 and from above when a_j < 0; hi_j the reverse."""
+        rows of x_j and mark them dirty.  lo_j bounds a_j*x_j from below
+        when a_j > 0 and from above when a_j < 0; hi_j the reverse."""
         up, down = occ[j]
         if dl:
             for r, a in up:
-                if state[r] != _RETIRED:
-                    mn[r] += a * dl
-                    state[r] = _DIRTY
+                mn[r] += a * dl
+                dirty[r] = True
             for r, a in down:
-                if state[r] != _RETIRED:
-                    mx[r] += a * dl
-                    state[r] = _DIRTY
+                mx[r] += a * dl
+                dirty[r] = True
         if dh:
             for r, a in up:
-                if state[r] != _RETIRED:
-                    mx[r] += a * dh
-                    state[r] = _DIRTY
+                mx[r] += a * dh
+                dirty[r] = True
             for r, a in down:
-                if state[r] != _RETIRED:
-                    mn[r] += a * dh
-                    state[r] = _DIRTY
+                mn[r] += a * dh
+                dirty[r] = True
 
-    def propagate(lo, hi, mn, mx, state):
+    def propagate(lo, hi, mn, mx, dirty):
         """Tighten the box in place; False when it holds no integer point."""
         changed = True
         passes = 0
@@ -503,7 +493,7 @@ def _dfs_enumerate(dim, ineqs, eqs, congs, lo, hi, cap, budget: _Budget):
             changed = False
             passes += 1
             for r, (pos, neg, _) in enumerate(rows):
-                if state[r] != _DIRTY:
+                if not dirty[r]:
                     continue
                 # the activities as the evaluation starts: the row's own
                 # moves below shift mn[r], not these
@@ -511,7 +501,7 @@ def _dfs_enumerate(dim, ineqs, eqs, congs, lo, hi, cap, budget: _Budget):
                 if rmx < 0:
                     return False
                 if rmn >= 0:
-                    state[r] = _RETIRED
+                    dirty[r] = False
                     continue
                 # x_j's own term spans [a_j*lo_j, a_j*hi_j], so the row needs
                 # a_j*x_j >= a_j*hi_j - mx: lo_j >= ceil((a_j*hi_j - mx) /
@@ -520,18 +510,18 @@ def _dfs_enumerate(dim, ineqs, eqs, congs, lo, hi, cap, budget: _Budget):
                 for j, aj in pos:
                     nl = hi[j] - rmx // aj
                     if nl > lo[j]:
-                        shift(j, nl - lo[j], 0, mn, mx, state)
+                        shift(j, nl - lo[j], 0, mn, mx, dirty)
                         lo[j] = nl
                         changed = True
                 for j, bj in neg:  # b_j = -a_j > 0: the same for -x_j
                     nh = lo[j] + rmx // bj
                     if nh < hi[j]:
-                        shift(j, 0, nh - hi[j], mn, mx, state)
+                        shift(j, 0, nh - hi[j], mn, mx, dirty)
                         hi[j] = nh
                         changed = True
                 # these moves raise mn only and the cuts read mx, so a
                 # second evaluation would move nothing
-                state[r] = _RETIRED if mn[r] >= 0 else _CLEAN
+                dirty[r] = False
         return True
 
     def cong_progression(j, lo, hi):
@@ -562,23 +552,22 @@ def _dfs_enumerate(dim, ineqs, eqs, congs, lo, hi, cap, budget: _Budget):
             offset %= step
         return step, offset
 
-    def bottom(j, v, step, k, eq, lo, hi, mn, mx, state):
+    def bottom(j, v, step, k, eq, lo, hi, mn, mx):
         """The children of a node whose only free variables are x_j, the
-        branch variable, and x_k, tied to x_j by the live equality pair
-        whose first row is eq, in closed form; the same return as rec.
+        branch variable, and x_k, tied to x_j by the equality pair whose
+        first row is eq, in closed form; the same return as rec.
 
         The child x_j = v has one point at most, (v, x_k) with x_k read off
         the equality, and rec would keep it exactly when x_k is an integer
-        in [lo_k, hi_k], every live row holds there (a retired one holds on
-        the whole box) and so does every congruence of x_k (those of x_j
-        alone shaped the progression).  Each candidate v counts as the node
-        its child would have been, with the same budget and cap checks."""
-        # the live rows of x_j and x_k: r -> [a_j, a_k]
+        in [lo_k, hi_k], every row holds there and so does every congruence
+        of x_k (those of x_j alone shaped the progression).  Each candidate
+        v counts as the node its child would have been, with the same budget
+        and cap checks."""
+        # the rows of x_j and x_k: r -> [a_j, a_k]
         coef: dict[int, list[int]] = {}
         for t, i in enumerate((j, k)):
             for r, a in itertools.chain(*occ[i]):
-                if state[r] != _RETIRED:
-                    coef.setdefault(r, [0, 0])[t] = a
+                coef.setdefault(r, [0, 0])[t] = a
 
         def least(a, i):
             return a * (lo[i] if a > 0 else hi[i])
@@ -597,7 +586,7 @@ def _dfs_enumerate(dim, ineqs, eqs, congs, lo, hi, cap, budget: _Budget):
                   for _, a, c, m in cocc[k]]
         # with x_k = -(f0 + e_j*v) / e_k, a row times e_k reads A + B*v >= 0
         vl, vh = lo[j], hi[j]
-        # a row with mx < 0, such as a live row of fixed variables with a
+        # a row with mx < 0, such as a row of fixed variables with a
         # negative value, fails on the whole box
         if min(mx) < 0:
             vh = vl - 1
@@ -624,13 +613,13 @@ def _dfs_enumerate(dim, ineqs, eqs, congs, lo, hi, cap, budget: _Budget):
             v += step
         return True
 
-    def rec(lo, hi, mn, mx, state, free):
+    def rec(lo, hi, mn, mx, dirty, free):
         """free: the variables free at the parent, less the one it branched
         on (every variable at the root)."""
         budget.nodes += 1
         if budget.nodes > _NODE_BUDGET or len(points) > cap:
             return False
-        if not propagate(lo, hi, mn, mx, state):
+        if not propagate(lo, hi, mn, mx, dirty):
             return True
         unfixed = [j for j in free if lo[j] < hi[j]]
         if len(unfixed) < len(free):  # this node pinned a variable
@@ -640,8 +629,7 @@ def _dfs_enumerate(dim, ineqs, eqs, congs, lo, hi, cap, budget: _Budget):
                         if supp.isdisjoint(unfixed) and (c + sum(map(mul, a, lo))) % m:
                             return True
         if not unfixed:
-            # every congruence holds, and a live row's activities are its
-            # value; a retired row holds and kept its mx >= mn >= 0
+            # every congruence holds, and a row's activities are its value
             if min(mx, default=0) >= 0:
                 points.append(tuple(lo))
                 if len(points) > cap:
@@ -657,19 +645,19 @@ def _dfs_enumerate(dim, ineqs, eqs, congs, lo, hi, cap, budget: _Budget):
         if len(unfixed) == 1:
             k = unfixed[0]
             for r, a in pairs:
-                if a[j] and a[k] and _RETIRED not in (state[r], state[r + 1]):
-                    return bottom(j, v, step, k, r, lo, hi, mn, mx, state)
+                if a[j] and a[k]:
+                    return bottom(j, v, step, k, r, lo, hi, mn, mx)
         while v <= hi[j]:
             nlo, nhi = list(lo), list(hi)
             nlo[j] = nhi[j] = v
-            nmn, nmx, nstate = list(mn), list(mx), list(state)
-            shift(j, v - lo[j], v - hi[j], nmn, nmx, nstate)
-            if not rec(nlo, nhi, nmn, nmx, nstate, unfixed):
+            nmn, nmx, ndirty = list(mn), list(mx), list(dirty)
+            shift(j, v - lo[j], v - hi[j], nmn, nmx, ndirty)
+            if not rec(nlo, nhi, nmn, nmx, ndirty, unfixed):
                 return False
             v += step
         return True
 
-    exhausted = rec(list(lo), list(hi), mn, mx, [_DIRTY] * len(rows), range(dim))
+    exhausted = rec(list(lo), list(hi), mn, mx, [True] * len(rows), range(dim))
     return points, exhausted
 
 

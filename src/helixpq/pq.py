@@ -32,6 +32,7 @@ from .engine import (
     SolutionSet,
     _cap_or_default,
     _constant_value,
+    _integer,
     _resolve_chars,
     classify_chain,
     solve_order,
@@ -132,7 +133,7 @@ class PQReport:
 def _as_pair(pair) -> frozenset:
     """`pair` as a frozenset of two distinct integers, else a PQError."""
     try:
-        p, q = (int(x) for x in pair)
+        p, q = (_integer(x, "pair member") for x in pair)
     except (TypeError, ValueError):  # not iterable, not two items, not ints
         p = q = None
     if p is None or p == q:

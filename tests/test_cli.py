@@ -383,6 +383,17 @@ def test_verify_order_zero_is_cross_checked(chain_file, capsys):
                    "order 2\n")
 
 
+def test_verify_refuses_a_unit_order_below_2(tmp_path, capsys):
+    # a chain of unit order 1 has no levels, so it was reported satisfied
+    # with 0 rows checked, while solve --order 1 is refused
+    path = tmp_path / "u1.json"
+    path.write_text(json.dumps({"unit_order": 1, "entries": {}}))
+    code, out, err = run(capsys, "verify", "--table", "gen:psl2:7",
+                         "--chain", str(path))
+    assert (code, out) == (1, "")
+    assert err == "helixpq: error: unit order must be at least 2, got 1\n"
+
+
 def test_verify_accepts_whole_solver_file(tmp_path, capsys):
     code, out, _ = run(capsys, "solve", "--table", "embedded:psl2_2f_rows",
                        "--chars", "all", "--order", "6", "--format", "json")

@@ -20,6 +20,7 @@ from helixpq.engine import (
     solve_s_constant,
     verify_chain,
 )
+from helixpq.pq import PQError, pq_check
 from helixpq.psl2 import gen_table
 
 
@@ -580,6 +581,31 @@ def test_verify_rejects_perturbed_chain(psl2_32):
 def test_verify_rejects_malformed_chain(psl2_32):
     with pytest.raises(TableError):
         verify_chain(psl2_32, ["st"], PAChain(6, {6: {"2a": 1}}))
+
+
+def test_verify_refuses_a_unit_order_below_2():
+    table = gen_table("psl2", 7)
+    with pytest.raises(EngineError, match="^unit order must be at least 2, got 1$"):
+        verify_chain(table, ["st"], PAChain(1, {}))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda t: pq_check(t, pairs=[(2.5, 3)]), PQError, "is not two distinct integers"),
+    (lambda t: pq_check(t, pairs=[(True, 3)]), PQError, "is not two distinct integers"),
+    (lambda t: solve_order(t, ["st"], 6.5), EngineError, "unit order must be an integer"),
+    (lambda t: solve_order(t, ["st"], 6.0), EngineError, "unit order must be an integer"),
+    (lambda t: solve_s_constant(t, ["st"], 2.9, 3), EngineError, "s must be an integer"),
+    (lambda t: solve_s_constant(t, ["st"], 2, True), EngineError, "t must be an integer"),
+    (lambda t: solve_order(t, ["st"], 6, cap=2.5), EngineError, "cap must be an integer"),
+    (lambda t: solve_order(t, ["st"], 6, cap=True), EngineError, "cap must be an integer"),
+    (lambda t: pq_check(t, cap=10.0), EngineError, "cap must be an integer"),
+], ids=["pair-float", "pair-bool", "order-float", "order-whole-float", "s-float",
+        "t-bool", "cap-float", "cap-bool", "pq-cap-float"])
+def test_integer_arguments_refuse_floats_and_bools(call, error, message):
+    # each was truncated by int(): pairs (2.5, 3) screened {2, 3}, order 6.5
+    # solved order 6, s = 2.9 ran the collapse on 2
+    with pytest.raises(error, match=message):
+        call(gen_table("psl2", 7))
 
 
 def test_verify_checks_aggregated_chains_as_solved(psl2_16):

@@ -305,9 +305,19 @@ def test_psl2_25_order_39_search_visits_pinned_node_count(budgets):
     assert [b.nodes for b in budgets] == [1]
 
 
+def test_psl2_43_order_77_joint_search_visits_pinned_node_count(budgets):
+    # the joint system over levels 7, 11 and 77 has many long rows, so most
+    # of its time goes to shifting activities and propagating dirty rows
+    table = gen_table("psl2", 43)
+    res = build_chain_system(table, list(table.characters), 77).solve(cap=2000)
+    assert res.status == "finite" and res.points == []
+    assert [b.nodes for b in budgets] == [4721]
+
+
 def test_enumerator_matches_oracle_on_dense_rows(budgets):
     # every general row holds nearly every variable, so each bound move
-    # shifts and dirties many rows, and rows are retired deep in the search
+    # shifts and dirties many rows, and many rows come to hold on the whole
+    # box deep in the search
     rng = random.Random(20261019)
     nonempty = 0
     for trial in range(80):
