@@ -374,17 +374,20 @@ def _coefficient(c) -> Coeff:
 class CycValue:
     """A canonical element of some Q(zeta_N); immutable and hashable."""
 
-    __slots__ = ("_n", "_c")
+    # _h: the hash, None until the first __hash__ computes it
+    __slots__ = ("_n", "_c", "_h")
 
     def __init__(self, conductor: int = 1, terms: Mapping[int, _RatLike] | None = None):
         raw = {} if terms is None else {int(e): _coefficient(c) for e, c in terms.items()}
         self._n, self._c = _canonical_parts(int(conductor), raw)
+        self._h = None
 
     @classmethod
     def _canonical(cls, conductor: int, raw: Mapping[int, Coeff]) -> "CycValue":
         """Like the constructor, for terms that are already ints or Fractions."""
         out = object.__new__(cls)
         out._n, out._c = _canonical_parts(conductor, raw)
+        out._h = None
         return out
 
     # -- inspection ---------------------------------------------------------
@@ -442,7 +445,7 @@ class CycValue:
 
     def __neg__(self):
         out = object.__new__(CycValue)
-        out._n, out._c = self._n, {e: -c for e, c in self._c.items()}
+        out._n, out._c, out._h = self._n, {e: -c for e, c in self._c.items()}, None
         return out
 
     def __sub__(self, other):
@@ -480,7 +483,11 @@ class CycValue:
         return self._n == other._n and self._c == other._c
 
     def __hash__(self):
-        return hash((self._n, frozenset(self._c.items())))
+        if self._h is None:
+            # a rational value equals its number, so it hashes as the number
+            self._h = (hash(self._c.get(0, 0)) if self._n == 1
+                       else hash((self._n, frozenset(self._c.items()))))
+        return self._h
 
     def __bool__(self):
         return bool(self._c)
@@ -502,7 +509,7 @@ def cyc_rational(q: _RatLike) -> CycValue:
     canonical once its coefficient is an int when integral."""
     c = _norm(_coefficient(q))
     out = object.__new__(CycValue)
-    out._n, out._c = 1, ({0: c} if c else {})
+    out._n, out._c, out._h = 1, ({0: c} if c else {}), None
     return out
 
 
@@ -523,7 +530,7 @@ def galois_apply(value: CycValue, k: int) -> CycValue:
     # an automorphism maps every subfield of Q(zeta_N) onto itself, so the
     # image keeps the conductor N and only needs reducing on the power basis
     out = object.__new__(CycValue)
-    out._n, out._c = n, _reduce(n, {e * k % n: c for e, c in value._c.items()})
+    out._n, out._c, out._h = n, _reduce(n, {e * k % n: c for e, c in value._c.items()}), None
     return out
 
 

@@ -632,12 +632,18 @@ def _solve_combos(
     # chain of one call has the same levels and classes: the variables
     # depend only on the table, the order and the collapse, and the fixed
     # levels come from sub-solution sets that are uniform in the same way.
-    # So the fixed levels' values in that order, then the point's values
-    # permuted into it, order the chains as their (level, sorted entries)
-    # tuples would, and the variables are mapped to their (level, class)
-    # slots once, with the first system.
-    keyed: list[tuple[tuple[int, ...], PAChain]] = []
-    slots = perm = fixed_slots = None
+    # So the fixed levels' values in that order (a system's head), then
+    # the point's values permuted into it, order the chains as their
+    # (level, sorted entries) tuples would.  The heads of two systems
+    # differ, since distinct combinations differ on some fixed level, so
+    # each system's chains form one run, and the runs are joined in the
+    # order of their heads.  A system's points come in lexicographic
+    # order, which is the chains' order unless the variables are out of
+    # (level, class name) order.  The variables are mapped to their
+    # (level, class) slots once, with the first system.
+    runs: list[tuple[tuple[int, ...], list[PAChain]]] = []
+    found = 0
+    slots = reorder = fixed_slots = None
     status = "finite"
     modes: set[str] = set()
     detail = None
@@ -650,7 +656,7 @@ def _solve_combos(
             detail = ("a top-level system" if joint_reason is None else
                       f"{joint_reason}; the joint system") + " admits an integer ray"
             ray = {v: r for v, r in zip(system.variables, res.ray) if r}
-            keyed = []
+            runs = []
             break
         fixed = fixed or {}
         if slots is None:
@@ -660,6 +666,8 @@ def _solve_combos(
             else:
                 slots = [(n, v) for v in system.variables]
             perm = sorted(range(len(slots)), key=slots.__getitem__)
+            if perm != list(range(len(perm))):
+                reorder = itemgetter(*perm)
             fixed_slots = sorted((m, c) for m, ent in fixed.items() for c in ent)
             # each level's variables are consecutive: (level, start, classes)
             spans, start = [], 0
@@ -667,14 +675,16 @@ def _solve_combos(
                 classes = [cname for _, cname in group]
                 spans.append((lvl, start, classes))
                 start += len(classes)
-        head = tuple(fixed[m][c] for m, c in fixed_slots)
-        for pt in res.points:
-            entries = {m: dict(ent) for m, ent in fixed.items()}
+        points = res.points if reorder is None else sorted(res.points, key=reorder)
+        chains = []
+        for pt in points:
+            entries = {m: dict(ent) for m, ent in fixed.items()} if fixed else {}
             for lvl, start, classes in spans:
                 entries[lvl] = dict(zip(classes, pt[start:]))
-            keyed.append((head + tuple(map(pt.__getitem__, perm)),
-                          PAChain(unit_order=n, entries=entries)))
-        if res.status == "capped" or len(keyed) > cap:
+            chains.append(PAChain(unit_order=n, entries=entries))
+        runs.append((tuple(fixed[m][c] for m, c in fixed_slots), chains))
+        found += len(chains)
+        if res.status == "capped" or found > cap:
             status = "capped"
             # a finite result has no limit: the chains of all combos passed the cap
             stop = {
@@ -690,12 +700,12 @@ def _solve_combos(
         if joint_reason is not None:
             detail = f"solved jointly across levels ({joint_reason})"
 
-    keyed.sort(key=itemgetter(0))
+    runs.sort(key=itemgetter(0))
     return SolutionSet(
         table_name=table.group_name,
         unit_order=n,
         status=status,
-        chains=tuple(chain for _, chain in keyed),
+        chains=tuple(itertools.chain.from_iterable(chains for _, chains in runs)),
         character_names=names,
         strategy=strategy,
         congruence_modes=tuple(sorted(modes)),

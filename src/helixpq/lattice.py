@@ -6,8 +6,8 @@ A `Polyhedron` is given by integer rows:
 * equalities    (a, c):     a.x + c == 0
 * congruences   (a, c, m):  a.x + c == 0  (mod m)
 
-`variable_bounds` computes, for each coordinate, exact rational extrema of
-the linear relaxation (ignoring congruences).  The equalities are
+`_bounds` computes, for each coordinate, exact rational extrema of the
+linear relaxation (ignoring congruences).  The equalities are
 substituted out first, fraction-free, each on its variable of least
 |coefficient|, so each coordinate becomes an affine function (w.y + t) / den
 of the kept variables y.  A two-phase primal simplex using Bland's rule then
@@ -50,18 +50,17 @@ allow, and a congruence is checked as soon as its last free variable is
 pinned, whether by a branch, by the rounded box or by propagation; a node
 whose pinned values break one is cut, so a leaf only reads its row
 activities.  At a node whose only free variables are the branch variable
-and one other, tied to it by an equality, each branch value gives one
-candidate point (the other variable read off the equality), checked
-directly instead of in a child node.  Each candidate still counts as the
-node its child would have been, so node counts, budget stops and the order
-of the points are unchanged.
+and one other, tied to it by an equality, no child node is made: the rows
+bound the branch value to an interval, and the other variable being an
+integer (read off the equality) and each of its congruences are linear
+congruences in the branch value, merged by CRT into the branch's
+progression once, so the points are the merged progression's values in
+that interval.  Each branch value still counts as the node its child would
+have been, so node counts, budget and cap stops and the order of the
+points are unchanged.
 A congruence whose constant the gcd of its modulus and coefficients does not
 divide, and congruences that clash modulo the gcd of two moduli, are
 rejected before any search.
-
-`oracle_enumerate` is an independent brute-force checker over an explicit
-box, kept free of any machinery above so the two can be tested against each
-other.
 """
 
 from __future__ import annotations
@@ -72,7 +71,7 @@ import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
-from typing import Optional, Sequence
+from typing import Optional
 
 Rat = Fraction
 
@@ -82,11 +81,8 @@ _PROBE_WINDOWS = (16, 256, 4096, 65536)
 
 __all__ = [
     "Polyhedron",
-    "Bounds",
     "EnumerationResult",
-    "variable_bounds",
     "enumerate_integer_points",
-    "oracle_enumerate",
     "DEFAULT_CAP",
 ]
 
@@ -124,13 +120,6 @@ def _int_row(kind, row):
     if not all(isinstance(x, numbers.Rational) and x.denominator == 1 for x in (*a, *rest)):
         raise ValueError(f"{kind} row {row!r} has a non-integer entry")
     return (tuple(map(int, a)), *map(int, rest))
-
-
-@dataclass
-class Bounds:
-    status: str  # "ok" | "infeasible"
-    lower: list[Optional[Rat]]
-    upper: list[Optional[Rat]]
 
 
 @dataclass
@@ -372,18 +361,25 @@ def _inequalities(ineqs, eqs):
     return out
 
 
-def variable_bounds(poly: Polyhedron) -> Bounds:
-    """Exact rational extrema of each coordinate over the linear relaxation,
-    with the equalities substituted out before the simplex (`_bounds`)."""
-    bounds = _bounds(poly.dim, poly.ineqs, poly.eqs)
-    if bounds == "infeasible":
-        return Bounds("infeasible", [], [])
-    lower, upper, _ = bounds
-    return Bounds("ok", lower, upper)
-
-
 # ---------------------------------------------------------------------------
 # DFS over integer boxes with exact propagation
+
+
+def _merge_progression(step, offset, a, b, m):
+    """The progression t = offset (mod step) merged by CRT with the
+    solutions of a*t = b (mod m): the combined (step, offset) with offset
+    in [0, step), or None when no t satisfies both."""
+    g = math.gcd(a, m)
+    if b % g:
+        return None
+    mm = m // g
+    root = b // g * pow(a // g, -1, mm) % mm
+    gg = math.gcd(step, mm)
+    if (root - offset) % gg:
+        return None
+    t = (root - offset) // gg * pow(step // gg, -1, mm // gg) % (mm // gg)
+    lcm = step // gg * mm
+    return lcm, (offset + step * t) % lcm
 
 
 class _Budget:
@@ -429,8 +425,10 @@ def _dfs_enumerate(dim, ineqs, eqs, congs, lo, hi, cap, budget: _Budget):
 
     A node whose free variables are the branch variable x_j and one x_k
     that an equality pair (the last equality first) holds with x_j
-    makes no children: `bottom` decides them in closed form, one node per
-    candidate.  Any other node branches, one child per value of x_j.
+    makes no children: `bottom` folds x_k's integrality and congruences
+    into x_j's progression and reads the points off it, still counting one
+    node per value of x_j.  Any other node branches, one child per value
+    of x_j.
     Returns (points, exhausted) where exhausted=False means the cap or node
     budget interrupted the search.
     """
@@ -529,28 +527,15 @@ def _dfs_enumerate(dim, ineqs, eqs, congs, lo, hi, cap, budget: _Budget):
         of x_j whose other variables are all fixed (lo == hi), each
         contributing a_k * lo_k to the constant; None when they admit no
         value of x_j."""
-        step, offset = 1, 0
+        prog = (1, 0)
         for supp, a, c, m in cocc[j]:
             if any(lo[k] < hi[k] for k in supp if k != j):
                 continue
-            aj = a[j] % m
-            cc = (c + sum(map(mul, a, lo)) - a[j] * lo[j]) % m
-            g = math.gcd(aj, m)
-            if cc % g:
+            cc = c + sum(map(mul, a, lo)) - a[j] * lo[j]
+            prog = _merge_progression(*prog, a[j], -cc, m)
+            if prog is None:
                 return None
-            mm = m // g
-            root = (-(cc // g) * pow(aj // g, -1, mm)) % mm
-            # merge x = root (mod mm) into x = offset (mod step)
-            gg = math.gcd(step, mm)
-            if (root - offset) % gg:
-                return None
-            l = step // gg * mm
-            # CRT combine
-            t = ((root - offset) // gg * pow(step // gg, -1, mm // gg)) % (mm // gg)
-            offset = offset + step * t
-            step = l
-            offset %= step
-        return step, offset
+        return prog
 
     def bottom(j, v, step, k, eq, lo, hi, mn, mx):
         """The children of a node whose only free variables are x_j, the
@@ -560,9 +545,15 @@ def _dfs_enumerate(dim, ineqs, eqs, congs, lo, hi, cap, budget: _Budget):
         The child x_j = v has one point at most, (v, x_k) with x_k read off
         the equality, and rec would keep it exactly when x_k is an integer
         in [lo_k, hi_k], every row holds there and so does every congruence
-        of x_k (those of x_j alone shaped the progression).  Each candidate
-        v counts as the node its child would have been, with the same budget
-        and cap checks."""
+        of x_k (those of x_j alone shaped the progression).  The rows give
+        an interval [vl, vh] of v.  That x_k is an integer, and each
+        congruence of x_k, is a linear congruence in v; they are merged
+        into the progression once, so the points are its values in [vl,
+        vh], with no test per value.  Each value of the first progression
+        up to hi_j counts as the node its child would have been, and the
+        count is made arithmetically: the budget stops at budget + 1 nodes
+        and the cap at the node of the point that passes it, as with a
+        child per value."""
         # the rows of x_j and x_k: r -> [a_j, a_k]
         coef: dict[int, list[int]] = {}
         for t, i in enumerate((j, k)):
@@ -581,9 +572,6 @@ def _dfs_enumerate(dim, ineqs, eqs, congs, lo, hi, cap, budget: _Budget):
             eq += 1  # the row of the pair with e_k > 0
         ej, ek = coef[eq]
         f0 = mn[eq] - least(ej, j) - least(ek, k)
-        # (c + a.x less a_j*x_j and a_k*x_k, a_j, a_k, m)
-        kcongs = [(c + sum(map(mul, a, lo)) - a[j] * lo[j] - a[k] * lo[k], a[j], a[k], m)
-                  for _, a, c, m in cocc[k]]
         # with x_k = -(f0 + e_j*v) / e_k, a row times e_k reads A + B*v >= 0
         vl, vh = lo[j], hi[j]
         # a row with mx < 0, such as a row of fixed variables with a
@@ -598,19 +586,37 @@ def _dfs_enumerate(dim, ineqs, eqs, congs, lo, hi, cap, budget: _Budget):
                 vh = min(vh, a // -b)
             elif a < 0:
                 vh = vl - 1
+        # x_k is an integer when e_j*v = -f0 (mod e_k); then a congruence
+        # C + a_j*v + a_k*x_k = 0 (mod m), C its constant with the pinned
+        # values in, holds when e_k times it holds modulo e_k*m
+        prog = _merge_progression(step, v % step, ej, -f0, ek)
+        for _, a, c, m in cocc[k]:
+            if prog is None:
+                break
+            cc = c + sum(map(mul, a, lo)) - a[j] * lo[j] - a[k] * lo[k]
+            prog = _merge_progression(*prog, ek * a[j] - a[k] * ej,
+                                      a[k] * f0 - ek * cc, ek * m)
+        # the child of the value v + i*step would be node budget.nodes + i
+        # + 1, so the values below the budget's are those before end
+        end = v + (_NODE_BUDGET - budget.nodes) * step
+        emitted = range(0)
+        if prog is not None:
+            fold, offset = prog
+            first = max(v, vl)
+            first += (offset - first) % fold
+            # at most the points up to the one that passes the cap
+            emitted = range(first, min(vh + 1, end), fold)[:cap + 1 - len(points)]
         point = list(lo)
-        while v <= hi[j]:
-            budget.nodes += 1
-            if budget.nodes > _NODE_BUDGET or len(points) > cap:
-                return False
-            if vl <= v <= vh:
-                x, rem = divmod(-f0 - ej * v, ek)
-                if not rem and all((c + aj * v + ak * x) % m == 0 for c, aj, ak, m in kcongs):
-                    point[j], point[k] = v, x
-                    points.append(tuple(point))
-                    if len(points) > cap:
-                        return False
-            v += step
+        for w in emitted:
+            point[j], point[k] = w, (-f0 - ej * w) // ek
+            points.append(tuple(point))
+        if len(points) > cap:
+            budget.nodes += (emitted[-1] - v) // step + 1
+            return False
+        if end <= hi[j]:
+            budget.nodes = _NODE_BUDGET + 1
+            return False
+        budget.nodes += len(range(v, hi[j] + 1, step))
         return True
 
     def rec(lo, hi, mn, mx, dirty, free):
@@ -758,7 +764,7 @@ def enumerate_integer_points(poly: Polyhedron, cap: int | None = None) -> Enumer
     return EnumerationResult("finite", sorted(pts))
 
 
-def _bounds_raw(dim, ineqs, coords=None):
+def _bounds_raw(dim, ineqs, coords):
     """The simplex core: bounds over the system {a.x + c >= 0} as it is
     written, equalities and all (`_bounds` substitutes them out first);
     returns 'infeasible' or (lo list, hi list, ray-or-None): lo/hi entries
@@ -766,17 +772,15 @@ def _bounds_raw(dim, ineqs, coords=None):
     first unbounded objective grows.
 
     The bounds are the extrema of the affine functions (w.x + t) / den
-    listed in coords, by default each coordinate x_i; one with w = 0 is the
-    constant t / den and takes no simplex.  All the objectives, max then min
-    of each function, run on one feasible tableau, each starting from the
-    basis the previous one left, which stays feasible.
+    listed in coords; one with w = 0 is the constant t / den and takes no
+    simplex.  All the objectives, max then min of each function, run on one
+    feasible tableau, each starting from the basis the previous one left,
+    which stays feasible.
     """
     tab = _feasible_tableau(dim, ineqs)
     if tab is None:
         return "infeasible"
     rows, basis, slots, d = tab
-    if coords is None:
-        coords = [(tuple(int(i == j) for j in range(dim)), 0, 1) for i in range(dim)]
     lo: list[Optional[Rat]] = []
     hi: list[Optional[Rat]] = []
     ray = None
@@ -801,9 +805,11 @@ def _bounds_raw(dim, ineqs, coords=None):
 
 
 def _bounds(dim, ineqs, eqs):
-    """`_bounds_raw(dim, _inequalities(ineqs, eqs))` with the equalities
-    substituted out first: 'infeasible' or (lo, hi, ray), with the same lo
-    and hi.
+    """Exact rational extrema of each coordinate over the linear
+    relaxation: 'infeasible' or (lo, hi, ray), with the lo and hi that
+    `_bounds_raw` gives for each coordinate x_i on the rows
+    `_inequalities(ineqs, eqs)`, but with the equalities substituted out
+    first.
 
     Each equality e.x + c == 0 in turn, in order, is solved for the
     variable x_p with the least nonzero |e_p| (the lowest p on ties), and
@@ -865,24 +871,3 @@ def _substitute(rows, e, c, p):
             a, b, rest = tuple(x // g for x in a), b // g, [x // g for x in rest]
         out.append((a, b, *rest))
     return out
-
-
-# ---------------------------------------------------------------------------
-# independent brute-force oracle
-
-
-def oracle_enumerate(poly: Polyhedron, box: Sequence[tuple[int, int]]) -> list[tuple[int, ...]]:
-    """Brute force over an explicit box; deliberately shares no code with
-    the real enumerator."""
-    if len(box) != poly.dim:
-        raise ValueError("box width != dim")
-    # each point of the box is tested against the rows in turn and dropped at
-    # the first it fails; equalities first, as they reject the most points
-    points = list(itertools.product(*(range(a, b + 1) for a, b in box)))
-    for a, c in poly.eqs:
-        points = [x for x in points if sum(map(mul, a, x)) + c == 0]
-    for a, c, m in poly.congruences:
-        points = [x for x in points if (sum(map(mul, a, x)) + c) % m == 0]
-    for a, c in poly.ineqs:
-        points = [x for x in points if sum(map(mul, a, x)) + c >= 0]
-    return sorted(points)

@@ -34,9 +34,10 @@ from helixpq.engine import (
     solve_s_constant,
     verify_chain,
 )
-from helixpq.lattice import Polyhedron, enumerate_integer_points, oracle_enumerate
+from helixpq.lattice import Polyhedron, enumerate_integer_points
 from helixpq.pq import pq_check
 from helixpq.psl2 import gen_table
+from lattice_oracle import oracle_enumerate
 
 _QS = (4, 5, 7, 8, 9, 11, 13, 16, 25, 27, 32, 49)
 _CACHE: dict = {}

@@ -61,6 +61,23 @@ def test_rational_arithmetic_stays_rational():
     assert v.is_rational() and v.as_rational() == Fraction(1, 2)
 
 
+def test_equal_values_hash_equal():
+    # a rational value equals its number, so a dict keyed by the number
+    # finds it; zero from a cancelling sum hashes as 0
+    for number in (3, -7, Fraction(5, 6)):
+        v = cyc_rational(number)
+        assert v == number and hash(v) == hash(number)
+        assert {number: "x"}.get(v) == "x"
+    assert {3: "x"}.get(CycValue(1, {0: 3})) == "x"
+    zero = cyc_rational(1) + root_of_unity(3) + root_of_unity(3, 2)
+    assert zero == 0 and hash(zero) == hash(0) == hash(cyc_zero())
+    # i as zeta_4, and as zeta_8^2 written at conductor 8; the hash is
+    # kept, so it is the same on a second call
+    i4, i8 = root_of_unity(4), CycValue(8, {2: 1})
+    assert i4 == i8 and hash(i4) == hash(i8) == hash(i8)
+    assert len({i4, i8, root_of_unity(4, 3)}) == 2
+
+
 # --- traces -----------------------------------------------------------------
 
 def test_trace_of_primitive_root_is_mobius():

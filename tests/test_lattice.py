@@ -15,15 +15,13 @@ from helixpq.chartab import render_chain
 from helixpq.engine import build_chain_system, solve_order
 from helixpq.lattice import (
     DEFAULT_CAP,
-    Bounds,
     EnumerationResult,
     Polyhedron,
     enumerate_integer_points,
-    oracle_enumerate,
-    variable_bounds,
 )
 from helixpq.pq import pq_check
 from helixpq.psl2 import gen_table
+from lattice_oracle import oracle_enumerate, unit_coords
 
 
 def test_box_bounds_exact():
@@ -37,10 +35,10 @@ def test_box_bounds_exact():
             ((0, -1), 3),
         ],
     )
-    b = variable_bounds(poly)
-    assert b.status == "ok"
-    assert b.lower == [Fraction(0), Fraction(-1, 2)]
-    assert b.upper == [Fraction(5, 2), Fraction(3)]
+    b = lattice._bounds(poly.dim, poly.ineqs, poly.eqs)
+    assert b != "infeasible"
+    assert b[0] == [Fraction(0), Fraction(-1, 2)]
+    assert b[1] == [Fraction(5, 2), Fraction(3)]
 
 
 def test_simplex_on_line_segment():
@@ -80,7 +78,7 @@ def test_crt_combination():
 
 def test_infeasible_lp():
     poly = Polyhedron(dim=1, ineqs=[((1,), -2), ((-1,), 1)])  # x >= 2, x <= 1
-    assert variable_bounds(poly).status == "infeasible"
+    assert lattice._bounds(poly.dim, poly.ineqs, poly.eqs) == "infeasible"
     res = enumerate_integer_points(poly)
     assert res.status == "finite" and res.points == []
 
@@ -92,12 +90,12 @@ def test_rational_equality_without_integer_solution():
 
 
 def test_degenerate_zero_rows_are_feasibility_checks():
-    # variable_bounds gets zero rows untidied; its presolve reads them as
+    # _bounds gets zero rows untidied; its presolve reads them as
     # constants, and a zero equality pair as 0 == c
     sat = Polyhedron(dim=1, ineqs=[((0,), 3), ((1,), 0), ((-1,), 2)],
                      eqs=[((0,), 0)], congruences=[((0,), 0, 5)])
     assert enumerate_integer_points(sat).points == [(0,), (1,), (2,)]
-    assert variable_bounds(sat) == Bounds("ok", [Fraction(0)], [Fraction(2)])
+    assert lattice._bounds(sat.dim, sat.ineqs, sat.eqs)[:2] == ([Fraction(0)], [Fraction(2)])
     for bad in (
         Polyhedron(dim=1, ineqs=[((0,), -1)]),
         Polyhedron(dim=1, eqs=[((0,), 2)]),
@@ -106,7 +104,7 @@ def test_degenerate_zero_rows_are_feasibility_checks():
         res = enumerate_integer_points(bad)
         assert res.status == "finite" and res.points == []
         if not bad.congruences:
-            assert variable_bounds(bad).status == "infeasible"
+            assert lattice._bounds(bad.dim, bad.ineqs, bad.eqs) == "infeasible"
 
 
 def test_unbounded_ray_reported():
@@ -460,6 +458,70 @@ def test_node_budget_stops_inside_a_closed_form_run(budgets, monkeypatch):
     assert found == [7, 11, 19, 21, 25, 29, 37, 39, 43, 47, 51]
 
 
+def test_every_cap_stops_a_closed_form_run_as_a_child_per_value_would(budgets):
+    # the system above, whose points all come from closed-form runs, under
+    # every cap up to its point count: each stops at the node of the point
+    # that passes the cap, with that many points found, as when every
+    # candidate was a child node; the last cap lets the search finish
+    unit = [tuple(int(j == k) for j in range(3)) for k in range(3)]
+    poly = Polyhedron(
+        dim=3,
+        ineqs=[(u, 4) for u in unit] + [(tuple(-x for x in u), 4) for u in unit]
+        + [((1, 1, -1), 5)],
+        eqs=[((1, 3, 2), 0)],
+        congruences=[((1, 1, 1), 0, 2)],
+    )
+    full = enumerate_integer_points(poly)
+    runs = []
+    for cap in range(len(full.points) + 1):
+        res = enumerate_integer_points(poly, cap=cap)
+        runs.append([res.status, res.limit, budgets[-1].nodes, res.points])
+    assert [run[:2] for run in runs] == [["capped", "cap"]] * 12 + [["finite", None]]
+    assert [run[2] for run in runs] == [7, 11, 19, 21, 25, 29, 37, 39, 43, 47, 51, 55, 55]
+    assert hashlib.sha256(json.dumps(runs).encode()).hexdigest() == (
+        "46f0d2acf77f4fba7a5917dd6ce9e306daa5587de59c853011acda62a96df711")
+
+
+def _folded_bottom_system(rng):
+    """dim 2-4 in [-4, 4] with one equality whose every coefficient has size
+    2 or 3, so a closed-form node reads x_k off it with |e_k| in {2, 3},
+    and 2-3 congruences on all the variables with moduli 4, 6 and 9, which
+    share factors; half the systems hold a hidden point, so their
+    congruences agree."""
+    dim = rng.randint(2, 4)
+    unit = [tuple(int(j == k) for j in range(dim)) for k in range(dim)]
+    ineqs = [(u, 4) for u in unit] + [(tuple(-x for x in u), 4) for u in unit]
+    for _ in range(rng.randint(0, 2)):
+        ineqs.append((tuple(rng.randint(-3, 3) for _ in range(dim)), rng.randint(0, 10)))
+    eqs = [(tuple(rng.choice((-3, -2, 2, 3)) for _ in range(dim)), rng.randint(-6, 6))]
+    hidden = [rng.randint(-4, 4) for _ in range(dim)] if rng.random() < 0.5 else None
+    congs = []
+    for _ in range(rng.randint(2, 3)):
+        a = tuple(rng.randint(-4, 4) for _ in range(dim))
+        m = rng.choice((4, 6, 9))
+        c = rng.randint(-8, 8) if hidden is None else -sum(map(mul, a, hidden))
+        congs.append((a, c, m))
+    return Polyhedron(dim=dim, ineqs=ineqs, eqs=eqs, congruences=congs)
+
+
+def test_folded_congruences_of_the_closed_form_match_oracle(budgets):
+    # a closed-form node merges x_k's integrality (modulo e_k) and each of
+    # its congruences (modulo e_k*m) into x_j's progression.  Over these
+    # systems the folds see |e_k| = 2 and 3, mostly two or three
+    # congruences on x_k, and many merges with no common value
+    rng = random.Random(20261022)
+    nonempty = 0
+    for trial in range(150):
+        poly = _folded_bottom_system(rng)
+        res = enumerate_integer_points(poly)
+        want = oracle_enumerate(poly, [(-4, 4)] * poly.dim)
+        assert res.status == "finite" and res.points == want, (trial, poly)
+        nonempty += bool(want)
+    assert nonempty == 45
+    # the node total from before the fold, when each candidate was tested
+    assert sum(b.nodes for b in budgets) == 10011
+
+
 @pytest.mark.parametrize(
     "dim, moduli",
     [
@@ -538,7 +600,7 @@ def test_empty_rounded_box_stops_before_the_probe(budgets):
     assert sum(b.nodes for b in budgets) == 0
 
 
-# --- variable_bounds against brute-force vertex enumeration --------------------
+# --- _bounds against brute-force vertex enumeration ----------------------------
 # The oracle shares no code with the simplex: every vertex of a bounded
 # polytope is the unique solution of some dim rows made tight.
 
@@ -578,7 +640,7 @@ def _vertex_bounds(dim, ineqs, eqs):
 
 
 def _check_bounds_against_vertices(seed, trials, max_dim, box, coeff):
-    """variable_bounds on random polytopes inside the box |x_i| <= box, with
+    """_bounds on random polytopes inside the box |x_i| <= box, with
     1-4 extra rows (coefficients in [-coeff, coeff], constants in [-box, box],
     ~30% equalities), against the vertex oracle; returns the largest bit
     length of a bound's denominator."""
@@ -595,17 +657,17 @@ def _check_bounds_against_vertices(seed, trials, max_dim, box, coeff):
                    rng.randint(-box, box))
             (eqs if rng.random() < 0.3 else ineqs).append(row)
         poly = Polyhedron(dim=dim, ineqs=ineqs, eqs=eqs)
-        got = variable_bounds(poly)
+        got = lattice._bounds(poly.dim, poly.ineqs, poly.eqs)
         want = _vertex_bounds(dim, ineqs, eqs)
         if want is None:
-            assert got.status == "infeasible", (trial, poly)
+            assert got == "infeasible", (trial, poly)
         else:
-            assert got.status == "ok", (trial, poly)
-            assert (got.lower, got.upper) == want, (trial, poly)
-            assert all(type(b) is Fraction for b in got.lower + got.upper), (trial, poly)
+            assert got != "infeasible", (trial, poly)
+            assert got[:2] == want, (trial, poly)
+            assert all(type(b) is Fraction for b in got[0] + got[1]), (trial, poly)
             widest = max([widest] + [b.denominator.bit_length()
-                                     for b in got.lower + got.upper])
-        statuses.add(got.status)
+                                     for b in got[0] + got[1]])
+        statuses.add("infeasible" if got == "infeasible" else "ok")
     assert statuses == {"ok", "infeasible"}
     return widest
 
@@ -625,7 +687,7 @@ def test_variable_bounds_with_large_coefficients_match_vertex_enumeration():
 def test_redundant_equalities_drive_an_artificial_out(monkeypatch):
     # x + y = 2, x - y = 0, x = 1: phase 1 ends with an artificial basic at
     # zero, and driving it out pivots on a negative entry.  The simplex core
-    # sees the equalities as pairs; variable_bounds substitutes all three out
+    # sees the equalities as pairs; _bounds substitutes all three out
     # and pivots on none
     seen = []
     pivot = lattice._pivot
@@ -636,7 +698,7 @@ def test_redundant_equalities_drive_an_artificial_out(monkeypatch):
 
     monkeypatch.setattr(lattice, "_pivot", spy)
     eqs = [((1, 1), -2), ((1, -1), 0), ((1, 0), -1)]
-    got = lattice._bounds_raw(2, lattice._inequalities([], eqs))
+    got = lattice._bounds_raw(2, lattice._inequalities([], eqs), unit_coords(2))
     assert got != "infeasible"
     lower, upper, _ = got
     assert lower == upper == [Fraction(1), Fraction(1)]
@@ -678,7 +740,7 @@ def test_bounds_and_pivot_count_are_pinned(monkeypatch):
     digest = hashlib.sha256()
     kinds = {"infeasible": 0, "unbounded": 0, "bounded": 0}
     for dim, ineqs, eqs in _random_lp_systems(20261019, 600):
-        got = lattice._bounds_raw(dim, lattice._inequalities(ineqs, eqs))
+        got = lattice._bounds_raw(dim, lattice._inequalities(ineqs, eqs), unit_coords(dim))
         if got == "infeasible":
             kinds["infeasible"] += 1
         else:
@@ -705,7 +767,7 @@ def _check_presolved(dim, ineqs, eqs):
     direction of the rows, annihilated by the equalities.  Returns the
     presolved result."""
     rows = lattice._inequalities(ineqs, eqs)
-    want = lattice._bounds_raw(dim, rows)
+    want = lattice._bounds_raw(dim, rows, unit_coords(dim))
     got = lattice._bounds(dim, ineqs, eqs)
     if want == "infeasible":
         assert got == "infeasible", (dim, ineqs, eqs)
@@ -788,7 +850,7 @@ def test_presolve_substitutes_on_a_non_unit_coefficient():
     got = _check_presolved(2, box, [((2, 3), -7)])
     assert got == ([Fraction(-4), Fraction(-1)], [Fraction(5), Fraction(5)], None)
     poly = Polyhedron(dim=2, ineqs=box, eqs=[((2, 3), -7)])
-    assert variable_bounds(poly) == Bounds("ok", [-4, -1], [5, 5])
+    assert lattice._bounds(poly.dim, poly.ineqs, poly.eqs)[:2] == ([-4, -1], [5, 5])
     assert enumerate_integer_points(poly).points == [(-4, 5), (-1, 3), (2, 1), (5, -1)]
 
 
@@ -813,6 +875,6 @@ def test_presolve_finds_an_equality_that_reduces_to_a_nonzero_constant(monkeypat
     ineqs, eqs = [((1, 0), 0)], [((1, 1), -1), ((2, 2), -4)]
     assert lattice._bounds(2, ineqs, eqs) == "infeasible"
     assert runs == []
-    assert lattice._bounds_raw(2, lattice._inequalities(ineqs, eqs)) == "infeasible"
+    assert lattice._bounds_raw(2, lattice._inequalities(ineqs, eqs), unit_coords(2)) == "infeasible"
     poly = Polyhedron(dim=2, eqs=[((1, 1), -1), ((2, 2), -4)])
-    assert variable_bounds(poly).status == "infeasible"
+    assert lattice._bounds(poly.dim, poly.ineqs, poly.eqs) == "infeasible"
