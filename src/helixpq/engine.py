@@ -62,13 +62,18 @@ together, or when a power alone exceeds the cap.  For orders s*t with a
 large prime s one can instead collapse all order-s classes into a single
 aggregated unknown, which is sound whenever every character in use is
 constant on the order-s classes.
+
+`solve_order` and `solve_s_constant` run with the cyclic garbage
+collector paused, and restore it; a solve makes no reference cycle.
 """
 
 from __future__ import annotations
 
+import gc
 import itertools
 import math
 import numbers
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from operator import itemgetter
@@ -498,6 +503,25 @@ def _prefer_joint(combos: int, v_flat: int, v_joint: int) -> bool:
     return combos * v_flat > v_joint
 
 
+@contextmanager
+def _collector_paused():
+    """Pause the cyclic garbage collector for the block when it is enabled,
+    and enable it again on the way out, also on an exception; a collector
+    that is already paused, by a caller or an enclosing solve, stays as it
+    is.  A solve leaves no reference cycle, so the pause keeps nothing
+    alive, and its chains are not walked by a full collection while they
+    are built."""
+    if not gc.isenabled():
+        yield
+        return
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
+@_collector_paused()
 def solve_order(
     table: CharacterTable,
     characters: Sequence[Union[str, Character]],
@@ -546,6 +570,7 @@ def solve_order(
     return store[n]
 
 
+@_collector_paused()
 def solve_s_constant(
     table: CharacterTable,
     characters: Sequence[Union[str, Character]],
@@ -700,12 +725,15 @@ def _solve_combos(
         if joint_reason is not None:
             detail = f"solved jointly across levels ({joint_reason})"
 
+    # the chains of several combinations can pass the cap together; a
+    # capped set keeps its first cap chains, as a capped system its points
     runs.sort(key=itemgetter(0))
+    ordered = itertools.chain.from_iterable(chains for _, chains in runs)
     return SolutionSet(
         table_name=table.group_name,
         unit_order=n,
         status=status,
-        chains=tuple(itertools.chain.from_iterable(chains for _, chains in runs)),
+        chains=tuple(itertools.islice(ordered, cap)),
         character_names=names,
         strategy=strategy,
         congruence_modes=tuple(sorted(modes)),

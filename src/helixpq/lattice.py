@@ -57,7 +57,8 @@ congruences in the branch value, merged by CRT into the branch's
 progression once, so the points are the merged progression's values in
 that interval.  Each branch value still counts as the node its child would
 have been, so node counts, budget and cap stops and the order of the
-points are unchanged.
+points are unchanged.  A search leaves no reference cycle behind, so
+reference counting alone frees it.
 A congruence whose constant the gcd of its modulus and coefficients does not
 divide, and congruences that clash modulo the gcd of two moduli, are
 rejected before any search.
@@ -95,6 +96,7 @@ class Polyhedron:
     congruences: list[tuple[tuple[int, ...], int, int]] = field(default_factory=list)
 
     def __post_init__(self):
+        self.dim = _integer(self.dim, "dim")
         if self.dim < 1:
             raise ValueError("dim must be at least 1")
         self.ineqs = [_int_row("inequality", row) for row in self.ineqs]
@@ -108,6 +110,14 @@ class Polyhedron:
                 raise ValueError(f"row width {len(a)} != dim {self.dim}")
             if m < 1:
                 raise ValueError(f"congruence modulus {m} < 1")
+
+
+def _integer(x, what):
+    """`x` as an int, else a ValueError naming `what`: a bool, a float (even
+    2.0) or a string is refused rather than converted."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Integral):
+        raise ValueError(f"{what} must be an integer, got {x!r}")
+    return int(x)
 
 
 def _int_row(kind, row):
@@ -663,7 +673,12 @@ def _dfs_enumerate(dim, ineqs, eqs, congs, lo, hi, cap, budget: _Budget):
             v += step
         return True
 
-    exhausted = rec(list(lo), list(hi), mn, mx, [True] * len(rows), range(dim))
+    try:
+        exhausted = rec(list(lo), list(hi), mn, mx, [True] * len(rows), range(dim))
+    finally:
+        # rec's cell holds rec: emptying it breaks the one reference cycle,
+        # so reference counting frees the call's rows, indexes and closures
+        del rec
     return points, exhausted
 
 
@@ -704,7 +719,7 @@ def enumerate_integer_points(poly: Polyhedron, cap: int | None = None) -> Enumer
       "probe" (the relaxation is unbounded and the probe windows held no
       integer point, so neither an infinite family nor emptiness is shown).
     """
-    cap = DEFAULT_CAP if cap is None else int(cap)
+    cap = DEFAULT_CAP if cap is None else _integer(cap, "cap")
     if cap < 0:
         raise ValueError(f"cap must be nonnegative, got {cap}")
     ok, ineqs, eqs, congs = _tidy(poly)

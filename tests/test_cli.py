@@ -239,6 +239,14 @@ def test_solve_cap_exit_2(capsys):
     assert "status: capped" in out
 
 
+def test_solve_cap_over_several_combinations_prints_cap_chains(capsys):
+    code, out, _ = run(capsys, "solve", "--table", "embedded:pgl2_3f_rows",
+                       "--order", "6", "--cap", "20", "--format", "json")
+    assert code == 2
+    blob = json.loads(out)
+    assert blob["status"] == "capped" and blob["count"] == 20 == len(blob["chains"])
+
+
 def test_cap_env_var(capsys, monkeypatch):
     monkeypatch.setenv("HELIX_PQ_CAP", "1")
     code, out, _ = run(capsys, "solve", "--table", "gen:psl2:32",

@@ -1,12 +1,13 @@
 """Constraint construction and exact enumeration for torsion-unit chains."""
 
+import gc
 import hashlib
 import json
 import math
 
 import pytest
 
-from helixpq import datasets
+from helixpq import datasets, engine
 from helixpq.chartab import PAChain, TableError, parse_table
 from helixpq.cyclo import prime_divisors
 from helixpq.engine import (
@@ -286,6 +287,17 @@ def test_cap_interrupts_solve(psl2_32):
     sol = solve_order(psl2_32, list(psl2_32.characters), 6, cap=1)
     assert sol.status == "capped"
     assert sol.detail and "stopped" in sol.detail
+
+
+def test_capped_combinations_keep_the_first_cap_chains(pgl2_3f_rows):
+    # the 28 chains come from several power-chain combinations; the cap
+    # passed with the last one, and all 28 were returned
+    chars = [ch.name for ch in pgl2_3f_rows.characters]
+    full = solve_order(pgl2_3f_rows, chars, 6)
+    assert full.status == "finite" and len(full.chains) == 28
+    sol = solve_order(pgl2_3f_rows, chars, 6, cap=20)
+    assert sol.status == "capped" and sol.strategy == "plain"
+    assert sol.chains == full.chains[:20]
 
 
 def test_node_budget_stop_is_named_in_the_detail(psl2_32, monkeypatch):
@@ -650,3 +662,61 @@ def test_indistinguishable_classes_give_infinite_status():
     sol = solve_order(table, ["triv"], 3)
     assert sol.status == "infinite"
     assert sol.ray and set(sol.ray) <= {"3a", "3b"}
+
+
+# --- the cyclic garbage collector ---------------------------------------------
+
+@pytest.fixture
+def collector():
+    """Restores the collector's state after the test."""
+    enabled = gc.isenabled()
+    yield
+    (gc.enable if enabled else gc.disable)()
+
+
+@pytest.mark.parametrize("solve", [
+    lambda t: solve_order(t, ["st"], 6),
+    lambda t: solve_s_constant(t, ["st"], 2, 3),
+    lambda t: pq_check(t, pairs=[(2, 3)]),
+], ids=["solve_order", "solve_s_constant", "pq_check"])
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+def test_a_solve_pauses_the_collector_and_restores_it(psl2_7, monkeypatch, collector,
+                                                      solve, enabled):
+    seen = []
+    enumerate_integer_points = engine.enumerate_integer_points
+
+    def spy(poly, cap=None):
+        seen.append(gc.isenabled())
+        return enumerate_integer_points(poly, cap=cap)
+
+    monkeypatch.setattr(engine, "enumerate_integer_points", spy)
+    (gc.enable if enabled else gc.disable)()
+    solve(psl2_7)
+    assert seen and not any(seen)
+    assert gc.isenabled() == enabled
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+def test_a_solve_that_raises_restores_the_collector(psl2_7, collector, enabled):
+    (gc.enable if enabled else gc.disable)()
+    with pytest.raises(TableError, match="no character"):
+        solve_order(psl2_7, ["zeta"], 6)
+    with pytest.raises(TableError, match="no character"):
+        solve_s_constant(psl2_7, ["zeta"], 2, 3)
+    assert gc.isenabled() == enabled
+
+
+@pytest.mark.parametrize("load, solve", [
+    (lambda: datasets.load_embedded("pgl2_243_rows"),
+     lambda t: solve_order(t, list(t.characters), 11, cap=20000)),
+    (lambda: gen_table("psl2", 25), lambda t: solve_order(t, list(t.characters), 39)),
+    (lambda: gen_table("psl2", 16), pq_check),
+], ids=["pgl2_243_rows-11-capped", "psl2_25-39", "pq-psl2_16"])
+def test_a_solve_leaves_no_cyclic_garbage(collector, load, solve):
+    # every DFS call left a reference cycle through its recursive closure:
+    # 6,038 unreachable objects for PSL(2,25) order 39
+    table = load()
+    gc.disable()
+    gc.collect()
+    solve(table)
+    assert gc.collect() == 0

@@ -243,6 +243,21 @@ def test_negative_cap_is_rejected():
     assert enumerate_integer_points(poly, cap=0).limit == "cap"
 
 
+@pytest.mark.parametrize("cap", [2.9, 2.0, True, "3"], ids=repr)
+def test_non_integer_cap_is_rejected(cap):
+    # int() made cap=2.9 keep 2 points, cap=True 1 and cap="3" 3
+    poly = Polyhedron(dim=1, ineqs=[((1,), 0), ((-1,), 5)])
+    with pytest.raises(ValueError, match=f"cap must be an integer, got {cap!r}"):
+        enumerate_integer_points(poly, cap=cap)
+
+
+@pytest.mark.parametrize("dim", [2.0, True, "1"], ids=repr)
+def test_non_integer_dim_is_rejected(dim):
+    # dim 2.0 ended in a TypeError from range, and True ran as dim 1
+    with pytest.raises(ValueError, match=f"dim must be an integer, got {dim!r}"):
+        Polyhedron(dim=dim, ineqs=[((1,), 0)])
+
+
 @pytest.fixture
 def budgets(monkeypatch):
     """Every DFS node budget made while the test runs, to read node counts:
