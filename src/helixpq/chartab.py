@@ -380,24 +380,87 @@ def _pair_sum(entries: Iterable[tuple[CycValue, CycValue, int]]) -> CycValue:
     return CycValue._canonical(lev, raw)
 
 
-def _orthogonality(vectors, weights, diagonal, label) -> str:
+def _unit_generators(n: int) -> list[int]:
+    """Generators of (Z/n)^*: for each q = p^e || n, a generator of (Z/q)^*
+    (for p = 2: -1 when e >= 2, and 5 when e >= 3), lifted by CRT to 1 mod
+    n/q."""
+    gens = []
+    for p, e in _factor(n):
+        q = p**e
+        if p == 2:
+            local = [-1, 5][: e - 1]
+        else:  # a primitive root mod p; g or g + p is one mod every p^e
+            g = next(g for g in range(2, p)
+                     if all(pow(g, (p - 1) // r, p) != 1 for r, _ in _factor(p - 1)))
+            local = [g + p if e > 1 and pow(g, p - 1, p * p) == 1 else g]
+        rest = n // q
+        gens += [(1 + rest * (g - 1) * pow(rest, -1, q)) % n for g in local]
+    return gens
+
+
+def _twist(twists: dict, v: CycValue, k: int) -> CycValue:
+    """galois_apply(v, k), memoised in `twists` by (v, k); a rational is
+    fixed by every automorphism."""
+    if v._n == 1:
+        return v
+    out = twists.get((v, k))
+    if out is None:
+        out = twists[v, k] = galois_apply(v, k)
+    return out
+
+
+def _orthogonality(vectors, weights, diagonal, label, twists) -> str:
     """The detail of the first pair i <= j of vectors whose weighted inner
     product is not diagonal[i] (i == j) or 0 (i < j), headed by
-    label(i, j); empty when every pair holds."""
+    label(i, j); empty when every pair holds.
+
+    sigma_k, k prime to the conductors, commutes with conjugation and fixes
+    the rational wanted value, so a pair holds iff its image does.  A pair
+    that holds marks its orbit under `_unit_generators` as holding, where a
+    vector maps to the one of equal diagonal holding its entries' twists;
+    pairs go in order, so the first failure is the pairwise loop's."""
+    ids: dict[CycValue, int] = {}
+    rows = [tuple(ids.setdefault(x, len(ids)) for x in u) for u in vectors]
+    where: dict = {}
+    for i, row in enumerate(rows):
+        where.setdefault((row, diagonal[i]), i)
+    maps = []
+    for k in _unit_generators(math.lcm(*(x._n for x in ids))):
+        image = [ids.get(_twist(twists, x, k)) for x in ids]
+        maps.append([where.get((tuple(image[x] for x in row), diagonal[i]))
+                     for i, row in enumerate(rows)])
+    held = set()
     for i, u in enumerate(vectors):
         for j in range(i, len(vectors)):
+            if (i, j) in held:
+                continue
             got = _pair_sum(zip(u, vectors[j], weights))
             want = diagonal[i] if i == j else 0
             if got != want:
                 return f"{label(i, j)}{got!r}, expected {want}"
+            todo = [(i, j)]
+            while todo:
+                a, b = todo.pop()
+                for m in maps:
+                    c, d = m[a], m[b]
+                    # only equal vectors map a != b to c == d; the guard keeps
+                    # each step exact without leaning on the pair order
+                    if c is None or d is None or (a != b and c == d):
+                        continue
+                    pair = (c, d) if c <= d else (d, c)
+                    if pair not in held:
+                        held.add(pair)
+                        todo.append(pair)
     return ""
 
 
 def validate(table: CharacterTable) -> ValidationReport:
     """Run every check that the table's completeness allows, in a fixed
-    order, and report each check's name and each failure's detail.  The
-    power-map Galois check twists each distinct irrational (value, p) once
-    per call; a rational is its own twist."""
+    order, and report each check's name and each failure's detail.  Each
+    distinct irrational (value, k) is twisted once per call.  The
+    orthogonality relations compute one pair per Galois orbit, as
+    <sigma_k u, sigma_k v> = sigma_k <u, v> and every wanted value is
+    rational (`_orthogonality`)."""
     checks: list[str] = []
     problems: list[str] = []
 
@@ -464,13 +527,7 @@ def validate(table: CharacterTable) -> ValidationReport:
                     detail = (f"{ch.name} at {c.name} has conductor "
                               f"{v.conductor}, not coprime to {p}")
                     break
-                if v.is_rational():  # fixed by every automorphism
-                    twisted = v
-                else:
-                    twisted = twists.get((v, p))
-                    if twisted is None:
-                        twisted = twists[v, p] = galois_apply(v, p)
-                if twisted != w:
+                if _twist(twists, v, p) != w:
                     detail = f"ordinary values at {target} are not the {p}-th Galois twist"
                     break
             check(f"power-map-galois[{c.name}^{p}]", detail is None, detail or "")
@@ -509,7 +566,7 @@ def validate(table: CharacterTable) -> ValidationReport:
     detail = _orthogonality(
         [[ch.values[c.name] for c in classes] for ch in ordinary],
         [c.size for c in classes], [g] * len(ordinary),
-        lambda i, j: f"<{ordinary[i].name},{ordinary[j].name}> = ",
+        lambda i, j: f"<{ordinary[i].name},{ordinary[j].name}> = ", twists,
     )
     check("row-orthogonality", not detail, detail)
     # X D X* = g I with X square and D invertible gives X* X = g D^-1, the
@@ -520,7 +577,7 @@ def validate(table: CharacterTable) -> ValidationReport:
         detail = _orthogonality(
             [[ch.values[c.name] for ch in ordinary] for c in classes],
             [1] * len(ordinary), [g // c.size for c in classes],
-            lambda i, j: f"columns {classes[i].name},{classes[j].name}: ",
+            lambda i, j: f"columns {classes[i].name},{classes[j].name}: ", twists,
         )
     check("column-orthogonality", not detail, detail)
 

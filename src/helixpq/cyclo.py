@@ -476,11 +476,13 @@ class CycValue:
     # -- plumbing ------------------------------------------------------------
 
     def __eq__(self, other):
+        # CycValue first: it is a plain class, while a test against
+        # Fraction goes through ABCMeta.__instancecheck__
+        if isinstance(other, CycValue):
+            return self._n == other._n and self._c == other._c
         if isinstance(other, (int, Rat)):
             return self._n == 1 and self._c.get(0, 0) == other
-        if not isinstance(other, CycValue):
-            return NotImplemented
-        return self._n == other._n and self._c == other._c
+        return NotImplemented
 
     def __hash__(self):
         if self._h is None:

@@ -873,15 +873,20 @@ def _substitute(rows, e, c, p):
     a_p != 0 becomes |e_p| times itself less a_p*sign(e_p) times (e, c, 0,
     ...), so a_p becomes 0, an inequality a.x + b >= 0 keeps its direction
     and a trailing denominator is scaled by |e_p|; then it is divided by the
-    gcd of its entries."""
+    gcd of its entries.  When |e_p| = 1 the scaling is skipped; the gcd
+    division is not, as the row may still gain a common factor."""
     f = abs(e[p])
     out = []
     for a, b, *rest in rows:
         s = a[p] if e[p] > 0 else -a[p]
         if s:
-            a = [f * x - s * y for x, y in zip(a, e)]
-            b = f * b - s * c
-            rest = [f * x for x in rest]
+            if f == 1:
+                a = [x - s * y for x, y in zip(a, e)]
+                b -= s * c
+            else:
+                a = [f * x - s * y for x, y in zip(a, e)]
+                b = f * b - s * c
+                rest = [f * x for x in rest]
             g = math.gcd(*a, b, *rest) or 1
             a, b, rest = tuple(x // g for x in a), b // g, [x // g for x in rest]
         out.append((a, b, *rest))

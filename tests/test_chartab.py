@@ -25,11 +25,14 @@ from helixpq.cyclo import (
     PRIME_BOUND,
     cyc_rational,
     cyc_zero,
+    euler_phi,
     galois_apply,
     parse_cyc,
     root_of_unity,
 )
 from helixpq.psl2 import gen_table
+
+from chartab_oracle import orthogonality
 
 Z3 = {"conductor": 3, "terms": [[1, 1, 1]]}
 Z3SQ = {"conductor": 3, "terms": [[2, 1, 1]]}
@@ -159,24 +162,33 @@ def test_validate_flags_orthogonality_violation():
 
 
 def _two_pass_validate(table):
-    """The reference: `validate` with the column relation always computed
-    by its own orthogonality pass, as before it could be derived from the
-    row relation.  Every other check is `validate`'s."""
+    """The reference: `validate` with both orthogonality relations computed
+    pair by pair by the oracle, and the column relation always by its own
+    pass, as before it could be derived from the row relation.  Every other
+    check is `validate`'s."""
     report = validate(table)
-    checks = [c for c in report.checks_run if c != "column-orthogonality"]
-    problems = [p for p in report.problems
-                if not p.startswith("column-orthogonality")]
-    if "row-orthogonality" in checks:
-        classes = table.classes
+    relations = ("row-orthogonality", "column-orthogonality")
+    checks = [c for c in report.checks_run if c not in relations]
+    problems = [p for p in report.problems if not p.startswith(relations)]
+    if "row-orthogonality" in report.checks_run:
+        classes, g = table.classes, table.order
         ordinary = [ch for ch in table.characters if ch.characteristic == 0]
-        detail = chartab._orthogonality(
-            [[ch.values[c.name] for ch in ordinary] for c in classes],
-            [1] * len(ordinary), [table.order // c.size for c in classes],
-            lambda i, j: f"columns {classes[i].name},{classes[j].name}: ",
-        )
-        checks.append("column-orthogonality")
-        if detail:
-            problems.append(f"column-orthogonality: {detail}")
+        details = [
+            orthogonality(
+                [[ch.values[c.name] for c in classes] for ch in ordinary],
+                [c.size for c in classes], [g] * len(ordinary),
+                lambda i, j: f"<{ordinary[i].name},{ordinary[j].name}> = ",
+            ),
+            orthogonality(
+                [[ch.values[c.name] for ch in ordinary] for c in classes],
+                [1] * len(ordinary), [g // c.size for c in classes],
+                lambda i, j: f"columns {classes[i].name},{classes[j].name}: ",
+            ),
+        ]
+        for name, detail in zip(relations, details):
+            checks.append(name)
+            if detail:
+                problems.append(f"{name}: {detail}")
     return not problems, checks, problems
 
 
@@ -288,6 +300,103 @@ def test_column_relation_is_computed_when_it_is_not_implied():
     want = "column-orthogonality: columns 1a,1a: CycValue('1/4'), expected 0"
     assert report.problems[-1] == want
     assert _report(table) == _two_pass_validate(table)
+
+
+def _large_tables():
+    return [gen_table(fam, q) for fam, q in (("psl2", 32), ("pgl2", 49), ("pgl2", 27))]
+
+
+def test_validate_matches_the_oracle_on_large_tables():
+    # tables whose values fall into long Galois orbits, with 40 seeded
+    # corruptions of them
+    tables = _large_tables()
+    rng = random.Random(20261020)
+    outcomes = set()
+    for table in tables + [_corrupt(rng.choice(tables), rng) for _ in range(40)]:
+        got = _report(table)
+        assert got == _two_pass_validate(table), (table.group_name, got)
+        outcomes.add(tuple(p.split(":")[0] for p in got[2] if "orthogonality" in p))
+    assert len(outcomes) == 4
+
+
+def _with_character(table, index, ch):
+    chars = list(table.characters)
+    chars.insert(index, ch)
+    return chartab.CharacterTable(table.group_name, table.classes, chars,
+                                  table.order, table.completeness)
+
+
+def _det(m):
+    """The determinant of a square matrix of values, by expansion along
+    its first row."""
+    if len(m) == 1:
+        return m[0][0]
+    return sum((-1) ** c * m[0][c] * _det([r[:c] + r[c + 1:] for r in m[1:]])
+               for c in range(len(m)))
+
+
+def test_first_failing_pair_is_the_oracles_on_targeted_tables():
+    table = gen_table("psl2", 32)
+    chi = table.character_by_name("chi_4")  # irrational on the 31 classes
+    at = table.characters.index(chi)
+    # chi_4 duplicated before itself, after itself and at the end
+    for index in (at, at + 1, len(table.characters)):
+        dup = Character("chi_4_dup", chi.degree, dict(chi.values))
+        bad = _with_character(table, index, dup)
+        report = _report(bad)
+        assert report == _two_pass_validate(bad), index
+        assert "row-orthogonality: <chi_4" in report[2][-2], report[2]
+    # one member of the chi family changed, its Galois conjugates left as
+    # they were: one value perturbed; two values on classes of one size
+    # swapped, which keeps it orthogonal to triv and st; and a change on
+    # four classes of one size orthogonal to triv, st, chi_1 and chi_2 but
+    # not to chi_3, the image of chi_1 under zeta_31 -> zeta_31^3
+    cls = ["31a", "31b", "31c", "31d"]
+    rows = [[cyc_rational(1)] * 4] + [
+        [table.character_by_name(name).values[c] for c in cls]
+        for name in ("chi_1", "chi_2")]
+    delta = [(-1) ** m * _det([r[:m] + r[m + 1:] for r in rows]) for m in range(4)]
+    for edit, pair in (
+        (lambda v: v.update({"31b": v["31b"] + 1}), "<triv,chi_4>"),
+        (lambda v: v.update({"31a": v["31b"], "31b": v["31a"]}), "<chi_1,chi_4>"),
+        (lambda v: v.update({c: v[c] + d for c, d in zip(cls, delta)}), "<chi_3,chi_4>"),
+    ):
+        values = dict(chi.values)
+        edit(values)
+        bad = _with_character(table, at, Character("chi_4", chi.degree, values))
+        del bad.characters[at + 1]
+        report = _report(bad)
+        assert report == _two_pass_validate(bad)
+        assert report[2][-2].startswith(f"row-orthogonality: {pair} = "), report[2]
+
+
+def test_pair_sums_are_one_per_galois_orbit(monkeypatch):
+    # the row relation of each table computes one pair per orbit of
+    # (Z/L)^* on its unordered pairs of characters
+    calls = []
+    pair_sum = chartab._pair_sum
+    monkeypatch.setattr(chartab, "_pair_sum", lambda e: calls.append(1) or pair_sum(e))
+    for table, want in zip(_large_tables(), (39, 186, 77)):
+        calls.clear()
+        assert validate(table).ok
+        assert len(calls) == want, table.group_name
+    calls.clear()
+    assert all(validate(t).ok for t in _acceptance_tables())
+    assert len(calls) == 1040
+
+
+@pytest.mark.parametrize("n", [4, 8, 16, 48, 343, 1023, 1200, 2310])
+def test_unit_generators_generate_the_unit_group(n):
+    group = {1}
+    todo = [1]
+    while todo:
+        x = todo.pop()
+        for k in chartab._unit_generators(n):
+            y = x * k % n
+            if y not in group:
+                group.add(y)
+                todo.append(y)
+    assert len(group) == euler_phi(n)
 
 
 @pytest.mark.parametrize("bad", [1.5, 3.0, True, "2.0"])

@@ -76,6 +76,13 @@ def test_equal_values_hash_equal():
     i4, i8 = root_of_unity(4), CycValue(8, {2: 1})
     assert i4 == i8 and hash(i4) == hash(i8) == hash(i8)
     assert len({i4, i8, root_of_unity(4, 3)}) == 2
+    # an int or a Fraction equals only a rational value; any other object
+    # is left to its own __eq__, and so compares unequal
+    assert cyc_rational(Fraction(6, 3)) == 2 and cyc_rational(Fraction(1, 3)) == Fraction(1, 3)
+    assert i4 != 0 and i4 != Fraction(1, 4) and cyc_rational(Fraction(1, 3)) != 0
+    for other in ("1", 1.0, None, (1,)):
+        assert cyc_rational(1).__eq__(other) is NotImplemented
+        assert cyc_rational(1) != other and i4 != other
 
 
 # --- traces -----------------------------------------------------------------
