@@ -49,9 +49,13 @@ partial augmentations, fold into the constants.  Character values are
 algebraic integers, so every block is integral and rows are built in
 integer arithmetic.  A block depends only on the value and the level, so
 it is computed once per (value, level) in a functools cache shared by
-every build; each level's rows are read off the blocks column by column,
-and a row is only built when its (kind, coeffs, const, modulus) has not
-been seen before in the same system (unless deduplication is off).
+every build, as the sum of one root-trace table per term of the value,
+each read backwards from the term's exponent and scaled by its
+coefficient.  Each level's rows are read off the blocks column by column.
+`_build` deduplicates them as it goes (unless deduplication is off): one
+dict pass per (level, character) keeps the first k of each distinct
+(coeffs, const), and of those a row is only built when its (kind,
+coeffs, const, modulus) has not been seen before in the same system.
 
 Systems are solved by exact integer enumeration (`lattice`).  Orders
 are solved recursively: the chains of u^p for each prime p | n are
@@ -175,6 +179,8 @@ class ConstraintSystem:
 def _integer(x, what: str) -> int:
     """`x` as an int, else an EngineError (a ValueError) naming `what`: a
     bool or a float, even 2.0, is refused rather than truncated."""
+    if type(x) is int:  # the common case, without the slower ABC check
+        return x
     if isinstance(x, bool) or not isinstance(x, numbers.Integral):
         raise EngineError(f"{what} must be an integer, got {x!r}")
     return int(x)
@@ -258,14 +264,50 @@ def build_chain_system(
 def _trace_block(value, level):
     """Tr(value * zeta_level^-k) for k = 0..level-1, the cyclic correlation
     of the value's terms at this level with the traces of the level's roots
-    of unity; None when a term is not integral."""
+    of unity; None when a term is not integral.
+
+    A term c * zeta^e contributes c * Tr(zeta^(e-k)) at k, which is c
+    times the root-trace table read backwards from e, so the block is
+    the elementwise sum of one scaled, sliced table per term."""
     terms = terms_at_level(value, level)
     if any(c.denominator != 1 for _, c in terms):
         return None
     tab = root_trace_table(level)
-    return tuple(
-        sum(c * tab[(e - k) % level] for e, c in terms) for k in range(level)
-    )
+    block = [0] * level
+    for e, c in terms:
+        block = [b + c * t for b, t in zip(block, tab[e::-1] + tab[:e:-1])]
+    return tuple(block)
+
+
+def _fixed_levels(table, n, powers):
+    """`powers` checked, in level order: every key a proper divisor m of
+    the unit order n (1 < m < n), each present, and every entry an integer
+    on a class, or an aggregated key "~s", whose element order divides m.
+    A class the table lacks is left to fail where its value is read."""
+    checked = {}
+    for m, entry in powers.items():
+        m = _integer(m, "power level")
+        if not 1 < m < n or n % m:
+            raise EngineError(
+                f"power level {m} is not a proper divisor of the unit order {n}"
+            )
+        checked[m] = out = {}
+        for key, eps in entry.items():
+            out[key] = _integer(eps, f"partial augmentation of {key!r} at power level {m}")
+            try:
+                o = _key_order(table, key)
+            except ValueError:  # no such class: reading its value says so
+                continue
+            if o < 1 or m % o:
+                raise EngineError(
+                    f"power level {m}: class {key!r} has element order {o}, "
+                    f"which does not divide {m}"
+                )
+    levels = [m for m in divisors(n) if 1 < m < n]
+    missing = [m for m in levels if m not in checked]
+    if missing:
+        raise EngineError(f"missing partial augmentations for power orders {missing}")
+    return {m: checked[m] for m in levels}
 
 
 def _build(table, characters, order, powers, *, collapse_order, dedupe):
@@ -281,12 +323,17 @@ def _build(table, characters, order, powers, *, collapse_order, dedupe):
     calls.  `block` checks a value on every call, naming this call's
     character and class: it must exist (on an aggregated key "~s", be
     constant on the order-s classes) and have integral terms, which
-    `_trace_block` reports by returning None.  Each
-    character's rows of a level are the transpose of its column blocks,
-    repeated to the level's length.  With `dedupe` a row is built only for
-    the first occurrence of its (kind, coeffs, const, modulus), so the
-    system keeps the first row of each key, with its provenance, in
-    generation order; without it every row is kept.
+    `_trace_block` reports by returning None.  Each character's rows of a
+    level are the transpose of its column blocks, repeated to the level's
+    length, and its constants the degree plus each fixed block, tiled to
+    that length and weighted by its partial augmentation.
+
+    With `dedupe` the system keeps the first row of each (kind, coeffs,
+    const, modulus), with its provenance, in generation order; without it
+    every row is kept.  Most rows of a level repeat, so one dict pass per
+    (level, character) first keeps the first k of each distinct (coeffs,
+    const); only those are tested against the keys kept so far, and a
+    row's provenance is only built when it is kept.
     """
     n = _unit_order(order)
     chars = _resolve_chars(table, characters)
@@ -299,8 +346,7 @@ def _build(table, characters, order, powers, *, collapse_order, dedupe):
                 f"which divides the unit order {n}"
             )
     joint = powers is None
-    levels = [m for m in divisors(n) if m > 1]
-    free_levels = levels if joint else [n]
+    free_levels = [m for m in divisors(n) if m > 1] if joint else [n]
     support = {}
     for m in free_levels:
         support[m] = table.classes_of_order_dividing(m)
@@ -308,18 +354,12 @@ def _build(table, characters, order, powers, *, collapse_order, dedupe):
             raise EngineError(
                 f"table {table.group_name!r} has no classes of order dividing {m}"
             )
-    fixed: dict[int, dict[str, int]] = {}
-    if not joint:
-        powers = {int(m): dict(v) for m, v in powers.items()}
-        missing = [m for m in levels if m < n and m not in powers]
-        if missing:
-            raise EngineError(f"missing partial augmentations for power orders {missing}")
-        fixed = {m: powers[m] for m in levels if m < n}
+    fixed = {} if joint else _fixed_levels(table, n, powers)
 
     # -- columns: (level, class name or aggregated "~s") ----------------------
     agg = None
     if collapse_order is not None:
-        s = int(collapse_order)
+        s = _integer(collapse_order, "collapse_order")
         agg = f"{AGGREGATE_PREFIX}{s}"
         if not any(c.element_order == s for c in support[n]):
             raise EngineError(f"no classes of order {s} to collapse")
@@ -350,15 +390,9 @@ def _build(table, characters, order, powers, *, collapse_order, dedupe):
         return b
 
     rows: list[Row] = []
+    # the (kind, coeffs, const, modulus) of every row kept; empty without
+    # `dedupe`, so that every row is new
     seen: set[tuple] = set()
-
-    def fresh(*key):
-        if not dedupe:
-            return True
-        if key in seen:
-            return False
-        seen.add(key)
-        return True
 
     # -- multiplicity and augmentation rows -----------------------------------
     for m in free_levels:
@@ -374,18 +408,33 @@ def _build(table, characters, order, powers, *, collapse_order, dedupe):
             for l, entry in fixed.items():
                 for key, eps in entry.items():
                     if eps:
-                        fb = block(ch, l, key)
-                        for k in range(m):
-                            consts[k] += eps * fb[k % l]
-            for k, (coeffs, const) in enumerate(zip(zip(*cols), consts)):
+                        fb = block(ch, l, key) * (m // l)
+                        consts = [c + eps * b for c, b in zip(consts, fb)]
+            level_rows = list(zip(zip(*cols), consts))
+            if dedupe:  # the first k of each distinct (coeffs, const)
+                first = {}
+                for k, row in enumerate(level_rows):
+                    first.setdefault(row, k)
+                ks = first.values()
+            else:
+                ks = range(m)
+            for k in ks:
+                coeffs, const = level_rows[k]
+                ge, cong = ("ge", coeffs, const, None), ("cong", coeffs, const, m)
+                new_ge, new_cong = ge not in seen, cong not in seen
+                if not (new_ge or new_cong):
+                    continue
+                if dedupe:
+                    seen.add(ge)
+                    seen.add(cong)
                 prov = f"{ch.name}:mult[{k}]{tag}"
-                if fresh("ge", coeffs, const, None):
+                if new_ge:
                     rows.append(Row(coeffs, const, "ge", None, prov))
-                if fresh("cong", coeffs, const, m):
+                if new_cong:
                     rows.append(Row(coeffs, const, "cong", m, f"{prov}%{m}"))
+        # each level's augmentation has its own support: never a repeat
         aug = tuple(int(l == m) for l, _ in columns)
-        if fresh("eq", aug, -1, None):
-            rows.append(Row(aug, -1, "eq", None, f"augmentation{tag}"))
+        rows.append(Row(aug, -1, "eq", None, f"augmentation{tag}"))
 
     # -- prime-power congruences ----------------------------------------------
     mode: dict[int, str] = {}
@@ -394,7 +443,12 @@ def _build(table, characters, order, powers, *, collapse_order, dedupe):
             prows, pmode = _power_rows(
                 table, columns, m, p, fixed.get(m // p), f"@{m}" if joint else ""
             )
-            rows.extend(r for r in prows if fresh(r.kind, r.coeffs, r.const, r.modulus))
+            for r in prows:
+                key = (r.kind, r.coeffs, r.const, r.modulus)
+                if key not in seen:
+                    if dedupe:
+                        seen.add(key)
+                    rows.append(r)
             if mode.get(p) != "order":  # report the weakest level's mode
                 mode[p] = pmode
 
@@ -438,21 +492,30 @@ def _power_rows(table, columns, m, p, sub, tag):
             for key in own
         }
 
+    # each target's coefficients, bucketed in one pass over the columns,
+    # and the sum of the fixed level-m/p data on it
+    coeffs = {target: [0] * len(columns) for target, _, _ in targets}
+    for i, (lv, key) in enumerate(columns):
+        if lv == m:
+            row, sign = coeffs.get(image[key]), 1
+        elif lv == l:
+            row, sign = coeffs.get(group(key)), -1
+        else:
+            continue
+        if row is not None:
+            row[i] += sign
+    totals = {}
+    for key, eps in (sub or {}).items():
+        totals[group(key)] = totals.get(group(key), 0) + eps
+
     rows = []
     for target, label, unit in targets:
-        coeffs = [0] * len(columns)
-        for i, (lv, key) in enumerate(columns):
-            if lv == m and image[key] == target:
-                coeffs[i] += 1
-            elif lv == l and group(key) == target:
-                coeffs[i] -= 1
-        const = 0
         if unit:
             const = -1 if l == 1 else 0
-        elif sub is not None:
-            const = -sum(int(eps) for key, eps in sub.items() if group(key) == target)
+        else:
+            const = -totals.get(target, 0)
         rows.append(
-            Row(tuple(coeffs), const, "cong", p, f"power[{p}]:{label}{tag}")
+            Row(tuple(coeffs[target]), const, "cong", p, f"power[{p}]:{label}{tag}")
         )
     return rows, "class" if class_mode else "order"
 

@@ -4,12 +4,15 @@ import gc
 import hashlib
 import json
 import math
+import re
+from fractions import Fraction
 
 import pytest
+from engine_oracle import trace_block
 
 from helixpq import datasets, engine
 from helixpq.chartab import PAChain, TableError, parse_table
-from helixpq.cyclo import prime_divisors
+from helixpq.cyclo import cyc_rational, prime_divisors, root_of_unity
 from helixpq.engine import (
     EngineError,
     Row,
@@ -73,6 +76,11 @@ def pgl2_243_rows():
 @pytest.fixture(scope="module")
 def psl2_7():
     return gen_table("psl2", 7)
+
+
+@pytest.fixture(scope="module")
+def psl2_25():
+    return gen_table("psl2", 25)
 
 
 # --- system construction ------------------------------------------------------
@@ -141,6 +149,11 @@ DEDUPE_CASES = [
     ("pgl2_3f_rows", None, 6, None, None),
     ("psp", None, 10, {2: {"2a": -1, "2b": 2}, 5: {"5a": 1}}, None),
     ("psp", None, 10, None, None),
+    # levels where most (character, k) rows repeat: 311 rows, 29 kept, with
+    # the powers of an emitted order-51 chain; 1,664 rows, 124 kept
+    ("l3", ["chi306", "chi4912", "chi9216"], 51,
+     {3: {"3a": 1}, 17: {"17a": 0, "17b": 1}}, None),
+    ("psl2_25", None, 39, None, None),
 ]
 
 
@@ -194,6 +207,44 @@ def test_missing_value_on_a_fixed_power_class_is_an_engine_error(psl2_5):
     # a fixed class that is not fails in the constants, with the same error
     with pytest.raises(EngineError, match="'st' has no value on class '3z'"):
         build_system(psl2_5, ["st"], 6, {2: {"2a": 1}, 3: {"3z": 1}})
+
+
+@pytest.mark.parametrize("order, powers, collapse, message", [
+    pytest.param(14, {2: {"2a": 1}, 7: {"~7": 1}}, 7.9,
+                 "collapse_order must be an integer, got 7.9", id="collapse-float"),
+    pytest.param(6, {2.0: {"2a": 1}, 3: {"3a": 1}}, None,
+                 "power level must be an integer, got 2.0", id="level-whole-float"),
+    pytest.param(6, {True: {"1a": 1}, 2: {"2a": 1}, 3: {"3a": 1}}, None,
+                 "power level must be an integer, got True", id="level-bool"),
+    pytest.param(6, {2: {"2a": True}, 3: {"3a": 1}}, None,
+                 "partial augmentation of '2a' at power level 2 must be an integer, "
+                 "got True", id="augmentation-bool"),
+    pytest.param(6, {2: {"2a": 1}, 3: {"3a": 1.5}}, None,
+                 "partial augmentation of '3a' at power level 3 must be an integer, "
+                 "got 1.5", id="augmentation-float"),
+    pytest.param(6, {2: {"3a": 1}, 3: {"3a": 1}}, None,
+                 "power level 2: class '3a' has element order 3, which does not "
+                 "divide 2", id="class-order"),
+    pytest.param(6, {2: {"2a": 1}, 3: {"~2": 1}}, None,
+                 "power level 3: class '~2' has element order 2, which does not "
+                 "divide 3", id="aggregate-order"),
+    pytest.param(6, {2: {"2a": 1}, 3: {"3a": 1}, 5: {"2a": 1}}, None,
+                 "power level 5 is not a proper divisor of the unit order 6",
+                 id="level-not-a-divisor"),
+    pytest.param(6, {2: {"2a": 1}, 3: {"3a": 1}, 6: {"2a": 1}}, None,
+                 "power level 6 is not a proper divisor of the unit order 6",
+                 id="level-of-the-unit"),
+])
+def test_build_system_refuses_malformed_power_data(psl2_7, order, powers, collapse,
+                                                   message):
+    # each was accepted: 7.9 collapsed order 7, 2.0 fixed level 2, True fixed
+    # level 1, True counted as 1, 1.5 failed only when lattice solved the
+    # system, "3a" and "~2" were fixed where their orders do not divide the
+    # level, and levels 5 and 6 were ignored; the characters are the ones
+    # constant on the order-7 classes
+    with pytest.raises(EngineError, match=f"^{re.escape(message)}$"):
+        build_system(psl2_7, ["triv", "st", "chi_1", "theta_1"], order, powers,
+                     collapse_order=collapse)
 
 
 def test_missing_power_levels_rejected(psp):
@@ -450,6 +501,31 @@ def test_flat_rows_are_joint_top_level_with_powers_fixed(request, psl2_32):
         collapse_order=31, dedupe=False,
     )
     assert _rows_digest(collapsed.rows) == COLLAPSE_DIGEST
+
+
+@pytest.mark.parametrize("load", [
+    lambda: gen_table("psl2", 25),
+    lambda: gen_table("pgl2", 27),
+    lambda: datasets.load_embedded("pgl2_243_rows"),
+    lambda: datasets.load_embedded("l3_17_aut_partial"),
+], ids=["psl2_25", "pgl2_27", "pgl2_243_rows", "l3_17_aut_partial"])
+def test_trace_block_matches_the_per_k_sum(load):
+    checked = 0
+    for value in {v for ch in load().characters for v in ch.values.values()}:
+        for level in range(value.conductor, 103, value.conductor):
+            assert engine._trace_block(value, level) == trace_block(value, level)
+            checked += 1
+    assert checked
+
+
+def test_trace_block_of_zero_and_of_a_non_integral_value():
+    for level in (1, 2, 12, 51):
+        assert engine._trace_block(cyc_rational(0), level) == (0,) * level
+        assert trace_block(cyc_rational(0), level) == (0,) * level
+    half = cyc_rational(Fraction(1, 2)) + root_of_unity(12)
+    for level in (12, 24):
+        assert engine._trace_block(half, level) is None
+        assert trace_block(half, level) is None
 
 
 def test_build_chain_system_rejects_tiny_order(psl2_16):

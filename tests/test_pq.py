@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from helixpq import datasets
+from helixpq import datasets, engine
 from helixpq.chartab import parse_table, render_table
 from helixpq.psl2 import gen_table
 from helixpq.pq import (
@@ -276,6 +276,33 @@ def test_pq_json_is_pinned(family, q):
     blob = json.dumps(report_to_dict(report), indent=1, sort_keys=True)
     want = SCREEN_JSON_SHA256[f"{family}:{q}"]
     assert hashlib.sha256(blob.encode()).hexdigest() == want
+
+
+# (systems, sha256 of every system `pq_check` builds on SCREEN_TABLES, in
+# build order: variables, congruence modes, and each row's kind, coeffs,
+# const, modulus and provenance), recorded when every (character, level, k)
+# row was tested for a repeat on its own
+SCREEN_SYSTEMS = (
+    136, "ffade481802263b0f7f24c2fdc1ad66116ffac8c41f1c8dadf812ad5d65607e6")
+
+
+def test_screen_systems_are_pinned(monkeypatch):
+    systems = []
+    build = engine._build
+
+    def record(*args, **kwargs):
+        systems.append(build(*args, **kwargs))
+        return systems[-1]
+
+    monkeypatch.setattr(engine, "_build", record)
+    for family, q in SCREEN_TABLES:
+        pq_check(gen_table(family, q))
+    blob = json.dumps([
+        [list(s.variables), sorted(s.congruence_mode.items()),
+         [[r.kind, list(r.coeffs), r.const, r.modulus, r.provenance] for r in s.rows]]
+        for s in systems
+    ])
+    assert (len(systems), hashlib.sha256(blob.encode()).hexdigest()) == SCREEN_SYSTEMS
 
 
 @pytest.mark.parametrize("q, open_pairs", [
