@@ -592,21 +592,59 @@ def validate(table: CharacterTable) -> ValidationReport:
 AGGREGATE_PREFIX = "~"
 
 
-@dataclass
 class PAChain:
-    """Partial augmentations of u and all its proper powers, by divisor."""
+    """Partial augmentations of u and all its proper powers, by divisor.
 
-    unit_order: int
-    entries: dict[int, dict[str, int]]
+    A chain is packed: `layout`, ((level, (class, ...)), ...), names its
+    slots, and `values` holds their partial augmentations in that order;
+    the chains of one solve share one layout object.  `entries`, {level:
+    {class: value}} in layout order, is built on first read and kept, so it
+    is a read-only view: to change a chain, build a new one from a copy.
+    Two chains are equal when their unit orders and entries are, whatever
+    the order of the keys."""
+
+    __slots__ = ("unit_order", "layout", "values", "_entries")
+    __hash__ = None  # type: ignore[assignment]
+
+    def __init__(self, unit_order: int, entries: Mapping[int, Mapping[str, int]]):
+        self.unit_order = unit_order
+        self.layout = tuple((m, tuple(ent)) for m, ent in entries.items())
+        self.values = tuple(v for ent in entries.values() for v in ent.values())
+
+    @classmethod
+    def packed(cls, unit_order: int, layout: tuple, values: tuple) -> "PAChain":
+        """The chain with these slots and values, taken as they are."""
+        chain = object.__new__(cls)
+        chain.unit_order, chain.layout, chain.values = unit_order, layout, values
+        return chain
+
+    @property
+    def entries(self) -> dict[int, dict[str, int]]:
+        try:
+            return self._entries
+        except AttributeError:
+            vals = iter(self.values)  # zip takes each level's values from it
+            self._entries = {m: dict(zip(classes, vals)) for m, classes in self.layout}
+            return self._entries
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        if self.layout == other.layout:  # the same slots: compare the values
+            return self.unit_order == other.unit_order and self.values == other.values
+        return self.unit_order == other.unit_order and self.entries == other.entries
+
+    def __repr__(self) -> str:
+        return f"PAChain(unit_order={self.unit_order!r}, entries={self.entries!r})"
 
     def levels(self) -> list[int]:
-        return sorted(self.entries)
+        return sorted(m for m, _ in self.layout)
 
     def entry(self, m: int) -> dict[str, int]:
         return self.entries[m]
 
     def is_nonnegative(self) -> bool:
-        return all(v >= 0 for ent in self.entries.values() for v in ent.values())
+        return min(self.values, default=0) >= 0
 
 
 def check_chain_shape(table: CharacterTable, chain: PAChain) -> set[int]:
@@ -679,12 +717,13 @@ def parse_chain(source) -> PAChain:
 
 
 def render_chain(chain: PAChain) -> dict:
+    """The chain as JSON data, levels and classes sorted; read off the
+    packed values, without building the chain's `entries`."""
+    vals = iter(chain.values)
+    levels = {m: sorted(zip(classes, vals)) for m, classes in chain.layout}
     return {
         "unit_order": chain.unit_order,
-        "entries": {
-            str(m): {c: v for c, v in sorted(chain.entries[m].items())}
-            for m in chain.levels()
-        },
+        "entries": {str(m): dict(levels[m]) for m in sorted(levels)},
     }
 
 

@@ -322,11 +322,13 @@ def _build(table, characters, order, powers, *, collapse_order, dedupe):
     The blocks come from `_trace_block`, cached per (value, level) across
     calls.  `block` checks a value on every call, naming this call's
     character and class: it must exist (on an aggregated key "~s", be
-    constant on the order-s classes) and have integral terms, which
+    constant on the order-s classes, which is worked out once per
+    character and order in a call) and have integral terms, which
     `_trace_block` reports by returning None.  Each character's rows of a
     level are the transpose of its column blocks, repeated to the level's
     length, and its constants the degree plus each fixed block, tiled to
-    that length and weighted by its partial augmentation.
+    that length and weighted by its partial augmentation.  A fixed entry
+    of 0 adds no block, but its value must exist all the same.
 
     With `dedupe` the system keeps the first row of each (kind, coeffs,
     const, modulus), with its provenance, in generation order; without it
@@ -369,18 +371,29 @@ def _build(table, characters, order, powers, *, collapse_order, dedupe):
         for c in support[m]
     ))
 
-    def block(ch, level, key):
-        """The trace block of ch on one column, or one fixed class, at a
-        level it divides; an aggregated key "~s" takes the value ch shares
-        on the order-s classes."""
+    constants = {}  # (id of a character, order s) -> its value on "~s"
+
+    def value(ch, key):
+        """ch's value on one column or fixed class; an aggregated key "~s"
+        takes the value ch shares on the order-s classes."""
         if key.startswith(AGGREGATE_PREFIX):
-            val = _constant_value(table, ch, _key_order(table, key))
+            o = _key_order(table, key)
+            if (id(ch), o) not in constants:
+                constants[id(ch), o] = _constant_value(table, ch, o)
+            val = constants[id(ch), o]
             missing = "is not constant on the classes of"
         else:
             val = ch.values.get(key)
             missing = "has no value on class"
         if val is None:
             raise EngineError(f"character {ch.name!r} {missing} {key!r}")
+        return val
+
+    def block(ch, level, key):
+        """The trace block of ch's value on a key at a level it divides."""
+        val = ch.values.get(key)
+        if val is None or key.startswith(AGGREGATE_PREFIX):
+            val = value(ch, key)
         b = _trace_block(val, level)
         if b is None:
             raise EngineError(
@@ -410,6 +423,8 @@ def _build(table, characters, order, powers, *, collapse_order, dedupe):
                     if eps:
                         fb = block(ch, l, key) * (m // l)
                         consts = [c + eps * b for c, b in zip(consts, fb)]
+                    else:  # adds nothing, but its value must exist
+                        value(ch, key)
             level_rows = list(zip(zip(*cols), consts))
             if dedupe:  # the first k of each distinct (coeffs, const)
                 first = {}
@@ -729,9 +744,16 @@ def _solve_combos(
     # order, which is the chains' order unless the variables are out of
     # (level, class name) order.  The variables are mapped to their
     # (level, class) slots once, with the first system.
+    #
+    # Each chain is packed (`PAChain.packed`).  Its layout lists the fixed
+    # levels in their merged order, then the variables' levels, and is one
+    # object shared by every chain of the call; its values are the fixed
+    # levels' values in layout order, then the point.  No chain builds a
+    # dict until its entries are read.
     runs: list[tuple[tuple[int, ...], list[PAChain]]] = []
     found = 0
-    slots = reorder = fixed_slots = None
+    slots = reorder = fixed_slots = layout = None
+    pack = PAChain.packed
     status = "finite"
     modes: set[str] = set()
     detail = None
@@ -757,19 +779,17 @@ def _solve_combos(
             if perm != list(range(len(perm))):
                 reorder = itemgetter(*perm)
             fixed_slots = sorted((m, c) for m, ent in fixed.items() for c in ent)
-            # each level's variables are consecutive: (level, start, classes)
-            spans, start = [], 0
-            for lvl, group in itertools.groupby(slots, key=itemgetter(0)):
-                classes = [cname for _, cname in group]
-                spans.append((lvl, start, classes))
-                start += len(classes)
+            # each level's variables are consecutive
+            spans = tuple(
+                (lvl, tuple(cname for _, cname in group))
+                for lvl, group in itertools.groupby(slots, key=itemgetter(0))
+            )
+        this_layout = tuple((m, tuple(ent)) for m, ent in fixed.items()) + spans
+        if this_layout != layout:
+            layout = this_layout
+        fixed_values = tuple(v for ent in fixed.values() for v in ent.values())
         points = res.points if reorder is None else sorted(res.points, key=reorder)
-        chains = []
-        for pt in points:
-            entries = {m: dict(ent) for m, ent in fixed.items()} if fixed else {}
-            for lvl, start, classes in spans:
-                entries[lvl] = dict(zip(classes, pt[start:]))
-            chains.append(PAChain(unit_order=n, entries=entries))
+        chains = [pack(n, layout, fixed_values + pt) for pt in points]
         runs.append((tuple(fixed[m][c] for m, c in fixed_slots), chains))
         found += len(chains)
         if res.status == "capped" or found > cap:

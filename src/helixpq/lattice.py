@@ -471,6 +471,8 @@ def _dfs_enumerate(dim, ineqs, eqs, congs, lo, hi, cap, budget: _Budget):
             cocc[j].append((supp, a, c, m))
     # each equality as (its first row, its coefficients), the last first
     pairs = [(len(ineqs) + 2 * i, eqs[i][0]) for i in reversed(range(len(eqs)))]
+    # (j, k) -> the rows of x_j and x_k, as `bottom` reads them
+    pair_rows: dict[tuple[int, int], dict[int, tuple[int, int]]] = {}
     points: list[tuple[int, ...]] = []
 
     def shift(j, dl, dh, mn, mx, dirty):
@@ -564,24 +566,27 @@ def _dfs_enumerate(dim, ineqs, eqs, congs, lo, hi, cap, budget: _Budget):
         count is made arithmetically: the budget stops at budget + 1 nodes
         and the cap at the node of the point that passes it, as with a
         child per value."""
-        # the rows of x_j and x_k: r -> [a_j, a_k]
-        coef: dict[int, list[int]] = {}
-        for t, i in enumerate((j, k)):
-            for r, a in itertools.chain(*occ[i]):
-                coef.setdefault(r, [0, 0])[t] = a
-
-        def least(a, i):
-            return a * (lo[i] if a > 0 else hi[i])
+        # the rows of x_j and x_k, r -> (a_j, a_k), built once per pair
+        coef = pair_rows.get((j, k))
+        if coef is None:
+            acc: dict[int, list[int]] = {}
+            for t, i in enumerate((j, k)):
+                for r, a in itertools.chain(*occ[i]):
+                    acc.setdefault(r, [0, 0])[t] = a
+            coef = pair_rows[j, k] = {r: tuple(a) for r, a in acc.items()}
 
         # such a row reads f + a_j*x_j + a_k*x_k >= 0, f its activity mn
-        # less the least terms of x_j and x_k; x_k's box adds two rows
-        lin = [(mn[r] - least(aj, j) - least(ak, k), aj, ak)
+        # less the least terms of x_j and x_k (a*lo for a > 0, else a*hi);
+        # x_k's box adds two rows
+        lj, hj, lk, hk = lo[j], hi[j], lo[k], hi[k]
+        lin = [(mn[r] - aj * (lj if aj > 0 else hj) - ak * (lk if ak > 0 else hk),
+                aj, ak)
                for r, (aj, ak) in coef.items()]
-        lin += [(-lo[k], 0, 1), (hi[k], 0, -1)]
+        lin += [(-lk, 0, 1), (hk, 0, -1)]
         if coef[eq][1] < 0:
             eq += 1  # the row of the pair with e_k > 0
         ej, ek = coef[eq]
-        f0 = mn[eq] - least(ej, j) - least(ek, k)
+        f0 = mn[eq] - ej * (lj if ej > 0 else hj) - ek * (lk if ek > 0 else hk)
         # with x_k = -(f0 + e_j*v) / e_k, a row times e_k reads A + B*v >= 0
         vl, vh = lo[j], hi[j]
         # a row with mx < 0, such as a row of fixed variables with a

@@ -8,10 +8,10 @@ import re
 from fractions import Fraction
 
 import pytest
-from engine_oracle import trace_block
+from engine_oracle import dict_chains, trace_block
 
 from helixpq import datasets, engine
-from helixpq.chartab import PAChain, TableError, parse_table
+from helixpq.chartab import PAChain, TableError, parse_chain, parse_table, render_chain
 from helixpq.cyclo import cyc_rational, prime_divisors, root_of_unity
 from helixpq.engine import (
     EngineError,
@@ -207,6 +207,18 @@ def test_missing_value_on_a_fixed_power_class_is_an_engine_error(psl2_5):
     # a fixed class that is not fails in the constants, with the same error
     with pytest.raises(EngineError, match="'st' has no value on class '3z'"):
         build_system(psl2_5, ["st"], 6, {2: {"2a": 1}, 3: {"3z": 1}})
+
+
+def test_zero_entry_on_a_missing_fixed_class_is_an_engine_error(psl2_5, monkeypatch):
+    # a fixed 0 adds no block to the constants, so the value on '3z' was
+    # never read and the system was built; it is now read, and no block of
+    # it is computed
+    blocks = []
+    monkeypatch.setattr(engine, "_trace_block",
+                        lambda value, level: blocks.append(value) or (0,) * level)
+    with pytest.raises(EngineError, match="^character 'st' has no value on class '3z'$"):
+        build_system(psl2_5, ["st"], 6, {2: {"2a": 1}, 3: {"3a": 1, "3z": 0}})
+    assert None not in blocks
 
 
 @pytest.mark.parametrize("order, powers, collapse, message", [
@@ -718,6 +730,80 @@ def test_verify_checks_aggregated_chains_as_solved(psl2_16):
 def test_classify_chain():
     assert classify_chain(PAChain(2, {2: {"2a": 1}})) == "trivial"
     assert classify_chain(PAChain(2, {2: {"2a": 2, "2b": -1}})) == "nontrivial"
+
+
+# the six solves of the benchmark's enumerate workload (PSL(2,25) has no
+# chain of order 39 or 26), a flat solve with fixed levels and a collapsed
+# one: (table, characters or None for all, order, cap, collapse)
+PACKED_SOLVES = [
+    ("l3", ["chi306", "chi4912", "chi9216"], 51, None, None),
+    ("pgl2_243_rows", None, 11, 20000, None),
+    ("pgl2_3f_rows", None, 6, None, None),
+    ("psl2_3f_eta", None, 6, None, None),
+    ("psl2_25", None, 39, None, None),
+    ("psl2_25", None, 26, None, None),
+    ("psl2_32", None, 6, None, None),
+    ("psl2_16", ["triv", "st", "chi_5"] + [f"theta_{i}" for i in range(1, 9)], 10,
+     None, 5),
+]
+
+
+@pytest.mark.parametrize("name, chars, order, cap, collapse", PACKED_SOLVES,
+                         ids=[f"{c[0]}-{c[2]}" for c in PACKED_SOLVES])
+def test_packed_chains_match_per_chain_dicts(request, monkeypatch, name, chars, order,
+                                             cap, collapse):
+    table = request.getfixturevalue(name)
+    chars = [ch.name for ch in table.characters] if chars is None else chars
+    # each system the solve enumerates, with the fixed levels it was built on
+    fixed_of, solved = {}, []
+    real_build, real_solve = engine.build_system, engine.ConstraintSystem.solve
+
+    def build(table, chars, n, powers=None, **kw):
+        system = real_build(table, chars, n, powers, **kw)
+        fixed_of[id(system)] = powers
+        return system
+
+    def solve(system, cap=None):
+        res = real_solve(system, cap)
+        if system.unit_order == order:
+            solved.append((fixed_of.get(id(system)), system.variables, res.points))
+        return res
+
+    monkeypatch.setattr(engine, "build_system", build)
+    monkeypatch.setattr(engine.ConstraintSystem, "solve", solve)
+    if collapse is None:
+        sol = solve_order(table, chars, order, cap=cap)
+    else:
+        sol = solve_s_constant(table, chars, collapse, order // collapse, cap=cap)
+    want = dict_chains(order, solved, engine._cap_or_default(cap))
+    assert len(sol.chains) == len(want)
+    assert len({id(chain.layout) for chain in sol.chains}) <= 1
+    for chain, entries in zip(sol.chains, want):
+        # before `entries` is read: the packed values alone
+        assert chain.is_nonnegative() == all(
+            v >= 0 for ent in entries.values() for v in ent.values())
+        assert chain == PAChain(order, entries)
+        assert parse_chain(render_chain(chain)) == chain
+        # the dicts, with their level and class order
+        assert chain.entries == entries
+        assert [(m, list(ent)) for m, ent in chain.entries.items()] == [
+            (m, list(ent)) for m, ent in entries.items()]
+        assert repr(chain) == f"PAChain(unit_order={order!r}, entries={entries!r})"
+
+
+def test_packed_chain_equality_ignores_key_order():
+    chain = PAChain(6, {2: {"2a": 1}, 3: {"3a": 1, "3b": 0}, 6: {"2a": -2, "3a": 3}})
+    reordered = PAChain(unit_order=6, entries={
+        6: {"3a": 3, "2a": -2}, 2: {"2a": 1}, 3: {"3b": 0, "3a": 1}})
+    assert chain.layout != reordered.layout and chain == reordered
+    assert chain != PAChain(6, {2: {"2a": 1}, 3: {"3a": 1, "3b": 0}, 6: {"2a": -2,
+                                                                          "3a": 2}})
+    assert chain != PAChain(3, {2: {"2a": 1}, 3: {"3a": 1, "3b": 0}, 6: {"2a": -2,
+                                                                          "3a": 3}})
+    assert chain.levels() == [2, 3, 6] and chain.entry(3) == {"3a": 1, "3b": 0}
+    assert chain.values == (1, 1, 0, -2, 3) and not chain.is_nonnegative()
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(chain)
 
 
 # --- degenerate geometry ---------------------------------------------------------
