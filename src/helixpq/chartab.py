@@ -630,8 +630,6 @@ class PAChain:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        if self.layout == other.layout:  # the same slots: compare the values
-            return self.unit_order == other.unit_order and self.values == other.values
         return self.unit_order == other.unit_order and self.entries == other.entries
 
     def __repr__(self) -> str:

@@ -391,10 +391,7 @@ def _build(table, characters, order, powers, *, collapse_order, dedupe):
 
     def block(ch, level, key):
         """The trace block of ch's value on a key at a level it divides."""
-        val = ch.values.get(key)
-        if val is None or key.startswith(AGGREGATE_PREFIX):
-            val = value(ch, key)
-        b = _trace_block(val, level)
+        b = _trace_block(value(ch, key), level)
         if b is None:
             raise EngineError(
                 f"character {ch.name!r} value on {key!r} has a non-integral "
