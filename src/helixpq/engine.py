@@ -57,15 +57,14 @@ dict pass per (level, character) keeps the first k of each distinct
 (coeffs, const), and of those a row is only built when its (kind,
 coeffs, const, modulus) has not been seen before in the same system.
 
-Systems are solved by exact integer enumeration (`lattice`).  Orders
-are solved recursively: the chains of u^p for each prime p | n are
-enumerated first, compatible combinations fix the power data, and each
-combination leaves a system in the top-level unknowns; the joint system
-replaces them when it has fewer unknowns than their flat systems
-together, or when a power alone exceeds the cap.  For orders s*t with a
-large prime s one can instead collapse all order-s classes into a single
-aggregated unknown, which is sound whenever every character in use is
-constant on the order-s classes.
+Systems are solved by exact integer enumeration (`lattice`).  An order
+is solved as one joint system over u and all its proper powers, so the
+rows of every level bound the unknowns of every level at once, and no
+proper power is solved on its own.  For orders s*t with a large prime s
+one can instead collapse all order-s classes into a single aggregated
+unknown, which is sound whenever every character in use is constant on
+the order-s classes: the chains of the order-t power are enumerated
+first, and each fixes the lower levels of one flat system.
 
 `solve_order` and `solve_s_constant` run with the cyclic garbage
 collector paused, and restore it; a solve makes no reference cycle.
@@ -75,7 +74,6 @@ from __future__ import annotations
 
 import gc
 import itertools
-import math
 import numbers
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -533,7 +531,7 @@ def _power_rows(table, columns, m, p, sub, tag):
 
 
 # ---------------------------------------------------------------------------
-# recursive order solving
+# order solving
 
 
 @dataclass
@@ -543,7 +541,7 @@ class SolutionSet:
     status: str  # "finite" | "infinite" | "capped"
     chains: tuple[PAChain, ...]
     character_names: tuple[str, ...]
-    strategy: str = "plain"
+    strategy: str = "joint"
     congruence_modes: tuple[str, ...] = ()
     detail: Optional[str] = None
     ray: Optional[dict[str, int]] = None
@@ -557,25 +555,6 @@ def _cap_or_default(cap: Optional[int]) -> int:
     if cap < 0:
         raise EngineError(f"cap must be nonnegative, got {cap}")
     return cap
-
-
-def _merge_chain_levels(combo: Sequence[PAChain]) -> Optional[dict[int, dict[str, int]]]:
-    merged: dict[int, dict[str, int]] = {}
-    for ch in combo:
-        for m, ent in ch.entries.items():
-            if m in merged:
-                if merged[m] != ent:
-                    return None
-            else:
-                merged[m] = dict(ent)
-    return merged
-
-
-def _prefer_joint(combos: int, v_flat: int, v_joint: int) -> bool:
-    """Whether one joint system is cheaper than the combinations: these
-    build and bound `combos` flat systems of `v_flat` unknowns each, the
-    joint system one of `v_joint` unknowns over all levels."""
-    return combos * v_flat > v_joint
 
 
 @contextmanager
@@ -608,40 +587,21 @@ def solve_order(
     """All chains of partial augmentations for units of the given order,
     under the multiplicity rows and the power congruences of every level.
 
-    Proper-power orders are solved first (memoized in `store`), compatible
-    combinations of their chains fix the constants, and each combination's
-    system is enumerated exactly, unless a power alone exceeds the cap or
-    `_prefer_joint` picks one joint system over all levels instead.
+    The chains are the integer points of one joint system over u and all
+    its proper powers (`build_chain_system`), enumerated exactly.  `store`
+    memoizes finished solves by unit order: an order already in it returns
+    the stored set, and a new solve stores its own order only.  Every
+    solve that shares a store must use the same table, characters and cap.
     """
     n = _unit_order(order)
     cap = _cap_or_default(cap)
     chars = _resolve_chars(table, characters)
     if store is None:
         store = {}
-    if n in store:
-        return store[n]
-
-    subs: list[tuple[int, SolutionSet]] = []
-    joint_reason = None
-    for m in sorted({n // p for p in prime_divisors(n)} - {1}):
-        ss = solve_order(table, chars, m, cap=cap, store=store)
-        if ss.status == "capped":
-            # a proper power is badly underdetermined on its own; solve
-            # the whole chain as one system so the level-n rows prune it
-            joint_reason = f"order-{m} power alone exceeded the cap"
-            break
-        subs.append((m, ss))
-        if ss.status != "finite":
-            break
-    else:
-        combos = math.prod(len(ss.chains) for _, ss in subs)
-        v_joint = sum(
-            len(table.classes_of_order_dividing(m)) for m in divisors(n) if m > 1
-        )
-        if _prefer_joint(combos, len(table.classes_of_order_dividing(n)), v_joint):
-            joint_reason = f"{combos} power-chain combinations"
-
-    store[n] = _solve_combos(table, chars, n, subs, cap=cap, joint_reason=joint_reason)
+    if n not in store:
+        system = build_chain_system(table, chars, n)
+        store[n] = _solve_systems(table, chars, n, [({}, system)], cap=cap,
+                                  strategy="joint")
     return store[n]
 
 
@@ -659,7 +619,9 @@ def solve_s_constant(
     Sound when every character in use is constant on the order-s classes
     and the table has no classes of order s*t: then no row can tell the
     order-s partial augmentations apart, so only their total matters.
-    The order-s power data collapses to "~s": 1 (its augmentation is 1).
+    The order-t power is solved first, and each of its chains fixes the
+    lower levels of one flat system, with the order-s power data
+    collapsed to "~s": 1 (its augmentation is 1).
     """
     s, t = _integer(s, "s"), _integer(t, "t")
     cap = _cap_or_default(cap)
@@ -678,64 +640,49 @@ def solve_s_constant(
                 f"table {table.group_name!r} has no classes of order {o} ({label})"
             )
 
-    sub_t = solve_order(table, chars, t, cap=cap)
-    return _solve_combos(table, chars, n, [(t, sub_t)], cap=cap, collapse=s)
+    strategy = f"collapse[{s}]"
+    sub = solve_order(table, chars, t, cap=cap)
+    if sub.status != "finite":
+        return SolutionSet(
+            table.group_name, n, sub.status, (), tuple(ch.name for ch in chars),
+            strategy=strategy,
+            detail=f"chains of the order-{t} power could not be enumerated "
+                   f"({sub.status})",
+            ray=sub.ray,
+        )
+
+    def systems():
+        for chain in sub.chains:
+            fixed = {t: dict(chain.entry(t)), s: {f"{AGGREGATE_PREFIX}{s}": 1}}
+            yield fixed, build_system(table, chars, n, fixed, collapse_order=s)
+
+    return _solve_systems(table, chars, n, systems(), cap=cap, strategy=strategy)
 
 
-def _solve_combos(
+def _solve_systems(
     table: CharacterTable,
     chars: Sequence[Character],
     n: int,
-    subs: Sequence[tuple[int, SolutionSet]],
+    systems,
     *,
     cap: int,
-    collapse: Optional[int] = None,
-    joint_reason: Optional[str] = None,
+    strategy: str,
 ) -> SolutionSet:
-    """Chains of order n from the chain sets `subs` of its proper powers.
-
-    The first sub-order whose set is not finite decides the result.  Else
-    each compatible combination of sub-chains fixes the lower levels of
-    one flat system (with the order-`collapse` classes aggregated, and
-    its power entry fixed to "~s": 1), or, given `joint_reason`, one joint
-    system over all levels replaces the combinations.
-    """
+    """The chains of order n from `systems`, pairs (fixed, system): the
+    partial augmentations of the levels the system fixes, and the system
+    over the rest.  A system with no fixed levels is joint, its variables
+    named "<level>:<class>"; the variables of the others are the top
+    level's classes.  The first infinite system, or the first capped one,
+    ends the solve."""
     names = tuple(ch.name for ch in chars)
-    strategy = (
-        "joint" if joint_reason is not None
-        else "plain" if collapse is None
-        else f"collapse[{collapse}]"
-    )
-    for m, ss in subs:
-        if ss.status != "finite":
-            return SolutionSet(
-                table.group_name, n, ss.status, (), names,
-                strategy=strategy,
-                detail=f"chains of the order-{m} power could not be enumerated "
-                       f"({ss.status})",
-                ray=ss.ray,
-            )
-
-    def systems():
-        if joint_reason is not None:
-            yield None, build_chain_system(table, chars, n)
-            return
-        for combo in itertools.product(*(ss.chains for _, ss in subs)):
-            fixed = _merge_chain_levels(combo)
-            if fixed is None:
-                continue
-            if collapse is not None:
-                fixed[collapse] = {f"{AGGREGATE_PREFIX}{collapse}": 1}
-            yield fixed, build_system(table, chars, n, fixed, collapse_order=collapse)
-
     # Chains are sorted by their values in (level, class name) order.  Every
     # chain of one call has the same levels and classes: the variables
     # depend only on the table, the order and the collapse, and the fixed
-    # levels come from sub-solution sets that are uniform in the same way.
+    # levels come from a sub-solution set that is uniform in the same way.
     # So the fixed levels' values in that order (a system's head), then
     # the point's values permuted into it, order the chains as their
     # (level, sorted entries) tuples would.  The heads of two systems
-    # differ, since distinct combinations differ on some fixed level, so
+    # differ, since distinct sub-chains differ on some fixed level, so
     # each system's chains form one run, and the runs are joined in the
     # order of their heads.  A system's points come in lexicographic
     # order, which is the chains' order unless the variables are out of
@@ -743,7 +690,7 @@ def _solve_combos(
     # (level, class) slots once, with the first system.
     #
     # Each chain is packed (`PAChain.packed`).  Its layout lists the fixed
-    # levels in their merged order, then the variables' levels, and is one
+    # levels in their given order, then the variables' levels, and is one
     # object shared by every chain of the call; its values are the fixed
     # levels' values in layout order, then the point.  No chain builds a
     # dict until its entries are read.
@@ -755,35 +702,32 @@ def _solve_combos(
     modes: set[str] = set()
     detail = None
     ray = None
-    for fixed, system in systems():
-        modes.update(system.congruence_mode.values())
-        res = system.solve(cap=cap)
-        if res.status == "infinite":
-            status = "infinite"
-            detail = ("a top-level system" if joint_reason is None else
-                      f"{joint_reason}; the joint system") + " admits an integer ray"
-            ray = {v: r for v, r in zip(system.variables, res.ray) if r}
-            runs = []
-            break
-        fixed = fixed or {}
+    for fixed, system in systems:
         if slots is None:
-            if joint_reason is not None:  # variables named "<level>:<class>"
+            if fixed:
+                slots = [(n, v) for v in system.variables]
+            else:
                 slots = [(int(lvl), cname) for lvl, cname in
                          (v.split(":", 1) for v in system.variables)]
-            else:
-                slots = [(n, v) for v in system.variables]
             perm = sorted(range(len(slots)), key=slots.__getitem__)
             if perm != list(range(len(perm))):
                 reorder = itemgetter(*perm)
             fixed_slots = sorted((m, c) for m, ent in fixed.items() for c in ent)
             # each level's variables are consecutive
-            spans = tuple(
+            layout = tuple((m, tuple(ent)) for m, ent in fixed.items()) + tuple(
                 (lvl, tuple(cname for _, cname in group))
                 for lvl, group in itertools.groupby(slots, key=itemgetter(0))
             )
-        this_layout = tuple((m, tuple(ent)) for m, ent in fixed.items()) + spans
-        if this_layout != layout:
-            layout = this_layout
+        modes.update(system.congruence_mode.values())
+        res = system.solve(cap=cap)
+        if res.status == "infinite":
+            status = "infinite"
+            levels = sorted({lvl for (lvl, _), r in zip(slots, res.ray) if r})
+            detail = (f"the system admits an integer ray on level"
+                      f"{'s' if len(levels) > 1 else ''} {', '.join(map(str, levels))}")
+            ray = {v: r for v, r in zip(system.variables, res.ray) if r}
+            runs = []
+            break
         fixed_values = tuple(v for ent in fixed.values() for v in ent.values())
         points = res.points if reorder is None else sorted(res.points, key=reorder)
         chains = [pack(n, layout, fixed_values + pt) for pt in points]
@@ -791,22 +735,18 @@ def _solve_combos(
         found += len(chains)
         if res.status == "capped" or found > cap:
             status = "capped"
-            # a finite result has no limit: the chains of all combos passed the cap
+            # a finite result has no limit: the chains of all systems passed the cap
             stop = {
                 "cap": f"beyond {cap} chains",
                 "node_budget": "at the search-node budget",
                 "probe": "without an integer point in the probe windows of "
                          "an unbounded relaxation",
             }[res.limit or "cap"]
-            detail = ("enumeration" if joint_reason is None else
-                      f"{joint_reason}; joint enumeration") + f" stopped {stop}"
+            detail = f"enumeration stopped {stop}"
             break
-    else:
-        if joint_reason is not None:
-            detail = f"solved jointly across levels ({joint_reason})"
 
-    # the chains of several combinations can pass the cap together; a
-    # capped set keeps its first cap chains, as a capped system its points
+    # the chains of several systems can pass the cap together; a capped set
+    # keeps its first cap chains, as a capped system its points
     runs.sort(key=itemgetter(0))
     ordered = itertools.chain.from_iterable(chains for _, chains in runs)
     return SolutionSet(

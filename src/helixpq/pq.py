@@ -14,8 +14,10 @@ and aggregates the per-pair outcomes into a verdict:
     HeLP_insufficient  some pair survives with admissible chains (or
                        could not be decided), listed per pair.
 
-Pairs where one prime has many classes are handled with the
-aggregated-variable strategy of `engine.solve_s_constant`, restricted
+A pair is solved by `engine.solve_order` as one joint system over the
+unit and all its powers (strategy "joint").  Pairs where one prime has
+many classes are handled instead with the aggregated-variable strategy
+of `engine.solve_s_constant` ("collapse[s]"), restricted
 to characters constant on those classes; this weakens the system, so
 "ruled out" conclusions remain sound and surviving pairs report the
 exact character set used.
@@ -50,8 +52,8 @@ __all__ = [
     "report_to_dict",
 ]
 
-# At most this many classes on both sides keeps the plain per-class solve.
-PLAIN_CLASS_LIMIT = 6
+# At most this many classes on both sides keeps the joint per-class solve.
+JOINT_CLASS_LIMIT = 6
 
 
 class PQError(ValueError):
@@ -153,11 +155,12 @@ def pq_check(
 
     `characters` defaults to all characters of the table (per pair,
     those whose characteristic divides p*q are dropped — they carry no
-    meaning there).  A pair where some side has more than
-    `PLAIN_CLASS_LIMIT` classes is solved with that side aggregated,
-    using the characters constant there.  `assume_coverage` lets a
-    partial table through `prime_graph`, asserting its class list
-    covers all element orders relevant to the requested pairs.
+    meaning there).  Each pair is one joint solve, except where some
+    side has more than `JOINT_CLASS_LIMIT` classes: that side is then
+    aggregated, using the characters constant there.
+    `assume_coverage` lets a partial table through `prime_graph`,
+    asserting its class list covers all element orders relevant to the
+    requested pairs.
     `pairs` restricts the screening to the given missing edges; each
     pair must be two distinct integers.  An empty selection of
     characters or of pairs is a PQError.
@@ -197,10 +200,10 @@ def pq_check(
 
 def _check_pair(table, base_chars, p, q, *, cap) -> PairReport:
     n = p * q
-    collapse, strategy = None, "plain"
+    collapse, strategy = None, "joint"
     np_ = sum(1 for c in table.classes if c.element_order == p)
     nq_ = sum(1 for c in table.classes if c.element_order == q)
-    if max(np_, nq_) > PLAIN_CLASS_LIMIT:
+    if max(np_, nq_) > JOINT_CLASS_LIMIT:
         collapse = p if np_ >= nq_ else q
         strategy = f"collapse[{collapse}]"
     # the filter that empties the list names the reason

@@ -1,8 +1,27 @@
-"""Test helper for `helixpq.engine`: the trace-block oracle, which sums the
-value's terms once for each k, so that `_trace_block`, which adds one
-sliced root-trace table per term, can be tested against it."""
+"""Test helpers for `helixpq.engine`: the trace-block oracle, which sums
+the value's terms once for each k, so that `_trace_block`, which adds one
+sliced root-trace table per term, can be tested against it; and the
+recursive solve route, which solves every proper power on its own and one
+flat system per combination of their chains, so that `solve_order`'s one
+joint system can be tested against it.
 
-from helixpq.cyclo import root_trace_table, terms_at_level
+Run as a script, it checks the two routes against each other on the
+missing prime-graph edges of PSL(2,q) and PGL(2,q):
+
+    PYTHONPATH=src python tests/engine_oracle.py
+"""
+
+import itertools
+import math
+import sys
+
+from helixpq import pq
+from helixpq.chartab import AGGREGATE_PREFIX, PAChain, render_chain
+from helixpq.cyclo import prime_divisors, root_trace_table, terms_at_level
+from helixpq.engine import SolutionSet, build_system, verify_chain
+from helixpq.lattice import DEFAULT_CAP
+from helixpq.pq import pq_check, prime_graph
+from helixpq.psl2 import gen_table
 
 
 def trace_block(value, level):
@@ -41,3 +60,196 @@ def dict_chains(n, solved, cap):
             chains.append(entries)
     chains.sort(key=lambda e: [(m, sorted(e[m].items())) for m in sorted(e)])
     return chains[:cap]
+
+
+def chain_key(chain):
+    """The reference order of a solve's chains: by level, then by the
+    entries in class-name order."""
+    return tuple((m, tuple(sorted(chain.entry(m).items()))) for m in chain.levels())
+
+
+def recursive_solve(table, characters, order, *, cap=None, collapse=None,
+                    store=None, max_combos=None):
+    """The recursive route to the chains of one unit order, the reference
+    for `solve_order` (and, given `collapse`, for `solve_s_constant`).
+
+    Every proper power u^p is solved on its own first, uncapped and
+    memoized in `store` by order; the first sub-order whose set is not
+    finite decides the result.  Each compatible combination of sub-chains
+    (one per power, agreeing on the levels they share) fixes the lower
+    levels of one flat `build_system`, and its points complete the
+    chains.  With `collapse=s` the order-s power is not solved but fixed
+    to "~s": 1, and the order-s classes are aggregated.  The chains are
+    built as dicts, sorted by `chain_key` and cut at `cap`; the result is
+    `capped` when a system was capped or the chains passed the cap.  The
+    route costs one system per combination, so with `max_combos` an order
+    of more combinations than that is not solved: the result is None."""
+    chars = [table.character_by_name(c) if isinstance(c, str) else c
+             for c in characters]
+    names = tuple(ch.name for ch in chars)
+    n = order
+    cap = DEFAULT_CAP if cap is None else cap
+    store = {} if store is None else store
+    subs = []
+    for m in sorted({n // p for p in prime_divisors(n)} - {1}):
+        if collapse is not None and m == collapse:
+            agg = f"{AGGREGATE_PREFIX}{collapse}"
+            subs.append([PAChain(m, {m: {agg: 1}})])
+            continue
+        if m not in store:
+            store[m] = recursive_solve(table, chars, m, store=store,
+                                       max_combos=max_combos)
+        sub = store[m]
+        if sub is None:
+            return None
+        if sub.status != "finite":
+            return SolutionSet(table.group_name, n, sub.status, (), names,
+                               strategy="recursive", ray=sub.ray)
+        subs.append(sub.chains)
+    if max_combos is not None and math.prod(map(len, subs)) > max_combos:
+        return None
+
+    chains, status = [], "finite"
+    for combo in itertools.product(*subs):
+        fixed = _merge(combo)
+        if fixed is None:
+            continue
+        system = build_system(table, chars, n, fixed, collapse_order=collapse)
+        res = system.solve(cap=cap)
+        if res.status == "infinite":
+            ray = {v: r for v, r in zip(system.variables, res.ray) if r}
+            return SolutionSet(table.group_name, n, "infinite", (), names,
+                               strategy="recursive", ray=ray)
+        for pt in res.points:
+            entries = {m: dict(ent) for m, ent in fixed.items()}
+            entries[n] = dict(zip(system.variables, pt))
+            chains.append(PAChain(n, entries))
+        if res.status == "capped" or len(chains) > cap:
+            status = "capped"
+            break
+    chains.sort(key=chain_key)
+    return SolutionSet(table.group_name, n, status, tuple(chains[:cap]), names,
+                       strategy="recursive")
+
+
+def _merge(combo):
+    """The levels of the chains of one combination, or None when two
+    chains differ on a level they share."""
+    fixed = {}
+    for chain in combo:
+        for m in chain.levels():
+            if fixed.setdefault(m, dict(chain.entry(m))) != chain.entry(m):
+                return None
+    return fixed
+
+
+def compare_solves(table, characters, got, want):
+    """Differences between a solve `got` and the reference `want`: the
+    status, and for a finite pair the chains in order; and every chain of
+    `got` that fails `verify_chain`.  A capped set depends on the search
+    order, so only its status is compared."""
+    problems = []
+    where = f"{table.group_name} order {got.unit_order}"
+    if got.status != want.status:
+        problems.append(f"{where}: status {got.status}, reference {want.status}")
+    elif got.status == "finite" and got.chains != want.chains:
+        problems.append(f"{where}: {len(got.chains)} chains, reference "
+                        f"{len(want.chains)}, or another order")
+    for chain in got.chains:
+        if not verify_chain(table, characters, chain).ok:
+            problems.append(f"{where}: chain {render_chain(chain)} fails verify_chain")
+    return problems
+
+
+def screen_differential(table, cap=None, max_combos=None):
+    """`pq_check(table, cap=cap)` run twice, once as it solves and once
+    with `recursive_solve` in place of `solve_order`, and their differences:
+    (problems, skipped), two lists of strings, both empty when the routes
+    agree on every pair.  Each pair's verdict fields and each solve are
+    compared (`compare_solves`); a capped pair's count, nontrivial count
+    and sample depend on the search order, so of those only the outcome
+    and status are.  An order of more than `max_combos` combinations is
+    not compared: the second run takes its joint solve, and `skipped`
+    names it."""
+    runs, skipped = {}, []
+    real = pq.solve_order
+
+    def reference(table, chars, order, *, cap=None):
+        sol = recursive_solve(table, chars, order, cap=cap, max_combos=max_combos)
+        if sol is None:
+            skipped.append(f"{table.group_name} order {order}: more than "
+                           f"{max_combos} combinations")
+            sol = real(table, chars, order, cap=cap)
+        return sol
+
+    for route, solve in (("joint", real), ("recursive", reference)):
+        solved = []
+
+        def record(table, chars, order, *, cap=None, solve=solve, solved=solved):
+            sol = solve(table, chars, order, cap=cap)
+            solved.append((chars, sol))
+            return sol
+
+        pq.solve_order = record
+        try:
+            runs[route] = (pq_check(table, cap=cap), solved)
+        finally:
+            pq.solve_order = real
+    (got, got_solved), (want, want_solved) = runs["joint"], runs["recursive"]
+
+    def verdict(r):
+        fields = (r.p, r.q, r.outcome, r.status, r.character_names)
+        if r.status == "capped":
+            return fields
+        return fields + (r.count, r.nontrivial, r.sample)
+
+    problems = []
+    if got.verdict != want.verdict:
+        problems.append(f"{table.group_name}: verdict {got.verdict}, "
+                        f"reference {want.verdict}")
+    for r, ref in zip(got.pairs, want.pairs):
+        if verdict(r) != verdict(ref):
+            problems.append(f"{table.group_name} {{{r.p},{r.q}}}: {verdict(r)}, "
+                            f"reference {verdict(ref)}")
+    for (chars, sol), (_, ref) in zip(got_solved, want_solved):
+        problems += compare_solves(table, chars, sol, ref)
+    return problems, skipped
+
+
+def sweep_qs(top):
+    """The prime powers q with 7 <= q <= top."""
+    return [q for q in range(7, top + 1) if len(prime_divisors(q)) == 1]
+
+
+# The script's sweep: every prime power q <= Q, at cap 2000.  The recursive
+# route costs one flat system per combination of power chains, and six
+# orders of the sweep have more than MAX_COMBOS of them (PSL(2,43) order 77
+# alone has 1,859,550), which would take it hours; those orders are listed
+# and not compared.
+Q = 49
+MAX_COMBOS = 10000
+
+
+def main():
+    """Run `screen_differential` on PSL(2,q) and PGL(2,q) for every prime
+    power 7 <= q <= Q; exit 1 when the routes differ."""
+    problems, skipped, tables, edges = [], [], 0, 0
+    for q in sweep_qs(Q):
+        for family in ("psl2", "pgl2"):
+            table = gen_table(family, q)
+            found, passed = screen_differential(table, 2000, MAX_COMBOS)
+            problems += found
+            skipped += passed
+            tables += 1
+            edges += len(prime_graph(table).non_edges())
+    for line in skipped:
+        print(f"not compared: {line}")
+    for line in problems:
+        print(line)
+    print(f"{tables} tables, {edges} missing edges, {len(skipped)} orders not "
+          f"compared: {f'{len(problems)} differences' if problems else 'the routes agree'}")
+    return 1 if problems else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

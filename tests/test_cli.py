@@ -82,8 +82,9 @@ def test_value_outside_the_power_maps_galois_field_is_a_failed_check(tmp_path, c
 
 # sha256 of stdout and of each file written, for the README's examples run
 # in order in one directory (`verify` reads the file `solve --out` wrote),
-# plus `pq gen:psl2:16 --format json`; recorded at 63eaf0d, the last one
-# again once its pair {2,5} was solved jointly (only strategy and detail moved)
+# plus `pq gen:psl2:16 --format json`; recorded at 63eaf0d, and again when
+# every order became one joint system: in the order-2 and order-6 solves and
+# both pq runs only "strategy" ("plain" to "joint") and "detail" moved
 README_EXAMPLES = [
     (("gen", "--family", "psl2", "--q", "27", "--out", "psl2_27.json"), 0,
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
@@ -92,21 +93,21 @@ README_EXAMPLES = [
      "362de95c0ae2f079500f88c4c0a9c297a85e0ffd4d8b11de1a01f9c81478de64", {}),
     (("solve", "--table", "embedded:psp4_7_partial", "--chars", "phi",
       "--order", "2", "--format", "text"), 0,
-     "47cc7e8c87d5891109d737c8db4649c1126142adc8e5f7341f0cc15f9f0dd9ff", {}),
+     "1dae61e9c788c45de440a73e0ece549dd9ffc3a69fa349dc34cc70746e1e652b", {}),
     (("solve", "--table", "gen:psl2:243", "--chars", "deg=121", "--order", "33",
       "--s-constant", "11", "--format", "text"), 0,
      "b8ce5faf956cc42acc5e6776c725bb1d111abf07157002839e0a1f350b9c45ed", {}),
     (("solve", "--table", "embedded:psl2_2f_rows", "--chars", "all", "--order", "6",
       "--format", "json", "--out", "solutions.json"), 0,
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-     {"solutions.json": "fe40f737a7e59041dd3e3009f14c9a0da53a15284242c7c84c68b548c74ac464"}),
+     {"solutions.json": "1bd13f2a8424a91e31799c8f72f2ba5914b0f3652653de1597e24a1ab0d6ea2e"}),
     (("verify", "--table", "embedded:psl2_2f_rows", "--chain", "solutions.json",
       "--order", "6"), 0,
      "09dfb39f53734e004ddc6a1f9a0e89919d701e18610845161019c16b4b21296f", {}),
     (("pq", "--table", "gen:psl2:5", "--format", "text"), 0,
-     "8ff043a1e305df836b4f31432140d03bebec205696a9738282951c0021c25cb6", {}),
+     "a2e8806c4ddbdcbea8cf23d858bcd00057ca6ac59aca3a8b1ffa06dc7ab52bbc", {}),
     (("pq", "--table", "gen:psl2:16", "--format", "json"), 0,
-     "cb65d60d5bc753ce02dd5b31c035a5c39c57ab731e612af496d5ab3821bbf17c", {}),
+     "4a7bfa622e66740677083f91b18c25fd10a4c4dc3f5631450f5aa8b4c7a6671e", {}),
 ]
 
 
@@ -127,21 +128,24 @@ def test_readme_examples_are_pinned(tmp_path, capsys, monkeypatch):
 # exit code and sha256 of `solve --format json` stdout: the six solves of
 # perfbench/workloads.py SOLVES (same tables, characters, orders and caps),
 # then the collapsed PSL(2,7) order-6 solve, whose chain file `verify`
-# reads back (its stdout digest is the last entry); recorded at 00953fd
+# reads back (its stdout digest is the last entry); recorded at 00953fd, and
+# again when every order became one joint system: in the first six only
+# "strategy" ("plain" to "joint") and "detail" (the combination count
+# dropped) moved
 SOLVE_JSON = [
     (("--table", "embedded:l3_17_aut_partial", "--chars", "chi306,chi4912,chi9216",
       "--order", "51"), 0,
-     "1496f9cbb45b09aeaa4bfabe594510633d127df14ce0f9c2849007a9587b6155"),
+     "dd65071174a2130d0e0c7ba1d4a480ff74d8b3eda45db861e3dcf245589d453c"),
     (("--table", "embedded:pgl2_243_rows", "--order", "11", "--cap", "20000"), 2,
-     "f8661872f74af55616d1655a7614acb4d291f3f651ec9cf186242ed6163f3e8b"),
+     "6623fc2d5b3ebc81c3d09961fdcd402100ecd7a89bfff0012b18d23b4d424487"),
     (("--table", "embedded:pgl2_3f_rows", "--order", "6"), 0,
-     "296d1288b9233b6241fd4c71d2859a08ee4ae706601b24c862a24d743673e8c5"),
+     "dd1a916c9bbd3c05738cb9d3bf7399ea71f698632f476e3d0dda45895445b7e0"),
     (("--table", "embedded:psl2_3f_eta", "--order", "6"), 0,
-     "e523fce79a548b3f4ca4ba1c96d6e4f4d36aeea5302eb544969ae9dc5af569db"),
+     "e30eee05a1421af4655b9fa54d93c84529f3516ba0a105774db025ab5174d029"),
     (("--table", "gen:psl2:25", "--order", "39"), 0,
-     "58908a7c5e59222d224a0f4630988145e731add90d1934078837fbe6ef46a073"),
+     "b9607559147709520c45fae1c802647360f5b52ea6516114804aa947ea0a1654"),
     (("--table", "gen:psl2:25", "--order", "26"), 0,
-     "65e8d0e82dee98cb168564b6a5f52d666dd1b275616c7e41edc2c09f01e9085e"),
+     "788ba906c494a59e12db0577f8b6bff42948d9df67b53af5297f4dd3cf536c9a"),
     (("--table", "gen:psl2:7", "--order", "6", "--s-constant", "2", "--chars", "st"), 0,
      "9779aa6825ee73c445a7d725cc157d35d6683d42b26f1271df1c4b3a90f1765c"),
 ]

@@ -3,20 +3,25 @@
 import gc
 import hashlib
 import json
-import math
 import re
 from fractions import Fraction
 
 import pytest
-from engine_oracle import dict_chains, trace_block
+from engine_oracle import (
+    chain_key,
+    compare_solves,
+    dict_chains,
+    recursive_solve,
+    trace_block,
+)
 
 from helixpq import datasets, engine
 from helixpq.chartab import PAChain, TableError, parse_chain, parse_table, render_chain
-from helixpq.cyclo import cyc_rational, prime_divisors, root_of_unity
+from helixpq.cyclo import cyc_rational, root_of_unity
 from helixpq.engine import (
     EngineError,
     Row,
-    _prefer_joint,
+    SolutionSet,
     build_chain_system,
     build_system,
     classify_chain,
@@ -81,6 +86,16 @@ def psl2_7():
 @pytest.fixture(scope="module")
 def psl2_25():
     return gen_table("psl2", 25)
+
+
+@pytest.fixture(scope="module")
+def psl2_243():
+    return gen_table("psl2", 243)
+
+
+@pytest.fixture(scope="module")
+def pgl2_243():
+    return gen_table("pgl2", 243)
 
 
 # --- system construction ------------------------------------------------------
@@ -300,7 +315,7 @@ def test_involution_solutions(psp):
     assert sol.status == "finite"
     got = {(c.entry(2)["2a"], c.entry(2)["2b"]) for c in sol.chains}
     assert got == {(1, 0), (0, 1), (-1, 2)}
-    assert sol.strategy == "plain"
+    assert sol.strategy == "joint"
 
 
 def test_order_10_ruled_out(psp):
@@ -353,14 +368,16 @@ def test_cap_interrupts_solve(psl2_32):
 
 
 def test_capped_combinations_keep_the_first_cap_chains(pgl2_3f_rows):
-    # the 28 chains come from several power-chain combinations; the cap
-    # passed with the last one, and all 28 were returned
+    # a capped set keeps its first cap chains, on the joint system and on
+    # the recursive route, whose combinations pass the cap together
     chars = [ch.name for ch in pgl2_3f_rows.characters]
     full = solve_order(pgl2_3f_rows, chars, 6)
     assert full.status == "finite" and len(full.chains) == 28
     sol = solve_order(pgl2_3f_rows, chars, 6, cap=20)
-    assert sol.status == "capped" and sol.strategy == "plain"
+    assert sol.status == "capped" and sol.strategy == "joint"
     assert sol.chains == full.chains[:20]
+    ref = recursive_solve(pgl2_3f_rows, chars, 6, cap=20)
+    assert ref.status == "capped" and ref.chains == sol.chains
 
 
 def test_node_budget_stop_is_named_in_the_detail(psl2_32, monkeypatch):
@@ -373,9 +390,14 @@ def test_node_budget_stop_is_named_in_the_detail(psl2_32, monkeypatch):
 
 
 def test_store_memoizes_sub_orders(psl2_32):
+    # a store keeps finished solves by order: no proper power is solved on
+    # its own, so order 6 stores only 6, and a repeat returns the stored set
+    chars = list(psl2_32.characters)
     store = {}
-    solve_order(psl2_32, list(psl2_32.characters), 6, store=store)
-    assert 2 in store and 3 in store
+    sol = solve_order(psl2_32, chars, 6, store=store)
+    assert list(store) == [6] and store[6] is sol
+    assert solve_order(psl2_32, chars, 6, store=store) is sol
+    assert solve_order(psl2_32, chars, 6) is not sol
 
 
 # --- joint all-levels solving ---------------------------------------------------
@@ -388,7 +410,7 @@ def _entries_shape(entries):
 
 def test_joint_system_matches_recursive_solve(psl2_32):
     chars = list(psl2_32.characters)
-    rec = solve_order(psl2_32, chars, 6)
+    rec = recursive_solve(psl2_32, chars, 6)
     system = build_chain_system(psl2_32, chars, 6)
     res = system.solve()
     assert res.status == "finite"
@@ -400,49 +422,6 @@ def test_joint_system_matches_recursive_solve(psl2_32):
             entries.setdefault(int(lvl), {})[cname] = x
         joint.add(_entries_shape(entries))
     assert joint == {_entries_shape(c.entries) for c in rec.chains}
-
-
-def test_capped_subproblem_switches_to_joint(psl2_32):
-    sol = solve_order(psl2_32, list(psl2_32.characters), 6, cap=0)
-    assert sol.strategy == "joint"
-    assert sol.status == "capped"
-    assert "power alone exceeded the cap" in sol.detail
-
-
-def test_combo_explosion_switches_to_joint(psl2_32, force_strategy):
-    force_strategy(True)
-    sol = solve_order(psl2_32, list(psl2_32.characters), 6)
-    assert sol.strategy == "joint"
-    assert sol.status == "finite" and len(sol.chains) == 3
-    top = {(c.entry(6)["2a"], c.entry(6)["3a"]) for c in sol.chains}
-    assert top == {(-8, 9), (-2, 3), (4, -3)}
-
-
-@pytest.mark.parametrize("q, order, combos, strategy", [
-    # one combination: 1 * 2 flat unknowns against 1 + 1 + 2 joint ones
-    (32, 6, 1, "plain"),
-    # 15 combinations (order 7 has 15 chains): 15 * 4 against 1 + 3 + 4
-    (8, 14, 15, "joint"),
-])
-def test_counted_cost_picks_the_strategy(q, order, combos, strategy):
-    table = gen_table("psl2", q)
-    store = {}
-    sol = solve_order(table, list(table.characters), order, store=store)
-    assert sol.strategy == strategy
-    assert sol.detail == (None if strategy == "plain" else
-                          f"solved jointly across levels ({combos} power-chain combinations)")
-    assert combos == math.prod(
-        len(store[order // p].chains) for p in prime_divisors(order))
-
-
-def test_joint_is_preferred_when_the_combinations_have_more_unknowns():
-    # for a product of two primes the joint system has twice the flat
-    # system's unknowns, so two combinations stay flat and three go joint
-    assert not _prefer_joint(2, 5, 10)
-    assert _prefer_joint(3, 5, 10)
-    assert not _prefer_joint(0, 5, 10)
-    # a prime order has one level: one combination, the same unknowns
-    assert not _prefer_joint(1, 4, 4)
 
 
 def test_joint_fourier_row_sum(psl2_16):
@@ -568,102 +547,126 @@ def test_collapse_requires_constancy(psl2_32):
 
 # --- verification ---------------------------------------------------------------
 
-# (fixture, characters, order, forced strategy or None, strategy)
+def _solve(table, chars, order, collapse=None, cap=None):
+    if collapse is None:
+        return solve_order(table, chars, order, cap=cap)
+    return solve_s_constant(table, chars, collapse, order // collapse, cap=cap)
+
+
+def _solve_joint_system(table, chars, order, collapse=None, cap=None):
+    """`solve_order`'s solve done by hand: the points of the joint system
+    of `build_chain_system`, made into chains by `dict_chains`."""
+    assert collapse is None
+    system = build_chain_system(table, chars, order)
+    res = system.solve(cap=cap)
+    solved = [(None, system.variables, res.points)]
+    chains = tuple(PAChain(order, e) for e in dict_chains(order, solved, cap))
+    names = tuple(c if isinstance(c, str) else c.name for c in chars)
+    return SolutionSet(table.group_name, order, res.status, chains, names,
+                       strategy="joint")
+
+
+# (fixture, characters, order, collapsed order or None, solve)
 ROUND_TRIPS = [
-    ("psl2_32", None, 6, None, "plain"),
-    ("psl2_3f_eta", None, 6, None, "joint"),
-    ("pgl2_3f_rows", None, 6, None, "plain"),
+    ("psl2_32", None, 6, None, _solve),
+    ("psl2_3f_eta", None, 6, None, _solve),
+    ("pgl2_3f_rows", None, 6, None, _solve),
     # 126 chains over the levels 3, 17 and 51
-    ("l3", ["chi306", "chi4912", "chi9216"], 51, None, "joint"),
-    ("psl2_32", None, 6, True, "joint"),
+    ("l3", ["chi306", "chi4912", "chi9216"], 51, None, _solve),
+    ("psl2_32", None, 6, None, _solve_joint_system),
     # chains with the aggregated key "~s" at every level that s divides
-    ("psl2_32", None, 6, None, "collapse[3]"),
-    ("psl2_16", ["triv", "st", "chi_5", "theta_1", "theta_8"], 10, None, "collapse[5]"),
+    ("psl2_32", None, 6, 3, _solve),
+    ("psl2_16", ["triv", "st", "chi_5", "theta_1", "theta_8"], 10, 5, _solve),
 ]
 ROUND_TRIP_IDS = ["psl2_32", "psl2_3f_eta", "pgl2_3f_rows", "l3_17_aut_partial-51",
                   "psl2_32-joint", "psl2_32-collapse", "psl2_16-collapse"]
 
 
-@pytest.mark.parametrize("name, chars, order, force, strategy", ROUND_TRIPS,
+@pytest.mark.parametrize("name, chars, order, collapse, solve", ROUND_TRIPS,
                          ids=ROUND_TRIP_IDS)
-def test_solutions_round_trip_through_verify(request, force_strategy, name, chars,
-                                             order, force, strategy):
+def test_solutions_round_trip_through_verify(request, name, chars, order, collapse,
+                                             solve):
     table = request.getfixturevalue(name)
     chars = list(table.characters) if chars is None else chars
-    if force is not None:
-        force_strategy(force)
-    if strategy.startswith("collapse"):
-        s = int(strategy[len("collapse["):-1])
-        sol = solve_s_constant(table, chars, s, order // s)
-    else:
-        sol = solve_order(table, chars, order)
+    sol = solve(table, chars, order, collapse)
     assert sol.status == "finite" and sol.chains
-    assert sol.strategy == strategy
+    assert sol.strategy == ("joint" if collapse is None else f"collapse[{collapse}]")
     for chain in sol.chains:
         report = verify_chain(table, chars, chain)
         assert report.ok and not report.failures
         assert report.rows_checked > 0
 
 
-# every round trip above that is not collapsed, each once
-@pytest.mark.parametrize("name, chars, order", [
-    pytest.param(name, chars, order, id=case_id)
-    for (name, chars, order, force, strategy), case_id in zip(ROUND_TRIPS, ROUND_TRIP_IDS)
-    if force is None and not strategy.startswith("collapse")
+# every round trip above, each once against the recursive route
+@pytest.mark.parametrize("name, chars, order, collapse, solve", [
+    pytest.param(*case, id=case_id)
+    for case, case_id in zip(ROUND_TRIPS, ROUND_TRIP_IDS)
 ])
-def test_forced_strategies_agree(request, force_strategy, name, chars, order):
-    # the joint system and the flat system of each combination must give
-    # the same chains, in the same order, every one of them verified
+def test_forced_strategies_agree(request, name, chars, order, collapse, solve):
+    # the joint system and the recursive route, one flat system per
+    # combination of the powers' chains, must give the same chains, in the
+    # same order, every one of them verified
     table = request.getfixturevalue(name)
     chars = list(table.characters) if chars is None else chars
-    sols = {}
-    for joint in (False, True):
-        force_strategy(joint)
-        sols[joint] = solve_order(table, chars, order)
-        assert sols[joint].strategy == ("joint" if joint else "plain")
-    plain, joint = sols[False], sols[True]
-    assert plain.status == joint.status == "finite"
-    assert plain.chains == joint.chains and plain.chains
-    assert plain.congruence_modes == joint.congruence_modes
-    for chain in plain.chains:
-        assert verify_chain(table, chars, chain).ok
+    sol = solve(table, chars, order, collapse)
+    ref = recursive_solve(table, chars, order, collapse=collapse)
+    assert sol.status == ref.status == "finite"
+    assert sol.chains == ref.chains and sol.chains
+    assert compare_solves(table, chars, sol, ref) == []
 
 
-def _chain_key(chain):
-    """The reference order of a solve's chains: by level, then by the
-    entries in class-name order."""
-    return tuple(
-        (m, tuple(sorted(chain.entries[m].items()))) for m in chain.levels()
-    )
+# the solves of the acceptance criteria (those of criterion 05 excepted: its
+# order-11 power alone has more than 20,000 chains, too many for the
+# recursive route) and the six solves of the benchmark's enumerate workload,
+# but for those ROUND_TRIPS has: (table, characters or None for all, order,
+# collapsed order or None, cap)
+REFERENCE_SOLVES = [
+    ("psp", ["phi"], 2, None, None),
+    ("psp", ["chi", "phi"], 10, None, None),
+    ("psp_aut", ["chi", "phi"], 15, None, None),
+    ("psl2_243", ["eta_1"], 33, 11, None),
+    ("pgl2_243", None, 6, None, None),
+    ("psl2_32", ["st"], 62, 31, None),
+    ("psl2_32", ["st"], 22, 11, None),
+    ("l3", ["chi1", "chi4912"], 614, 307, None),
+    ("pgl2_243_rows", None, 11, None, 20000),
+    ("psl2_25", None, 39, None, None),
+    ("psl2_25", None, 26, None, None),
+]
 
 
-@pytest.mark.parametrize("name, chars, order, collapse, force, cap, strategy, count", [
-    # 19 power-chain combinations, each a flat system
-    pytest.param("l3", ["chi306", "chi4912", "chi9216"], 51, None, False, None,
-                 "plain", 126, id="l3_17_aut_partial-51-flat"),
-    pytest.param("psl2_3f_eta", None, 6, None, None, None, "joint", 12,
+@pytest.mark.parametrize("name, chars, order, collapse, cap", REFERENCE_SOLVES,
+                         ids=[f"{c[0]}-{c[2]}" for c in REFERENCE_SOLVES])
+def test_solve_matches_the_recursive_route(request, name, chars, order, collapse, cap):
+    table = request.getfixturevalue(name)
+    chars = list(table.characters) if chars is None else chars
+    sol = _solve(table, chars, order, collapse, cap)
+    ref = recursive_solve(table, chars, order, collapse=collapse, cap=cap)
+    assert compare_solves(table, chars, sol, ref) == []
+    # a capped prime order is one system on both routes: the same points
+    assert sol.chains == ref.chains
+
+
+@pytest.mark.parametrize("name, chars, order, collapse, cap, strategy, count", [
+    pytest.param("l3", ["chi306", "chi4912", "chi9216"], 51, None, None,
+                 "joint", 126, id="l3_17_aut_partial-51"),
+    pytest.param("psl2_3f_eta", None, 6, None, None, "joint", 12,
                  id="psl2_3f_eta-6-joint"),
     # "~2" sorts after the class names at levels 2 and 6
-    pytest.param("psl2_7", ["chi_1"], 6, 2, None, None, "collapse[2]", 2,
+    pytest.param("psl2_7", ["chi_1"], 6, 2, None, "collapse[2]", 2,
                  id="psl2_7-6-collapse"),
-    pytest.param("pgl2_243_rows", None, 11, None, None, 20000, "plain", 20000,
+    pytest.param("pgl2_243_rows", None, 11, None, 20000, "joint", 20000,
                  id="pgl2_243_rows-11-capped"),
 ])
-def test_chains_come_in_level_and_class_name_order(request, force_strategy, name, chars,
-                                                   order, collapse, force, cap,
-                                                   strategy, count):
+def test_chains_come_in_level_and_class_name_order(request, name, chars, order,
+                                                   collapse, cap, strategy, count):
     table = request.getfixturevalue(name)
     chars = [ch.name for ch in table.characters] if chars is None else chars
-    if force is not None:
-        force_strategy(force)
-    if collapse is None:
-        sol = solve_order(table, chars, order, cap=cap)
-    else:
-        sol = solve_s_constant(table, chars, collapse, order // collapse, cap=cap)
+    sol = _solve(table, chars, order, collapse, cap)
     assert (sol.strategy, len(sol.chains)) == (strategy, count)
     assert sol.character_names == tuple(chars)
-    assert list(sol.chains) == sorted(sol.chains, key=_chain_key)
-    keys = [_chain_key(chain) for chain in sol.chains]
+    assert list(sol.chains) == sorted(sol.chains, key=chain_key)
+    keys = [chain_key(chain) for chain in sol.chains]
     assert len(set(keys)) == len(keys)
 
 
@@ -733,8 +736,9 @@ def test_classify_chain():
 
 
 # the six solves of the benchmark's enumerate workload (PSL(2,25) has no
-# chain of order 39 or 26), a flat solve with fixed levels and a collapsed
-# one: (table, characters or None for all, order, cap, collapse)
+# chain of order 39 or 26), one more joint solve, and a collapsed one, whose
+# flat systems have fixed levels: (table, characters or None for all,
+# order, cap, collapse)
 PACKED_SOLVES = [
     ("l3", ["chi306", "chi4912", "chi9216"], 51, None, None),
     ("pgl2_243_rows", None, 11, 20000, None),
@@ -808,22 +812,40 @@ def test_packed_chain_equality_ignores_key_order():
 
 # --- degenerate geometry ---------------------------------------------------------
 
-def test_indistinguishable_classes_give_infinite_status():
-    table = parse_table({
+def _toy_with_twin_classes(*extra):
+    """A table whose classes 3a and 3b no character tells apart."""
+    return parse_table({
         "group_name": "toy",
         "completeness": "full",
         "classes": [
             {"name": "1a", "element_order": 1},
+            *extra,
             {"name": "3a", "element_order": 3, "power_maps": {"2": "3b"}},
             {"name": "3b", "element_order": 3, "power_maps": {"2": "3a"}},
         ],
         "characters": [
-            {"name": "triv", "degree": 1, "values": {"1a": 1, "3a": 1, "3b": 1}},
+            {"name": "triv", "degree": 1,
+             "values": {"1a": 1, "3a": 1, "3b": 1, **{c["name"]: 1 for c in extra}}},
         ],
     })
-    sol = solve_order(table, ["triv"], 3)
-    assert sol.status == "infinite"
-    assert sol.ray and set(sol.ray) <= {"3a", "3b"}
+
+
+def test_indistinguishable_classes_give_infinite_status():
+    sol = solve_order(_toy_with_twin_classes(), ["triv"], 3)
+    assert sol.status == "infinite" and sol.chains == ()
+    assert sol.ray and set(sol.ray) <= {"3:3a", "3:3b"}
+    assert sol.detail == "the system admits an integer ray on level 3"
+
+
+def test_a_ray_below_the_top_level_names_its_level():
+    # the order-3 power of an order-6 unit is unbounded, and only its
+    # level carries the joint system's ray
+    table = _toy_with_twin_classes({"name": "2a", "element_order": 2})
+    sol = solve_order(table, ["triv"], 6)
+    assert sol.status == "infinite" and sol.chains == ()
+    assert sol.ray == {"3:3a": 6, "3:3b": -6}
+    assert sol.detail == "the system admits an integer ray on level 3"
+    assert recursive_solve(table, ["triv"], 6).status == "infinite"
 
 
 # --- the cyclic garbage collector ---------------------------------------------

@@ -21,6 +21,7 @@ from helixpq.lattice import (
 )
 from helixpq.pq import pq_check
 from helixpq.psl2 import gen_table
+from engine_oracle import screen_differential
 from lattice_oracle import oracle_enumerate, unit_coords
 
 
@@ -823,12 +824,13 @@ def test_screen_node_totals_are_pinned(budgets):
         budgets.clear()
         pq_check(gen_table(family, q))
         totals.append(sum(b.nodes for b in budgets))
-    assert totals == [13, 14, 47, 27, 38, 28, 8, 14, 25, 65, 28]
+    assert totals == [2, 3, 3, 11, 4, 16, 2, 7, 3, 3, 16]
 
 
 def test_presolved_bounds_match_the_core_on_screen_systems(monkeypatch):
     # every LP that enumerate_integer_points bounds while pq_check screens
-    # the 11 tables: the tidied, projected rows and equalities
+    # the 11 tables, by the joint solve and by the recursive route: the
+    # tidied, projected rows and equalities (the joint solve alone makes 59)
     seen = []
     presolved = lattice._bounds
 
@@ -838,7 +840,7 @@ def test_presolved_bounds_match_the_core_on_screen_systems(monkeypatch):
 
     monkeypatch.setattr(lattice, "_bounds", spy)
     for family, q in SCREEN_TABLES:
-        pq_check(gen_table(family, q))
+        assert screen_differential(gen_table(family, q)) == ([], [])
     monkeypatch.undo()
     assert len(seen) > 100
     for dim, ineqs, eqs in seen:

@@ -4,6 +4,7 @@ import hashlib
 import json
 
 import pytest
+from engine_oracle import screen_differential, sweep_qs
 
 from helixpq import datasets, engine
 from helixpq.chartab import parse_table, render_table
@@ -135,7 +136,7 @@ def test_pair_errors_are_recorded_not_fatal():
         (2, 3, "error"), (2, 5, "ruled_out"), (3, 5, "error")]
     r = report.pair(2, 3)
     assert r.detail == "character 'xi_1' has no value on class '3a'"
-    assert r.strategy == "plain" and r.character_names == ("xi_1",)
+    assert r.strategy == "joint" and r.character_names == ("xi_1",)
     assert r.status is None
     assert report.verdict == "HeLP_insufficient"
 
@@ -159,7 +160,7 @@ def test_pair_without_characters_of_other_characteristic_names_it():
     report = pq_check(table, characters=["brauer3"])
     for p, q in ((2, 3), (3, 5)):
         r = report.pair(p, q)
-        assert (r.outcome, r.strategy, r.character_names) == ("error", "plain", ())
+        assert (r.outcome, r.strategy, r.character_names) == ("error", "joint", ())
         assert r.detail == ("no usable characters for this pair (the characteristic "
                             f"of every selected character divides {p * q})")
 
@@ -227,45 +228,40 @@ def test_report_serialization(psl2_16):
     assert "{2,3}" in text and "undecided" in text
 
 
-# --- joint vs flat solving ---------------------------------------------------------
+# --- the joint solve against the recursive route ------------------------------
 
 # the tables of the benchmark's `screen` workload
 SCREEN_TABLES = [("psl2", q) for q in (5, 7, 8, 9, 11, 16)] + [
     ("pgl2", q) for q in (7, 9, 11, 13, 16)]
+# those and every other PSL(2,q) and PGL(2,q) with q <= 19
+DIFFERENTIAL_TABLES = SCREEN_TABLES + sorted(
+    {(f, q) for f in ("psl2", "pgl2") for q in sweep_qs(19)} - set(SCREEN_TABLES))
 
 
-@pytest.mark.parametrize("family, q", SCREEN_TABLES,
-                         ids=[f"{f}:{q}" for f, q in SCREEN_TABLES])
-def test_missing_edges_agree_under_both_strategies(force_strategy, family, q):
-    def outcome(r):
-        return (r.p, r.q, r.outcome, r.status, r.count, r.nontrivial, r.sample,
-                r.character_names, r.congruence_modes)
-
-    table = gen_table(family, q)
-    pairs = {}
-    for joint in (False, True):
-        force_strategy(joint)
-        pairs[joint] = pq_check(table).pairs
-    assert list(map(outcome, pairs[False])) == list(map(outcome, pairs[True]))
-    # at most 2 chains per pair here, so the samples hold every chain
-    assert all(r.count == len(r.sample) for r in pairs[False])
+@pytest.mark.parametrize("family, q", DIFFERENTIAL_TABLES,
+                         ids=[f"{f}:{q}" for f, q in DIFFERENTIAL_TABLES])
+def test_missing_edges_agree_under_both_strategies(family, q):
+    # the joint solve and the recursive sub-order route: the same verdicts,
+    # statuses and chains, and every chain of the joint solve verifies
+    assert screen_differential(gen_table(family, q), cap=2000) == ([], [])
 
 
-# sha256 of `helixpq pq --table gen:FAMILY:Q --format json`, recorded before
-# the LP bounds substituted the equalities out: a change to the LP or the
-# DFS shows here as soon as it moves an output byte
+# sha256 of `helixpq pq --table gen:FAMILY:Q --format json`: a change to the
+# LP or the DFS shows here as soon as it moves an output byte.  Re-recorded
+# when every order became one joint system: only "strategy" ("plain" to
+# "joint") and "detail" (the combination count dropped) moved
 SCREEN_JSON_SHA256 = {
-    "psl2:5": "b295d82e7f947b6a14c7aee9d1eca9bd8bbfc2736c2d6b7c0eb716ad879b7bd3",
-    "psl2:7": "191b41d2abca791ec63da17fd916b18b378c136ff19e14d0b52d0c35a6bf44f8",
-    "psl2:8": "f98fa9949db60eb6084773c1a3121f863291f8e85e17157cc323354924779fc1",
-    "psl2:9": "c489430d76cab5a1e9a663fa773e6da0dd9512d26dc2d5647028ef84a3c55f5d",
-    "psl2:11": "014775361bda5ea1f073566a1bb3ba479a515f0f305bceeaa172d822ad959cfb",
-    "psl2:16": "b0d25611766fa95fea893eeacc3a8e1d4511562263da1425081d39d97ab8cb8f",
-    "pgl2:7": "335988b680128229db62046fc2420a0befd3859544985c47c4a413519364fcf9",
-    "pgl2:9": "b777929461d573ae48a0225c9f151ab48a8b4d670110dfbbeff91dc8d582b774",
-    "pgl2:11": "26f9293403ca5bc31700663c75895fb6ab5ae042fa787256ff9d9f814c673b47",
-    "pgl2:13": "68fc579c8e7dbc94ee53db03b05c56367e36961832da531cd5e5d7a90d9c4429",
-    "pgl2:16": "4fdfb22d424c85d7f40031a3bc9813083352242cba02b82b0c6fb97d5165a877",
+    "psl2:5": "e08a2bfd51777f8138fcc6a0b439072fbb880a6d8893409af5a975bd398784ae",
+    "psl2:7": "1b2304342f6a6ac84663f18b73a32d17d78f173a36beb4b619fbaca7b49699de",
+    "psl2:8": "b990a48a056178c477a392fcf42f146ef253f0eb6b2b412bf765569998fe9b4b",
+    "psl2:9": "a4e88162d02a4a29c87302659dfa58e57b67317fae72da52d3c4e2516acffac3",
+    "psl2:11": "0ad3a74bb275a587156c5629c20568f2400b2d561593e859131173040d5f80bd",
+    "psl2:16": "f5d66e1047f6d155decbee14d97e0663aef22748cd13fbe56ca695180d03d799",
+    "pgl2:7": "f0e7d908c786c458994be196ffe9e36981fea887eb572f7420c8366163692ed9",
+    "pgl2:9": "2fb51f0bb532ec6c3eb57d8055fa03ddfec9efd4d4798d1e41e4a45897c1db31",
+    "pgl2:11": "9dafb8e4b02871af9e0986fffbb23ffe88aba0029500d5cdd7f6e0d664acc225",
+    "pgl2:13": "fc3d14514135ba8b371db13402a550523f725aa973753d05637429c153dbcfe7",
+    "pgl2:16": "7147c93615e898efbee685c0f205f49b853183db8f7cb2206873e2fee40b813c",
 }
 
 
@@ -280,10 +276,9 @@ def test_pq_json_is_pinned(family, q):
 
 # (systems, sha256 of every system `pq_check` builds on SCREEN_TABLES, in
 # build order: variables, congruence modes, and each row's kind, coeffs,
-# const, modulus and provenance), recorded when every (character, level, k)
-# row was tested for a repeat on its own
+# const, modulus and provenance)
 SCREEN_SYSTEMS = (
-    136, "ffade481802263b0f7f24c2fdc1ad66116ffac8c41f1c8dadf812ad5d65607e6")
+    59, "08f441b37c02b51e7d4a16ac1aa9a1fcd98ebfa918153e371d488857e3cc032b")
 
 
 def test_screen_systems_are_pinned(monkeypatch):
