@@ -63,8 +63,9 @@ rows of every level bound the unknowns of every level at once, and no
 proper power is solved on its own.  For orders s*t with a large prime s
 one can instead collapse all order-s classes into a single aggregated
 unknown, which is sound whenever every character in use is constant on
-the order-s classes: the chains of the order-t power are enumerated
-first, and each fixes the lower levels of one flat system.
+the order-s classes: the joint system then has one unknown "~s" at each
+level that s divides.  The flat system serves `verify_chain`, which
+checks a chain one level at a time.
 
 `solve_order` and `solve_s_constant` run with the cyclic garbage
 collector paused, and restore it; a solve makes no reference cycle.
@@ -224,6 +225,8 @@ def build_system(
 ) -> ConstraintSystem:
     """Integer constraint system for the top-level partial augmentations:
     the multiplicity rows, the augmentation and the power congruences.
+    It checks one level of a chain (`verify_chain`); every solve builds a
+    joint system (`build_chain_system`).
 
     `powers` maps each order m of a proper power (1 < m < order, m | order)
     to that power's partial augmentations; all such m must be present.
@@ -243,6 +246,7 @@ def build_chain_system(
     characters: Sequence[Union[str, Character]],
     order: int,
     *,
+    collapse_order: Optional[int] = None,
     dedupe: bool = True,
 ) -> ConstraintSystem:
     """One system over the augmentations of u *and all its proper powers*.
@@ -253,9 +257,12 @@ def build_chain_system(
     terms that `build_system` folds into constants become coefficient
     blocks on the lower-level variables.  Solving this in one sweep lets
     bounds flow across levels, which matters when some proper power is
-    badly underdetermined on its own.
+    badly underdetermined on its own.  `collapse_order=s` replaces the
+    order-s unknowns of every level by one aggregated unknown "<level>:~s",
+    as in `build_system`.
     """
-    return _build(table, characters, order, None, collapse_order=None, dedupe=dedupe)
+    return _build(table, characters, order, None,
+                  collapse_order=collapse_order, dedupe=dedupe)
 
 
 @lru_cache(maxsize=None)
@@ -600,8 +607,7 @@ def solve_order(
         store = {}
     if n not in store:
         system = build_chain_system(table, chars, n)
-        store[n] = _solve_systems(table, chars, n, [({}, system)], cap=cap,
-                                  strategy="joint")
+        store[n] = _solve_system(system, cap=cap, strategy="joint")
     return store[n]
 
 
@@ -619,9 +625,10 @@ def solve_s_constant(
     Sound when every character in use is constant on the order-s classes
     and the table has no classes of order s*t: then no row can tell the
     order-s partial augmentations apart, so only their total matters.
-    The order-t power is solved first, and each of its chains fixes the
-    lower levels of one flat system, with the order-s power data
-    collapsed to "~s": 1 (its augmentation is 1).
+    The chains are the integer points of one joint system over the levels
+    s, t and s*t (`build_chain_system` with `collapse_order=s`), whose
+    order-s classes are one unknown "~s" at the levels s and s*t,
+    enumerated exactly as `solve_order` enumerates its system.
     """
     s, t = _integer(s, "s"), _integer(t, "t")
     cap = _cap_or_default(cap)
@@ -640,123 +647,56 @@ def solve_s_constant(
                 f"table {table.group_name!r} has no classes of order {o} ({label})"
             )
 
-    strategy = f"collapse[{s}]"
-    sub = solve_order(table, chars, t, cap=cap)
-    if sub.status != "finite":
-        return SolutionSet(
-            table.group_name, n, sub.status, (), tuple(ch.name for ch in chars),
-            strategy=strategy,
-            detail=f"chains of the order-{t} power could not be enumerated "
-                   f"({sub.status})",
-            ray=sub.ray,
-        )
-
-    def systems():
-        for chain in sub.chains:
-            fixed = {t: dict(chain.entry(t)), s: {f"{AGGREGATE_PREFIX}{s}": 1}}
-            yield fixed, build_system(table, chars, n, fixed, collapse_order=s)
-
-    return _solve_systems(table, chars, n, systems(), cap=cap, strategy=strategy)
+    system = build_chain_system(table, chars, n, collapse_order=s)
+    return _solve_system(system, cap=cap, strategy=f"collapse[{s}]")
 
 
-def _solve_systems(
-    table: CharacterTable,
-    chars: Sequence[Character],
-    n: int,
-    systems,
-    *,
-    cap: int,
-    strategy: str,
-) -> SolutionSet:
-    """The chains of order n from `systems`, pairs (fixed, system): the
-    partial augmentations of the levels the system fixes, and the system
-    over the rest.  A system with no fixed levels is joint, its variables
-    named "<level>:<class>"; the variables of the others are the top
-    level's classes.  The first infinite system, or the first capped one,
-    ends the solve."""
-    names = tuple(ch.name for ch in chars)
-    # Chains are sorted by their values in (level, class name) order.  Every
-    # chain of one call has the same levels and classes: the variables
-    # depend only on the table, the order and the collapse, and the fixed
-    # levels come from a sub-solution set that is uniform in the same way.
-    # So the fixed levels' values in that order (a system's head), then
-    # the point's values permuted into it, order the chains as their
-    # (level, sorted entries) tuples would.  The heads of two systems
-    # differ, since distinct sub-chains differ on some fixed level, so
-    # each system's chains form one run, and the runs are joined in the
-    # order of their heads.  A system's points come in lexicographic
-    # order, which is the chains' order unless the variables are out of
-    # (level, class name) order.  The variables are mapped to their
-    # (level, class) slots once, with the first system.
-    #
-    # Each chain is packed (`PAChain.packed`).  Its layout lists the fixed
-    # levels in their given order, then the variables' levels, and is one
-    # object shared by every chain of the call; its values are the fixed
-    # levels' values in layout order, then the point.  No chain builds a
-    # dict until its entries are read.
-    runs: list[tuple[tuple[int, ...], list[PAChain]]] = []
-    found = 0
-    slots = reorder = fixed_slots = layout = None
-    pack = PAChain.packed
-    status = "finite"
-    modes: set[str] = set()
-    detail = None
-    ray = None
-    for fixed, system in systems:
-        if slots is None:
-            if fixed:
-                slots = [(n, v) for v in system.variables]
-            else:
-                slots = [(int(lvl), cname) for lvl, cname in
-                         (v.split(":", 1) for v in system.variables)]
-            perm = sorted(range(len(slots)), key=slots.__getitem__)
-            if perm != list(range(len(perm))):
-                reorder = itemgetter(*perm)
-            fixed_slots = sorted((m, c) for m, ent in fixed.items() for c in ent)
-            # each level's variables are consecutive
-            layout = tuple((m, tuple(ent)) for m, ent in fixed.items()) + tuple(
-                (lvl, tuple(cname for _, cname in group))
-                for lvl, group in itertools.groupby(slots, key=itemgetter(0))
-            )
-        modes.update(system.congruence_mode.values())
-        res = system.solve(cap=cap)
-        if res.status == "infinite":
-            status = "infinite"
-            levels = sorted({lvl for (lvl, _), r in zip(slots, res.ray) if r})
-            detail = (f"the system admits an integer ray on level"
-                      f"{'s' if len(levels) > 1 else ''} {', '.join(map(str, levels))}")
-            ray = {v: r for v, r in zip(system.variables, res.ray) if r}
-            runs = []
-            break
-        fixed_values = tuple(v for ent in fixed.values() for v in ent.values())
-        points = res.points if reorder is None else sorted(res.points, key=reorder)
-        chains = [pack(n, layout, fixed_values + pt) for pt in points]
-        runs.append((tuple(fixed[m][c] for m, c in fixed_slots), chains))
-        found += len(chains)
-        if res.status == "capped" or found > cap:
-            status = "capped"
-            # a finite result has no limit: the chains of all systems passed the cap
-            stop = {
-                "cap": f"beyond {cap} chains",
-                "node_budget": "at the search-node budget",
-                "probe": "without an integer point in the probe windows of "
-                         "an unbounded relaxation",
-            }[res.limit or "cap"]
-            detail = f"enumeration stopped {stop}"
-            break
+def _solve_system(system: ConstraintSystem, *, cap: int, strategy: str) -> SolutionSet:
+    """The chains of the system's unit order: the points of one joint
+    system, its variables named "<level>:<class>".
 
-    # the chains of several systems can pass the cap together; a capped set
-    # keeps its first cap chains, as a capped system its points
-    runs.sort(key=itemgetter(0))
-    ordered = itertools.chain.from_iterable(chains for _, chains in runs)
+    Chains are sorted by their values in (level, class name) order.  The
+    system's points come in lexicographic order, which is the chains'
+    order unless the variables are out of (level, class name) order; then
+    the points are sorted by their values permuted into it.  Each chain is
+    packed (`PAChain.packed`) on one layout, the variables' levels in
+    variable order, shared by every chain of the solve; its values are
+    the point itself, so no chain builds a dict until its entries are
+    read."""
+    slots = [(int(lvl), cname) for lvl, cname in
+             (v.split(":", 1) for v in system.variables)]
+    perm = sorted(range(len(slots)), key=slots.__getitem__)
+    # each level's variables are consecutive
+    layout = tuple(
+        (lvl, tuple(cname for _, cname in group))
+        for lvl, group in itertools.groupby(slots, key=itemgetter(0))
+    )
+    res = system.solve(cap=cap)
+    points, detail, ray = res.points, None, None
+    if res.status == "infinite":
+        levels = sorted({lvl for (lvl, _), r in zip(slots, res.ray) if r})
+        detail = (f"the system admits an integer ray on level"
+                  f"{'s' if len(levels) > 1 else ''} {', '.join(map(str, levels))}")
+        ray = {v: r for v, r in zip(system.variables, res.ray) if r}
+    elif res.status == "capped":
+        stop = {
+            "cap": f"beyond {cap} chains",
+            "node_budget": "at the search-node budget",
+            "probe": "without an integer point in the probe windows of "
+                     "an unbounded relaxation",
+        }[res.limit]
+        detail = f"enumeration stopped {stop}"
+    if perm != list(range(len(perm))):
+        points = sorted(points, key=itemgetter(*perm))
+    n, pack = system.unit_order, PAChain.packed
     return SolutionSet(
-        table_name=table.group_name,
+        table_name=system.table_name,
         unit_order=n,
-        status=status,
-        chains=tuple(itertools.islice(ordered, cap)),
-        character_names=names,
+        status=res.status,
+        chains=tuple(pack(n, layout, pt) for pt in points),
+        character_names=system.character_names,
         strategy=strategy,
-        congruence_modes=tuple(sorted(modes)),
+        congruence_modes=tuple(sorted(set(system.congruence_mode.values()))),
         detail=detail,
         ray=ray,
     )

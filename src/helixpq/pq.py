@@ -16,11 +16,11 @@ and aggregates the per-pair outcomes into a verdict:
 
 A pair is solved by `engine.solve_order` as one joint system over the
 unit and all its powers (strategy "joint").  Pairs where one prime has
-many classes are handled instead with the aggregated-variable strategy
-of `engine.solve_s_constant` ("collapse[s]"), restricted
-to characters constant on those classes; this weakens the system, so
-"ruled out" conclusions remain sound and surviving pairs report the
-exact character set used.
+many classes are handled instead by `engine.solve_s_constant`
+("collapse[s]"): the same joint system with those classes aggregated
+into one unknown, restricted to characters constant on them; this
+weakens the system, so "ruled out" conclusions remain sound and
+surviving pairs report the exact character set used.
 """
 
 from __future__ import annotations
@@ -155,9 +155,10 @@ def pq_check(
 
     `characters` defaults to all characters of the table (per pair,
     those whose characteristic divides p*q are dropped — they carry no
-    meaning there).  Each pair is one joint solve, except where some
-    side has more than `JOINT_CLASS_LIMIT` classes: that side is then
-    aggregated, using the characters constant there.
+    meaning there).  Each pair is one joint solve.  Where some side has
+    more than `JOINT_CLASS_LIMIT` classes, that side's classes are one
+    aggregated unknown of the joint system, and only the characters
+    constant on them are used.
     `assume_coverage` lets a partial table through `prime_graph`,
     asserting its class list covers all element orders relevant to the
     requested pairs.

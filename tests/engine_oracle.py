@@ -2,8 +2,9 @@
 the value's terms once for each k, so that `_trace_block`, which adds one
 sliced root-trace table per term, can be tested against it; and the
 recursive solve route, which solves every proper power on its own and one
-flat system per combination of their chains, so that `solve_order`'s one
-joint system can be tested against it.
+flat system per combination of their chains, so that the one joint system
+of `solve_order`, and the collapsed one of `solve_s_constant`, can be
+tested against it.
 
 Run as a script, it checks the two routes against each other on the
 missing prime-graph edges of PSL(2,q) and PGL(2,q):
@@ -163,38 +164,48 @@ def compare_solves(table, characters, got, want):
 
 def screen_differential(table, cap=None, max_combos=None):
     """`pq_check(table, cap=cap)` run twice, once as it solves and once
-    with `recursive_solve` in place of `solve_order`, and their differences:
-    (problems, skipped), two lists of strings, both empty when the routes
-    agree on every pair.  Each pair's verdict fields and each solve are
-    compared (`compare_solves`); a capped pair's count, nontrivial count
-    and sample depend on the search order, so of those only the outcome
-    and status are.  An order of more than `max_combos` combinations is
-    not compared: the second run takes its joint solve, and `skipped`
-    names it."""
+    with `recursive_solve` in place of `solve_order` and, with `collapse`,
+    of `solve_s_constant`, and their differences: (problems, skipped), two
+    lists of strings, both empty when the routes agree on every pair.
+    Each pair's verdict fields and each solve are compared
+    (`compare_solves`); a capped pair's count, nontrivial count and sample
+    depend on the search order, so of those only the outcome and status
+    are.  An order of more than `max_combos` combinations is not compared:
+    the second run takes the solve's own route, and `skipped` names it."""
     runs, skipped = {}, []
-    real = pq.solve_order
+    real_order, real_collapse = pq.solve_order, pq.solve_s_constant
 
-    def reference(table, chars, order, *, cap=None):
-        sol = recursive_solve(table, chars, order, cap=cap, max_combos=max_combos)
+    def solve(table, chars, order, collapse, cap):
+        if collapse is None:
+            return real_order(table, chars, order, cap=cap)
+        return real_collapse(table, chars, collapse, order // collapse, cap=cap)
+
+    def reference(table, chars, order, collapse, cap):
+        sol = recursive_solve(table, chars, order, cap=cap, collapse=collapse,
+                              max_combos=max_combos)
         if sol is None:
             skipped.append(f"{table.group_name} order {order}: more than "
                            f"{max_combos} combinations")
-            sol = real(table, chars, order, cap=cap)
+            sol = solve(table, chars, order, collapse, cap)
         return sol
 
-    for route, solve in (("joint", real), ("recursive", reference)):
+    for route, route_solve in (("joint", solve), ("recursive", reference)):
         solved = []
 
-        def record(table, chars, order, *, cap=None, solve=solve, solved=solved):
-            sol = solve(table, chars, order, cap=cap)
+        def record(table, chars, order, collapse, cap, route_solve=route_solve,
+                   solved=solved):
+            sol = route_solve(table, chars, order, collapse, cap)
             solved.append((chars, sol))
             return sol
 
-        pq.solve_order = record
+        pq.solve_order = (lambda table, chars, order, *, cap=None, record=record:
+                          record(table, chars, order, None, cap))
+        pq.solve_s_constant = (lambda table, chars, s, t, *, cap=None, record=record:
+                               record(table, chars, s * t, s, cap))
         try:
             runs[route] = (pq_check(table, cap=cap), solved)
         finally:
-            pq.solve_order = real
+            pq.solve_order, pq.solve_s_constant = real_order, real_collapse
     (got, got_solved), (want, want_solved) = runs["joint"], runs["recursive"]
 
     def verdict(r):

@@ -539,6 +539,16 @@ def test_collapse_rules_out_614(l3):
     assert sol.status == "finite" and sol.chains == ()
 
 
+def test_collapsed_chains_verify(psl2_7):
+    # the chains of one joint collapsed system, packed in its (level, class)
+    # layout: "~2" at the levels 2 and 6
+    sol = solve_s_constant(psl2_7, ["st"], 2, 3)
+    assert sol.status == "finite" and sol.chains
+    for chain in sol.chains:
+        assert [m for m, _ in chain.layout] == [2, 3, 6]
+        assert verify_chain(psl2_7, ["st"], chain).ok
+
+
 def test_collapse_requires_constancy(psl2_32):
     # the split-torus characters distinguish the order-31 classes
     with pytest.raises(EngineError, match="constant"):

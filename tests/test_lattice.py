@@ -824,7 +824,7 @@ def test_screen_node_totals_are_pinned(budgets):
         budgets.clear()
         pq_check(gen_table(family, q))
         totals.append(sum(b.nodes for b in budgets))
-    assert totals == [2, 3, 3, 11, 4, 16, 2, 7, 3, 3, 16]
+    assert totals == [2, 3, 3, 11, 4, 5, 2, 7, 3, 3, 5]
 
 
 def test_presolved_bounds_match_the_core_on_screen_systems(monkeypatch):

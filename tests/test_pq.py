@@ -278,7 +278,7 @@ def test_pq_json_is_pinned(family, q):
 # build order: variables, congruence modes, and each row's kind, coeffs,
 # const, modulus and provenance)
 SCREEN_SYSTEMS = (
-    59, "08f441b37c02b51e7d4a16ac1aa9a1fcd98ebfa918153e371d488857e3cc032b")
+    39, "e3d4a8bf13afc3d6e82960a024ee4307d05b96c716b0dc4c4aa64d37e19dc8cb")
 
 
 def test_screen_systems_are_pinned(monkeypatch):
@@ -313,3 +313,17 @@ def test_psl2_sweep_regime(q, open_pairs):
     assert report.verdict == ("HeLP_insufficient" if open_pairs else "HeLP_sufficient")
     assert {pr: report.pair(*pr).count for pr in report.open_pairs()} == open_pairs
     assert all(report.pair(*pr).outcome == "undecided" for pr in open_pairs)
+
+
+@pytest.mark.parametrize("family, q, pair, s", [
+    ("psl2", 32, (11, 31), 31),
+    ("pgl2", 32, (11, 31), 31),
+    ("psl2", 67, (11, 17), 17),
+    ("psl2", 103, (13, 17), 17),
+    ("psl2", 128, (43, 127), 127),
+], ids=["psl2:32", "pgl2:32", "psl2:67", "psl2:103", "psl2:128"])
+def test_collapsed_pairs_are_ruled_out(family, q, pair, s):
+    # one joint collapsed system settles each at the sweep's cap, below
+    # the chain count of the order-t power on its own
+    r = pq_check(gen_table(family, q), cap=2000, pairs=[pair]).pair(*pair)
+    assert (r.outcome, r.status, r.strategy) == ("ruled_out", "finite", f"collapse[{s}]")
