@@ -64,8 +64,8 @@ proper power is solved on its own.  For orders s*t with a large prime s
 one can instead collapse all order-s classes into a single aggregated
 unknown, which is sound whenever every character in use is constant on
 the order-s classes: the joint system then has one unknown "~s" at each
-level that s divides.  The flat system serves `verify_chain`, which
-checks a chain one level at a time.
+level that s divides.  `verify_chain` checks a chain as one point of the
+joint system it was solved in.
 
 `solve_order` and `solve_s_constant` run with the cyclic garbage
 collector paused, and restore it; a solve makes no reference cycle.
@@ -76,6 +76,7 @@ from __future__ import annotations
 import gc
 import itertools
 import numbers
+import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
@@ -225,8 +226,9 @@ def build_system(
 ) -> ConstraintSystem:
     """Integer constraint system for the top-level partial augmentations:
     the multiplicity rows, the augmentation and the power congruences.
-    It checks one level of a chain (`verify_chain`); every solve builds a
-    joint system (`build_chain_system`).
+    Every solve and `verify_chain` build a joint system
+    (`build_chain_system`); this flat one is the reference of the tests'
+    recursive solve and per-level check, and perfbench's spans patch it.
 
     `powers` maps each order m of a proper power (1 < m < order, m | order)
     to that power's partial augmentations; all such m must be present.
@@ -718,28 +720,26 @@ def verify_chain(
     characters: Sequence[Union[str, Character]],
     chain: PAChain,
 ) -> VerifyReport:
-    """Re-derive every constraint at every level of the chain, the power
-    congruences included, and check it.
-
-    A chain that aggregates the order-s classes as "~s" (from
-    `solve_s_constant`) is checked the way it was solved: every level
-    that s divides is built with `collapse_order=s`."""
-    _unit_order(chain.unit_order)
-    aggregated = sorted(check_chain_shape(table, chain))
-    chars = _resolve_chars(table, characters)
-    failures: list[tuple[int, str]] = []
-    checked = 0
-    for m in chain.levels():
-        powers = {d: chain.entry(d) for d in divisors(m) if 1 < d < m}
-        system = build_system(
-            table, chars, m, powers,
-            collapse_order=next((s for s in aggregated if m % s == 0), None),
-        )
-        entry = {k: v for k, v in chain.entry(m).items() if v}
-        checked += len(system.rows)
-        for fail in system.check_point(entry):
-            failures.append((m, fail))
-    return VerifyReport(ok=not failures, rows_checked=checked, failures=failures)
+    """Check the chain as one point of the joint system it was solved in:
+    `build_chain_system`, with `collapse_order=s` when the chain aggregates
+    the order-s classes as "~s", every row of every level.  A failure is
+    reported at its row's "@m" level, the tag dropped, in level order; a
+    row that repeats across levels is kept once, at its lowest level."""
+    n = _unit_order(chain.unit_order)
+    aggregated = check_chain_shape(table, chain)
+    if len(aggregated) > 1:
+        raise EngineError(f"chain aggregates the classes of the orders "
+                          f"{sorted(aggregated)}; a solve aggregates one order at most")
+    system = build_chain_system(table, characters, n,
+                                collapse_order=min(aggregated, default=None))
+    point = {f"{m}:{key}": v for m in chain.levels()
+             for key, v in chain.entry(m).items() if v}
+    # each failure reads "<head>@<level><rest>", "%m" or ": value" after the tag
+    tagged = (re.fullmatch(r"(.*)@(\d+)(.*)", fail, re.S).groups()
+              for fail in system.check_point(point))
+    failures = sorted(((int(m), head + rest) for head, m, rest in tagged),
+                      key=itemgetter(0))
+    return VerifyReport(not failures, len(system.rows), failures)
 
 
 def classify_chain(chain: PAChain) -> str:

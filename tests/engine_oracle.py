@@ -1,13 +1,16 @@
 """Test helpers for `helixpq.engine`: the trace-block oracle, which sums
 the value's terms once for each k, so that `_trace_block`, which adds one
-sliced root-trace table per term, can be tested against it; and the
-recursive solve route, which solves every proper power on its own and one
-flat system per combination of their chains, so that the one joint system
-of `solve_order`, and the collapsed one of `solve_s_constant`, can be
-tested against it.
+sliced root-trace table per term, can be tested against it; the recursive
+solve route, which solves every proper power on its own and one flat
+system per combination of their chains, so that the one joint system of
+`solve_order`, and the collapsed one of `solve_s_constant`, can be tested
+against it; and the per-level check, one flat system per level of a
+chain, so that `verify_chain`, one joint system per chain, can be tested
+against it.
 
-Run as a script, it checks the two routes against each other on the
-missing prime-graph edges of PSL(2,q) and PGL(2,q):
+Run as a script, it checks the two solve routes against each other on the
+missing prime-graph edges of PSL(2,q) and PGL(2,q), and every chain they
+emit against both checks:
 
     PYTHONPATH=src python tests/engine_oracle.py
 """
@@ -17,9 +20,14 @@ import math
 import sys
 
 from helixpq import pq
-from helixpq.chartab import AGGREGATE_PREFIX, PAChain, render_chain
-from helixpq.cyclo import prime_divisors, root_trace_table, terms_at_level
-from helixpq.engine import SolutionSet, build_system, verify_chain
+from helixpq.chartab import (
+    AGGREGATE_PREFIX,
+    PAChain,
+    check_chain_shape,
+    render_chain,
+)
+from helixpq.cyclo import divisors, prime_divisors, root_trace_table, terms_at_level
+from helixpq.engine import SolutionSet, VerifyReport, build_system, verify_chain
 from helixpq.lattice import DEFAULT_CAP
 from helixpq.pq import pq_check, prime_graph
 from helixpq.psl2 import gen_table
@@ -38,24 +46,19 @@ def trace_block(value, level):
     )
 
 
-def dict_chains(n, solved, cap):
-    """The chains of a solve of order n built as per-chain dicts, the way
-    the solve built them before chains were packed.  `solved` lists each
-    system the solve enumerated as (its fixed levels, None for a joint
-    system; its variables; its points).  A chain is a copy of each fixed
-    level, in the fixed levels' order, then one dict per level of the
-    variables, named "<level>:<class>" in a joint system, in variable
-    order.  The chains are sorted by level and class name and cut at cap,
-    as the solve orders and cuts them."""
+def dict_chains(solved, cap):
+    """The chains of a solve built as per-chain dicts, the way the solve
+    built them before chains were packed.  `solved` lists each joint
+    system the solve enumerated as (its variables, named "<level>:<class>";
+    its points).  A chain is one dict per level of the variables, in
+    variable order.  The chains are sorted by level and class name and
+    cut at cap, as the solve orders and cuts them."""
     chains = []
-    for fixed, variables, points in solved:
-        if fixed is None:
-            slots = [(int(lvl), cname) for lvl, _, cname in
-                     (v.partition(":") for v in variables)]
-        else:
-            slots = [(n, v) for v in variables]
+    for variables, points in solved:
+        slots = [(int(lvl), cname) for lvl, _, cname in
+                 (v.partition(":") for v in variables)]
         for pt in points:
-            entries = {m: dict(ent) for m, ent in (fixed or {}).items()}
+            entries = {}
             for (m, cname), x in zip(slots, pt):
                 entries.setdefault(m, {})[cname] = x
             chains.append(entries)
@@ -144,11 +147,34 @@ def _merge(combo):
     return fixed
 
 
+def flat_verify(table, characters, chain):
+    """The per-level check of a chain, the reference for `verify_chain`.
+
+    Each level m is one flat `build_system` with the chain's lower levels
+    fixed, built with `collapse_order=s` when the chain aggregates the
+    order-s classes and s divides m, and the level's nonzero entries are
+    checked against it.  Failures come level by level, each row's
+    provenance untagged; `rows_checked` sums the rows of every level's
+    system, deduplicated within each level only."""
+    aggregated = sorted(check_chain_shape(table, chain))
+    failures, checked = [], 0
+    for m in chain.levels():
+        powers = {d: chain.entry(d) for d in divisors(m) if 1 < d < m}
+        system = build_system(
+            table, characters, m, powers,
+            collapse_order=next((s for s in aggregated if m % s == 0), None),
+        )
+        entry = {k: v for k, v in chain.entry(m).items() if v}
+        checked += len(system.rows)
+        failures += [(m, fail) for fail in system.check_point(entry)]
+    return VerifyReport(ok=not failures, rows_checked=checked, failures=failures)
+
+
 def compare_solves(table, characters, got, want):
     """Differences between a solve `got` and the reference `want`: the
     status, and for a finite pair the chains in order; and every chain of
-    `got` that fails `verify_chain`.  A capped set depends on the search
-    order, so only its status is compared."""
+    `got` that fails `verify_chain` or `flat_verify`.  A capped set
+    depends on the search order, so only its status is compared."""
     problems = []
     where = f"{table.group_name} order {got.unit_order}"
     if got.status != want.status:
@@ -157,8 +183,10 @@ def compare_solves(table, characters, got, want):
         problems.append(f"{where}: {len(got.chains)} chains, reference "
                         f"{len(want.chains)}, or another order")
     for chain in got.chains:
-        if not verify_chain(table, characters, chain).ok:
-            problems.append(f"{where}: chain {render_chain(chain)} fails verify_chain")
+        for check in (verify_chain, flat_verify):
+            if not check(table, characters, chain).ok:
+                problems.append(f"{where}: chain {render_chain(chain)} fails "
+                                f"{check.__name__}")
     return problems
 
 

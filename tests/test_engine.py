@@ -3,20 +3,31 @@
 import gc
 import hashlib
 import json
+import random
 import re
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from engine_oracle import (
     chain_key,
     compare_solves,
     dict_chains,
+    flat_verify,
     recursive_solve,
     trace_block,
 )
 
 from helixpq import datasets, engine
-from helixpq.chartab import PAChain, TableError, parse_chain, parse_table, render_chain
+from helixpq.chartab import (
+    PAChain,
+    TableError,
+    check_chain_shape,
+    parse_chain,
+    parse_table,
+    render_chain,
+    trivial_chain,
+)
 from helixpq.cyclo import cyc_rational, root_of_unity
 from helixpq.engine import (
     EngineError,
@@ -569,8 +580,8 @@ def _solve_joint_system(table, chars, order, collapse=None, cap=None):
     assert collapse is None
     system = build_chain_system(table, chars, order)
     res = system.solve(cap=cap)
-    solved = [(None, system.variables, res.points)]
-    chains = tuple(PAChain(order, e) for e in dict_chains(order, solved, cap))
+    solved = [(system.variables, res.points)]
+    chains = tuple(PAChain(order, e) for e in dict_chains(solved, cap))
     names = tuple(c if isinstance(c, str) else c.name for c in chars)
     return SolutionSet(table.group_name, order, res.status, chains, names,
                        strategy="joint")
@@ -740,6 +751,88 @@ def test_verify_checks_aggregated_chains_as_solved(psl2_16):
         verify_chain(psl2_16, ["chi_1"], chain)
 
 
+def test_verify_refuses_a_chain_aggregating_two_orders(psl2_7):
+    # a solve aggregates the classes of one order at most, so no joint
+    # system holds this chain
+    chain = PAChain(6, {2: {"~2": 1}, 3: {"~3": 1}, 6: {"~2": 1, "~3": 0}})
+    with pytest.raises(EngineError, match=r"aggregates the classes of the orders \[2, 3\]"):
+        verify_chain(psl2_7, ["st"], chain)
+
+
+def _perturbed(rng, chain):
+    """The chain with one level's entries moved by a seeded amount between
+    two of its keys, so that each level still sums to 1; the chain itself
+    when no level has two keys."""
+    entries = {m: dict(chain.entry(m)) for m in chain.levels()}
+    levels = [m for m in entries if len(entries[m]) > 1]
+    if levels:
+        ent = entries[rng.choice(levels)]
+        a, b = rng.sample(sorted(ent), 2)
+        d = rng.choice([-7, -2, -1, 1, 2, 3, 12])
+        ent[a] += d
+        ent[b] -= d
+    return PAChain(chain.unit_order, entries)
+
+
+def _trivial_chains(table):
+    """The chains of the table's nonidentity classes whose power maps
+    resolve."""
+    chains = []
+    for cls in table.classes:
+        if cls.element_order > 1:
+            try:
+                chains.append(trivial_chain(table, cls.name))
+            except TableError:
+                continue
+    return chains
+
+
+# every ROUND_TRIPS case and the solves of the benchmark's enumerate
+# workload that it lacks (PSL(2,25) has no chain of order 39 or 26, so its
+# cases check trivial chains and their perturbations only)
+VERIFY_CASES = ROUND_TRIPS + [
+    ("pgl2_243_rows", None, 11, None, partial(_solve, cap=20000)),
+    ("psl2_25", None, 39, None, _solve),
+    ("psl2_25", None, 26, None, _solve),
+]
+VERIFY_IDS = ROUND_TRIP_IDS + ["pgl2_243_rows-11", "psl2_25-39", "psl2_25-26"]
+
+
+@pytest.mark.parametrize("name, chars, order, collapse, solve", VERIFY_CASES,
+                         ids=VERIFY_IDS)
+def test_verify_matches_the_per_level_check(request, name, chars, order, collapse,
+                                            solve):
+    # a chain is checked as one point of its solve's joint system; the
+    # reference builds one flat system per level.  The joint system keeps a
+    # row that repeats across levels once, at its lowest level, so it may
+    # report fewer failing levels, never others, and never another lowest
+    # one: a row kept lower down fails there in both
+    table = request.getfixturevalue(name)
+    chars = list(table.characters) if chars is None else chars
+    rng = random.Random(f"{name}-{order}-{collapse}")
+    chains = list(solve(table, chars, order, collapse).chains)
+    chains = rng.sample(chains, min(len(chains), 60)) + _trivial_chains(table)
+    chains += [_perturbed(rng, rng.choice(chains)) for _ in range(80)]
+    rows = {}  # (unit order, aggregated order or None) -> joint system rows
+    for chain in chains:
+        try:
+            ref = flat_verify(table, chars, chain)
+        except EngineError as exc:  # the same error from one joint system
+            with pytest.raises(EngineError, match=re.escape(str(exc))):
+                verify_chain(table, chars, chain)
+            continue
+        got = verify_chain(table, chars, chain)
+        assert got.ok == ref.ok, render_chain(chain)
+        levels, ref_levels = [m for m, _ in got.failures], {m for m, _ in ref.failures}
+        assert levels == sorted(levels) and set(levels) <= ref_levels
+        assert min(levels, default=None) == min(ref_levels, default=None)
+        (s,) = check_chain_shape(table, chain) or {None}
+        if (chain.unit_order, s) not in rows:
+            rows[chain.unit_order, s] = len(build_chain_system(
+                table, chars, chain.unit_order, collapse_order=s).rows)
+        assert got.rows_checked == rows[chain.unit_order, s]
+
+
 def test_classify_chain():
     assert classify_chain(PAChain(2, {2: {"2a": 1}})) == "trivial"
     assert classify_chain(PAChain(2, {2: {"2a": 2, "2b": -1}})) == "nontrivial"
@@ -747,8 +840,8 @@ def test_classify_chain():
 
 # the six solves of the benchmark's enumerate workload (PSL(2,25) has no
 # chain of order 39 or 26), one more joint solve, and a collapsed one, whose
-# flat systems have fixed levels: (table, characters or None for all,
-# order, cap, collapse)
+# joint system has the aggregated unknown "~5" at the levels 5 and 10:
+# (table, characters or None for all, order, cap, collapse)
 PACKED_SOLVES = [
     ("l3", ["chi306", "chi4912", "chi9216"], 51, None, None),
     ("pgl2_243_rows", None, 11, 20000, None),
@@ -768,28 +861,22 @@ def test_packed_chains_match_per_chain_dicts(request, monkeypatch, name, chars, 
                                              cap, collapse):
     table = request.getfixturevalue(name)
     chars = [ch.name for ch in table.characters] if chars is None else chars
-    # each system the solve enumerates, with the fixed levels it was built on
-    fixed_of, solved = {}, []
-    real_build, real_solve = engine.build_system, engine.ConstraintSystem.solve
-
-    def build(table, chars, n, powers=None, **kw):
-        system = real_build(table, chars, n, powers, **kw)
-        fixed_of[id(system)] = powers
-        return system
+    # each system the solve enumerates
+    solved = []
+    real_solve = engine.ConstraintSystem.solve
 
     def solve(system, cap=None):
         res = real_solve(system, cap)
         if system.unit_order == order:
-            solved.append((fixed_of.get(id(system)), system.variables, res.points))
+            solved.append((system.variables, res.points))
         return res
 
-    monkeypatch.setattr(engine, "build_system", build)
     monkeypatch.setattr(engine.ConstraintSystem, "solve", solve)
     if collapse is None:
         sol = solve_order(table, chars, order, cap=cap)
     else:
         sol = solve_s_constant(table, chars, collapse, order // collapse, cap=cap)
-    want = dict_chains(order, solved, engine._cap_or_default(cap))
+    want = dict_chains(solved, engine._cap_or_default(cap))
     assert len(sol.chains) == len(want)
     assert len({id(chain.layout) for chain in sol.chains}) <= 1
     for chain, entries in zip(sol.chains, want):
