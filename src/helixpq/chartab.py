@@ -223,7 +223,27 @@ def _parse_class(obj) -> ConjClass:
     return ConjClass(name=name, element_order=order, size=size, power_maps=pmaps)
 
 
-def _parse_character(obj, memo: dict) -> Character:
+def _raw_key(v):
+    """The key of a raw value in `parse_table`'s memo: an int by itself, a
+    {"conductor", "terms"} object by (conductor, term tuples) when the
+    conductor and every term field are exactly ints (True == 1 and
+    1.0 == 1 would share a key otherwise); None for any other value."""
+    if type(v) is int:
+        return v
+    if type(v) is not dict:
+        return None
+    n, terms = v.get("conductor"), v.get("terms")
+    if type(n) is not int or type(terms) is not list:
+        return None
+    key = [n]
+    for t in terms:
+        if type(t) is not list or not all(type(x) is int for x in t):
+            return None
+        key.append(tuple(t))
+    return tuple(key)
+
+
+def _parse_character(obj, memo: dict, seen: dict) -> Character:
     try:
         name = str(obj["name"])
         degree, values_raw = obj["degree"], obj["values"]
@@ -234,21 +254,31 @@ def _parse_character(obj, memo: dict) -> Character:
     characteristic = _as_int(characteristic, f"character {name!r}: characteristic")
     values = {}
     for cname, v in _expect(values_raw, Mapping, f"character {name!r}: values").items():
-        try:
-            values[str(cname)] = _parse_cyc(v, memo)
-        except (TypeError, ValueError) as exc:
-            raise TableError(
-                f"character {name!r}: bad value on class {cname!r}: {exc}"
-            ) from exc
+        key = _raw_key(v)
+        value = seen.get(key)
+        if value is None:
+            try:
+                value = _parse_cyc(v, memo)
+            except (TypeError, ValueError) as exc:
+                raise TableError(
+                    f"character {name!r}: bad value on class {cname!r}: {exc}"
+                ) from exc
+            if key is not None:
+                seen[key] = value
+        values[str(cname)] = value
     return Character(name=name, degree=degree, values=values, characteristic=characteristic)
 
 
 def parse_table(source) -> CharacterTable:
     """Build a CharacterTable from a dict or a JSON string.
 
-    Every value is parsed and checked where it stands, but a value whose
-    conductor and parsed terms repeat one seen before in this call reuses
-    that one's canonical form, as a table repeats a few values many times.
+    A table repeats a few values many times, so each distinct raw value is
+    checked and canonicalised once per call: a value written exactly as
+    one parsed before in this call, every field an int (`_raw_key`),
+    reuses that one's result, and any other value is parsed and checked
+    where it stands.  A value whose conductor and parsed terms repeat one
+    seen before in this call, written differently, reuses its canonical
+    form.
     """
     if isinstance(source, str):
         try:
@@ -258,10 +288,11 @@ def parse_table(source) -> CharacterTable:
     if not isinstance(source, dict):
         raise TableError(f"expected an object, got {type(source).__name__}")
     memo: dict = {}
+    seen: dict = {}
     try:
         group_name = str(source["group_name"])
         classes = [_parse_class(c) for c in _expect(source["classes"], list, "classes")]
-        characters = [_parse_character(c, memo)
+        characters = [_parse_character(c, memo, seen)
                       for c in _expect(source["characters"], list, "characters")]
     except KeyError as exc:
         raise TableError(f"missing required key {exc}") from exc
@@ -409,25 +440,27 @@ def _twist(twists: dict, v: CycValue, k: int) -> CycValue:
     return out
 
 
-def _orthogonality(vectors, weights, diagonal, label, twists) -> str:
+def _orthogonality(rows, ids, weights, diagonal, label, twists) -> str:
     """The detail of the first pair i <= j of vectors whose weighted inner
     product is not diagonal[i] (i == j) or 0 (i < j), headed by
-    label(i, j); empty when every pair holds.
+    label(i, j); empty when every pair holds.  Each vector is a tuple of
+    the ids that `ids` gives its values.
 
     sigma_k, k prime to the conductors, commutes with conjugation and fixes
     the rational wanted value, so a pair holds iff its image does.  A pair
     that holds marks its orbit under `_unit_generators` as holding, where a
     vector maps to the one of equal diagonal holding its entries' twists;
     pairs go in order, so the first failure is the pairwise loop's."""
-    ids: dict[CycValue, int] = {}
-    rows = [tuple(ids.setdefault(x, len(ids)) for x in u) for u in vectors]
+    values = list(ids)
+    vectors = [[values[x] for x in row] for row in rows]
+    used = set().union(*rows)
     where: dict = {}
     for i, row in enumerate(rows):
         where.setdefault((row, diagonal[i]), i)
     maps = []
-    for k in _unit_generators(math.lcm(*(x._n for x in ids))):
-        image = [ids.get(_twist(twists, x, k)) for x in ids]
-        maps.append([where.get((tuple(image[x] for x in row), diagonal[i]))
+    for k in _unit_generators(math.lcm(*(values[x]._n for x in used))):
+        image = {x: ids.get(_twist(twists, values[x], k)) for x in used}
+        maps.append([where.get((tuple(map(image.__getitem__, row)), diagonal[i]))
                      for i, row in enumerate(rows)])
     held = set()
     for i, u in enumerate(vectors):
@@ -454,10 +487,31 @@ def _orthogonality(vectors, weights, diagonal, label, twists) -> str:
     return ""
 
 
+def _galois_detail(table, c, p, target, twists) -> Optional[str]:
+    """Why the ordinary values at `target` are not those at class `c`
+    twisted by p, from the first character that shows it; None if none
+    does."""
+    for ch in table.characters:
+        if ch.characteristic:
+            continue
+        v, w = ch.values.get(c.name), ch.values.get(target)
+        if v is None or w is None:
+            continue
+        if math.gcd(p, v.conductor) != 1:
+            # no Galois twist by p exists in Q(zeta_conductor)
+            return (f"{ch.name} at {c.name} has conductor "
+                    f"{v.conductor}, not coprime to {p}")
+        if _twist(twists, v, p) != w:
+            return f"ordinary values at {target} are not the {p}-th Galois twist"
+    return None
+
+
 def validate(table: CharacterTable) -> ValidationReport:
     """Run every check that the table's completeness allows, in a fixed
     order, and report each check's name and each failure's detail.  Each
-    distinct irrational (value, k) is twisted once per call.  The
+    distinct value gets one id, so that it is tested for integrality once
+    and a stored power map is checked by comparing two columns of ids,
+    and each distinct irrational (value, k) is twisted once per call.  The
     orthogonality relations compute one pair per Galois orbit, as
     <sigma_k u, sigma_k v> = sigma_k <u, v> and every wanted value is
     rational (`_orthogonality`)."""
@@ -484,14 +538,20 @@ def validate(table: CharacterTable) -> ValidationReport:
                 f"target {target} has order {tcls.element_order}, expected {want}",
             )
 
-    for ch in table.characters:
+    # each distinct value gets one id, and the checks below read the ids
+    ids: dict[CycValue, int] = {}
+    id_rows = [{c: ids.setdefault(v, len(ids)) for c, v in ch.values.items()}
+               for ch in table.characters]
+    nonintegral = {i for v, i in ids.items() if not v.is_integral()}
+
+    for ch, row in zip(table.characters, id_rows):
         if ident is not None and ident in ch.values:
             check(
                 f"degree-at-identity[{ch.name}]",
                 ch.values[ident] == ch.degree,
                 f"value at {ident} != degree {ch.degree}",
             )
-        bad = [c for c, v in ch.values.items() if not v.is_integral()]
+        bad = [c for c, i in row.items() if i in nonintegral]
         check(
             f"integral-values[{ch.name}]",
             not bad,
@@ -508,28 +568,35 @@ def validate(table: CharacterTable) -> ValidationReport:
                 f"p-singular classes {singular} carry values (characteristic {p})",
             )
 
-    # galois consistency of stored power maps for exponents coprime to the order
+    # galois consistency of stored power maps for exponents coprime to the
+    # order: the column of ids at the target must be the column at c with
+    # each value twisted, and a column that differs or lacks a value is
+    # looked at character by character for the detail
     full = table.completeness == "full"
     twists: dict[tuple[CycValue, int], CycValue] = {}
+    values = list(ids)
+    names = [c.name for c in table.classes]
+    ordinary_rows = [tuple(map(row.get, names))
+                     for ch, row in zip(table.characters, id_rows) if not ch.characteristic]
+    columns = (dict(zip(names, zip(*ordinary_rows))) if ordinary_rows
+               else dict.fromkeys(names, ()))
+    images: dict[int, dict] = {}  # p -> {id: id of its p-th twist, None if none}
+
+    def twisted(col, p):
+        image = images.setdefault(p, {})
+        for x in set(col).difference(image):
+            v = values[x]
+            image[x] = ids.get(_twist(twists, v, p)) if math.gcd(p, v._n) == 1 else None
+        return tuple(map(image.__getitem__, col))
+
     for c in table.classes:
         for p, target in sorted(c.power_maps.items()):
             if c.element_order % p == 0 or c.element_order == 1:
                 continue
+            col, want = columns[c.name], columns[target]
             detail = None
-            for ch in table.characters:
-                if ch.characteristic and ch.characteristic != 0:
-                    continue
-                v, w = ch.values.get(c.name), ch.values.get(target)
-                if v is None or w is None:
-                    continue
-                if math.gcd(p, v.conductor) != 1:
-                    # no Galois twist by p exists in Q(zeta_conductor)
-                    detail = (f"{ch.name} at {c.name} has conductor "
-                              f"{v.conductor}, not coprime to {p}")
-                    break
-                if _twist(twists, v, p) != w:
-                    detail = f"ordinary values at {target} are not the {p}-th Galois twist"
-                    break
+            if None in col or None in want or twisted(col, p) != want:
+                detail = _galois_detail(table, c, p, target, twists)
             check(f"power-map-galois[{c.name}^{p}]", detail is None, detail or "")
 
     if not full:
@@ -564,7 +631,7 @@ def validate(table: CharacterTable) -> ValidationReport:
     # first (row) and second (column) orthogonality
     classes = table.classes
     detail = _orthogonality(
-        [[ch.values[c.name] for c in classes] for ch in ordinary],
+        ordinary_rows, ids,
         [c.size for c in classes], [g] * len(ordinary),
         lambda i, j: f"<{ordinary[i].name},{ordinary[j].name}> = ", twists,
     )
@@ -575,7 +642,7 @@ def validate(table: CharacterTable) -> ValidationReport:
         c.size >= 1 and g % c.size == 0 for c in classes
     ):
         detail = _orthogonality(
-            [[ch.values[c.name] for ch in ordinary] for c in classes],
+            list(columns.values()), ids,
             [1] * len(ordinary), [g // c.size for c in classes],
             lambda i, j: f"columns {classes[i].name},{classes[j].name}: ", twists,
         )

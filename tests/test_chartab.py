@@ -1,8 +1,11 @@
 """Character-table data model: parsing, validation, power maps, chains."""
 
+import copy
 import hashlib
 import json
 import random
+import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -32,7 +35,7 @@ from helixpq.cyclo import (
 )
 from helixpq.psl2 import gen_table
 
-from chartab_oracle import orthogonality
+from chartab_oracle import orthogonality, parse_table_by_value, power_map_galois
 
 Z3 = {"conductor": 3, "terms": [[1, 1, 1]]}
 Z3SQ = {"conductor": 3, "terms": [[2, 1, 1]]}
@@ -385,6 +388,88 @@ def test_pair_sums_are_one_per_galois_orbit(monkeypatch):
     assert len(calls) == 1040
 
 
+def _power_map_report(table):
+    report = validate(table)
+    head = "power-map-galois["
+    return ([c for c in report.checks_run if c.startswith(head)],
+            [p for p in report.problems if p.startswith(head)])
+
+
+def _corrupt_power_map(table, rng):
+    """A copy of `table` with one seeded fault where its power-map Galois
+    check looks, as `_corrupt` makes faults elsewhere."""
+    classes = list(table.classes)
+    chars = [Character(ch.name, ch.degree, dict(ch.values), ch.characteristic)
+             for ch in table.characters]
+    ordinary = [ch for ch in chars if not ch.characteristic]
+    completeness = table.completeness
+    checked = [(i, p) for i, c in enumerate(classes) for p in sorted(c.power_maps)
+               if c.element_order % p and c.element_order > 1]
+    i, p = rng.choice(checked)
+    c = classes[i]
+    maps, target = dict(c.power_maps), c.power_maps[p]
+    alike = [d.name for d in classes if d.element_order == c.element_order]
+    kind = rng.randrange(4)
+    if kind == 0:  # the target moved to another class of the same order
+        maps[p] = rng.choice([d for d in alike if d != target] or alike)
+    elif kind == 1:  # a value on the target class perturbed
+        ch = rng.choice(ordinary)
+        ch.values[target] = ch.values[target] + rng.choice([
+            cyc_rational(1), cyc_rational(Fraction(-1, 2)),
+            root_of_unity(c.element_order), root_of_unity(c.element_order, -1),
+        ])
+    elif kind == 2:  # a map added for a prime dividing a value's conductor
+        q = rng.choice([q for q in (2, 3, 5, 7, 11, 13) if c.element_order % q])
+        # the first character, read first, is drawn more often
+        ch = rng.choice(ordinary[:1] + ordinary)
+        ch.values[c.name] = ch.values[c.name] + root_of_unity(4 if q == 2 else q)
+        maps[q] = rng.choice(alike)
+    else:  # a value dropped from a partial table
+        completeness = "partial"
+        del rng.choice(ordinary).values[rng.choice([c.name, target])]
+    classes[i] = ConjClass(c.name, c.element_order, c.size, maps)
+    return chartab.CharacterTable(table.group_name, classes, chars, table.order,
+                                  completeness)
+
+
+def test_power_map_galois_matches_the_per_character_reference():
+    # validate compares a column of value ids per (class, prime) and looks
+    # character by character only where the columns differ or lack a value
+    tables = _differential_tables()
+    for table in tables:
+        assert _power_map_report(table) == power_map_galois(table), table.group_name
+    rng = random.Random(20261021)
+    mapped = [t for t in tables if len(t.classes) <= 30 and any(
+        p for c in t.classes for p in c.power_maps if c.element_order % p)]
+    seen = Counter()
+    for _ in range(240):
+        table = _corrupt_power_map(rng.choice(mapped), rng)
+        got = _power_map_report(table)
+        assert got == power_map_galois(table), (table.group_name, got)
+        for problem in got[1]:
+            seen["coprime" if "not coprime" in problem else "twist"] += 1
+        seen["partial held" if table.completeness == "partial" and not got[1] else "other"] += 1
+    # both details occur, and dropped values that leave every check holding
+    assert {"coprime", "twist", "partial held"} <= set(seen), seen
+
+
+def test_each_value_is_twisted_once_per_exponent(monkeypatch):
+    # per distinct value, not per entry: a twist per (value, k) at most,
+    # and one memo lookup per (distinct value, prime) in the power-map
+    # check and per (distinct value, generator) in each orthogonality
+    # relation
+    twisted, looked_up = Counter(), []
+    apply, twist = chartab.galois_apply, chartab._twist
+    monkeypatch.setattr(chartab, "galois_apply",
+                        lambda v, k: twisted.update([(v, k)]) or apply(v, k))
+    monkeypatch.setattr(chartab, "_twist",
+                        lambda *args: looked_up.append(1) or twist(*args))
+    assert validate(gen_table("pgl2", 49)).ok
+    assert max(twisted.values()) == 1
+    assert sum(twisted.values()) == 282
+    assert len(looked_up) == 334
+
+
 @pytest.mark.parametrize("n", [4, 8, 16, 48, 343, 1023, 1200, 2310])
 def test_unit_generators_generate_the_unit_group(n):
     group = {1}
@@ -475,6 +560,101 @@ def test_parse_table_values_match_parse_cyc_one_by_one():
                 got, want = ch.values[cname], parse_cyc(raw)
                 assert (got.conductor, got.terms) == (want.conductor, want.terms), (
                     table.group_name, ch.name, cname)
+
+
+# raw values that `parse_table` must check where they stand: booleans and
+# floats equal to ints, strings, zero denominators, ints above sys.maxsize
+_BIG = sys.maxsize + 1
+_BAD_VALUES = [True, False, 1.0, 2.5, "3", "-1/2", "x", "1/0", None, _BIG, -_BIG,
+               [1, 0], [3, 2], [True, 1], [1]]
+_BAD_FIELDS = [True, False, 1.0, 0.5, "1", "x", None, 0, _BIG, -_BIG, [1]]
+
+
+def _mutate_value(raw, rng):
+    """One seeded mutation of a raw value."""
+    if not isinstance(raw, dict) or rng.random() < 0.2:
+        return rng.choice(_BAD_VALUES + [[raw, 1], [raw, 0], str(raw), raw + _BIG]
+                          if isinstance(raw, int) else _BAD_VALUES)
+    raw = copy.deepcopy(raw)
+    terms = raw["terms"]
+    t = rng.randrange(len(terms))
+    kind = rng.randrange(7)
+    if kind == 0:  # the conductor
+        raw["conductor"] = rng.choice([True, 3.0, "3", 0, -3, None])
+    elif kind == 1:  # a key dropped
+        del raw[rng.choice(["conductor", "terms"])]
+    elif kind == 2:  # terms that are not a list of lists
+        raw["terms"] = rng.choice([5, "12", None, {"1": 1}, terms[t], [5], ["111"],
+                                   [tuple(terms[t])], [{0: 1, 1: 1}]])
+    elif kind == 3:  # a term of the wrong length
+        terms[t] = rng.choice([terms[t][:1], terms[t] + [1], []])
+    elif kind == 4:  # a zero denominator
+        terms[t] = (terms[t] + [1])[:2] + [0]
+    elif kind == 5:  # one field of one term
+        terms[t][rng.randrange(len(terms[t]))] = rng.choice(_BAD_FIELDS)
+    else:  # the same value written differently
+        e, num, *den = terms[t]
+        terms[t] = rng.choice([[e, num], [e, 2 * num, 2 * (den or [1])[0]],
+                               [e + raw["conductor"], num] + den])
+    return raw
+
+
+def _parse_outcome(parse, data):
+    try:
+        table = parse(data)
+    except TableError as exc:
+        return str(exc)
+    return render_table(table), [
+        [(c, v.conductor, v.terms) for c, v in ch.values.items()]
+        for ch in table.characters]
+
+
+def test_parse_table_matches_the_value_by_value_reference_on_mutations():
+    # each mutation hits one value, half the time a repeat of a value
+    # parsed before in the same table, whose first copy is then shared
+    sources = [render_table(t) for t in _acceptance_tables()[:9]]
+    sources += [render_table(datasets.load_embedded(n)) for n in datasets.list_embedded()]
+    rng = random.Random(20261022)
+    seen = Counter()
+    for _ in range(400):
+        data = copy.deepcopy(rng.choice(sources))
+        firsts, repeats, raws = [], [], set()
+        for ch in data["characters"]:
+            for cname, raw in ch["values"].items():
+                key = json.dumps(raw)
+                (repeats if key in raws else firsts).append((ch["values"], cname))
+                raws.add(key)
+        repeated = bool(repeats) and rng.random() < 0.5
+        values, cname = rng.choice(repeats if repeated else firsts)
+        values[cname] = _mutate_value(values[cname], rng)
+        got = _parse_outcome(parse_table, data)
+        assert got == _parse_outcome(parse_table_by_value, data), (values[cname], got)
+        seen[isinstance(got, str), repeated] += 1
+    # errors and tables, on first and on repeated copies
+    assert len(seen) == 4, seen
+
+
+def test_equal_values_written_differently_parse_equal():
+    data = cyclic3_table(completeness="partial")
+    values = data["characters"][0]["values"]
+    for cname, terms in zip(("1a", "3a", "3b"), ([[1, 1]], [[1, 1, 1]], [[1, 2, 2]])):
+        values[cname] = {"conductor": 3, "terms": terms}
+    got = parse_table(data).characters[0].values
+    assert got["1a"] == got["3a"] == got["3b"] == root_of_unity(3)
+
+
+def test_no_parsed_value_outlives_its_call():
+    text = json.dumps(render_table(gen_table("pgl2", 49)))
+    first, second = parse_table(text), parse_table(text)
+
+    def irrational(table):
+        return {id(v) for ch in table.characters for v in ch.values.values()
+                if not v.is_rational()}
+
+    assert irrational(first) and not irrational(first) & irrational(second)
+    # within one call, a value written twice is one object
+    assert len(irrational(first)) < sum(
+        not v.is_rational() for ch in first.characters for v in ch.values.values())
 
 
 def _random_value(rng):
