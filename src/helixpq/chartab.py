@@ -27,10 +27,12 @@ from .cyclo import (
     Coeff,
     CycValue,
     _factor,
-    _parse_cyc,
+    as_integer,
     divisors,
     galois_apply,
     isprime,
+    key_integer,
+    parse_cyc,
     render_cyc,
 )
 
@@ -175,17 +177,6 @@ def _expect(value, kind, what: str):
     return value
 
 
-def _as_int(x, what: str) -> int:
-    """`x` as an int, else a TableError naming the field; floats and
-    booleans are refused rather than truncated, as `cyclo` does for terms."""
-    if not isinstance(x, (bool, float)):
-        try:
-            return int(x)
-        except (TypeError, ValueError):
-            pass
-    raise TableError(f"{what} must be an integer, got {x!r}")
-
-
 def _is_prime(n: int, what: str) -> bool:
     """`isprime(n)`; a number too large to decide is a TableError naming
     the field."""
@@ -201,9 +192,9 @@ def _parse_class(obj) -> ConjClass:
         order, size = obj["element_order"], obj.get("size")
     except (KeyError, TypeError) as exc:
         raise TableError(f"malformed class entry {obj!r}") from exc
-    order = _as_int(order, f"class {name!r}: element_order")
+    order = as_integer(order, f"class {name!r}: element_order", TableError)
     if size is not None:
-        size = _as_int(size, f"class {name!r}: size")
+        size = as_integer(size, f"class {name!r}: size", TableError)
     if order < 1:
         raise TableError(f"class {name!r} has non-positive element order {order}")
     if size is not None and size < 1:
@@ -212,7 +203,7 @@ def _parse_class(obj) -> ConjClass:
     pmaps, keys = {}, {}
     what = f"class {name!r}: power-map key"
     for key, target in pm_raw.items():
-        p = _as_int(key, what)
+        p = key_integer(key, what, TableError)
         if not _is_prime(p, what):
             raise TableError(f"class {name!r}: power-map key {key!r} is not prime")
         if p in keys:
@@ -243,22 +234,23 @@ def _raw_key(v):
     return tuple(key)
 
 
-def _parse_character(obj, memo: dict, seen: dict) -> Character:
+def _parse_character(obj, seen: dict) -> Character:
     try:
         name = str(obj["name"])
         degree, values_raw = obj["degree"], obj["values"]
         characteristic = obj.get("characteristic", 0)
     except (KeyError, TypeError) as exc:
         raise TableError(f"malformed character entry {obj!r}") from exc
-    degree = _as_int(degree, f"character {name!r}: degree")
-    characteristic = _as_int(characteristic, f"character {name!r}: characteristic")
+    degree = as_integer(degree, f"character {name!r}: degree", TableError)
+    characteristic = as_integer(characteristic, f"character {name!r}: characteristic",
+                                TableError)
     values = {}
     for cname, v in _expect(values_raw, Mapping, f"character {name!r}: values").items():
         key = _raw_key(v)
         value = seen.get(key)
         if value is None:
             try:
-                value = _parse_cyc(v, memo)
+                value = parse_cyc(v)
             except (TypeError, ValueError) as exc:
                 raise TableError(
                     f"character {name!r}: bad value on class {cname!r}: {exc}"
@@ -276,9 +268,8 @@ def parse_table(source) -> CharacterTable:
     checked and canonicalised once per call: a value written exactly as
     one parsed before in this call, every field an int (`_raw_key`),
     reuses that one's result, and any other value is parsed and checked
-    where it stands.  A value whose conductor and parsed terms repeat one
-    seen before in this call, written differently, reuses its canonical
-    form.
+    where it stands.  Equal values written differently are parsed apart,
+    into equal values.
     """
     if isinstance(source, str):
         try:
@@ -287,12 +278,11 @@ def parse_table(source) -> CharacterTable:
             raise TableError(f"not valid JSON: {exc}") from exc
     if not isinstance(source, dict):
         raise TableError(f"expected an object, got {type(source).__name__}")
-    memo: dict = {}
     seen: dict = {}
     try:
         group_name = str(source["group_name"])
         classes = [_parse_class(c) for c in _expect(source["classes"], list, "classes")]
-        characters = [_parse_character(c, memo, seen)
+        characters = [_parse_character(c, seen)
                       for c in _expect(source["characters"], list, "characters")]
     except KeyError as exc:
         raise TableError(f"missing required key {exc}") from exc
@@ -304,7 +294,7 @@ def parse_table(source) -> CharacterTable:
         group_name=group_name,
         classes=classes,
         characters=characters,
-        order=None if order is None else _as_int(order, "order"),
+        order=None if order is None else as_integer(order, "order", TableError),
         completeness=completeness,
         notes=source.get("notes"),
     )
@@ -739,8 +729,7 @@ def check_chain_shape(table: CharacterTable, chain: PAChain) -> set[int]:
                     raise TableError(f"level {m}: class {cname!r} absent or has "
                                      f"order not dividing {m}")
                 summed.add(s)
-            if not isinstance(eps, int):
-                raise TableError(f"level {m}: augmentation {eps!r} is not an integer")
+            as_integer(eps, f"level {m}: augmentation of {cname!r}", TableError)
         if summed:
             mixed = sorted(c for c in ent if orders.get(c) in summed)
             if mixed:
@@ -765,19 +754,20 @@ def parse_chain(source) -> PAChain:
         n, raw = source["unit_order"], source["entries"]
     except (KeyError, TypeError) as exc:
         raise TableError(f"malformed chain {source!r}") from exc
-    n = _as_int(n, "chain unit_order")
+    n = as_integer(n, "chain unit_order", TableError)
     if n < 1:
         raise TableError(f"chain unit_order must be at least 1, got {n}")
     entries, keys = {}, {}
     for m, vec in _expect(raw, Mapping, "chain entries").items():
         where = f"chain entries[{m!r}]"
         vec = _expect(vec, Mapping, where)
-        level = _as_int(m, f"{where} level")
+        level = key_integer(m, f"{where} level", TableError)
         if level in keys:
             raise TableError(f"chain entries {keys[level]!r} and {m!r} name the "
                              f"same level {level}")
         keys[level] = m
-        entries[level] = {str(c): _as_int(v, f"{where}[{c!r}]") for c, v in vec.items()}
+        entries[level] = {str(c): as_integer(v, f"{where}[{c!r}]", TableError)
+                          for c, v in vec.items()}
     return PAChain(unit_order=n, entries=entries)
 
 

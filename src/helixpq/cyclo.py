@@ -31,14 +31,20 @@ Ramanujan sums, one per stored term.
 
 A rational is canonical as it stands, so `cyc_rational` builds it without
 the pipeline, and `galois_apply` returns it (and any value under the
-identity) unchanged.  Values are immutable, so `chartab.parse_table`,
-`chartab.validate` and `psl2.gen_table` canonicalise each distinct value
-once per call and share it.
+identity) unchanged.  Values are immutable, so `psl2.gen_table` builds,
+and `chartab.parse_table` parses, each distinct (raw) value once per call
+and shares it.  Every integer argument and integer field of parsed data
+goes through `as_integer`, which refuses a bool, a float or a string
+rather than truncate it; a key naming an integer (a power-map prime, a
+chain level, the s of "~s") goes through `key_integer`, which reads a
+string of ASCII digits.  A value written as a string ("1/2") is read by
+`Fraction`.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from fractions import Fraction
 from functools import lru_cache
@@ -66,6 +72,31 @@ __all__ = [
     "isprime",
     "PRIME_BOUND",
 ]
+
+
+# ---------------------------------------------------------------------------
+# integer arguments and fields
+
+
+def as_integer(x, what: str, error: type[ValueError] = ValueError) -> int:
+    """`x` as an int, else `error` naming the field `what`: an int, or any
+    other integral number that is not a bool.  A bool, a float (even 2.0),
+    a Fraction or a string is refused rather than truncated or converted."""
+    if type(x) is int:  # the common case, without the slower ABC check
+        return x
+    if isinstance(x, numbers.Integral) and not isinstance(x, bool):
+        return int(x)
+    raise error(f"{what} must be an integer, got {x!r}")
+
+
+def key_integer(key, what: str, error: type[ValueError] = ValueError) -> int:
+    """A mapping key as an int, else `error` naming `what`: a string of
+    ASCII digits, optionally signed, or a key `as_integer` accepts."""
+    if isinstance(key, str):
+        digits = key[1:] if key[:1] in ("+", "-") else key
+        if digits.isascii() and digits.isdigit():
+            return int(key)
+    return as_integer(key, what, error)
 
 
 # ---------------------------------------------------------------------------
@@ -378,8 +409,9 @@ class CycValue:
     __slots__ = ("_n", "_c", "_h")
 
     def __init__(self, conductor: int = 1, terms: Mapping[int, _RatLike] | None = None):
-        raw = {} if terms is None else {int(e): _coefficient(c) for e, c in terms.items()}
-        self._n, self._c = _canonical_parts(int(conductor), raw)
+        raw = {} if terms is None else {as_integer(e, "exponent"): _coefficient(c)
+                                        for e, c in terms.items()}
+        self._n, self._c = _canonical_parts(as_integer(conductor, "conductor"), raw)
         self._h = None
 
     @classmethod
@@ -546,7 +578,7 @@ def rational_trace(value: CycValue, level: int | None = None) -> Rat:
     orbit, so it costs no more at a large conductor than at a small one.
     """
     n = value.conductor
-    lv = n if level is None else int(level)
+    lv = n if level is None else as_integer(level, "trace level")
     if lv <= 0 or lv % n:
         raise ValueError(f"trace level {lv} is not a multiple of the conductor {n}")
     total = sum(c * _root_trace(n, e) for e, c in value._c.items())
@@ -566,11 +598,11 @@ def terms_at_level(value: CycValue, level: int) -> list[tuple[int, Coeff]]:
 
 
 def _int_field(term, x) -> int:
-    """An integer field of a term; floats and booleans are refused rather
-    than truncated."""
-    if isinstance(x, (bool, float)):
-        raise ValueError(f"term {term!r}: {x!r} is not an integer")
-    return int(x)
+    """An integer field of a term, refused where `as_integer` refuses it."""
+    try:
+        return as_integer(x, "term field")
+    except ValueError:
+        raise ValueError(f"term {term!r}: {x!r} is not an integer") from None
 
 
 def _parse_ratio(term, num, den=1) -> Coeff:
@@ -581,13 +613,6 @@ def _parse_ratio(term, num, den=1) -> Coeff:
 
 
 def parse_cyc(obj) -> CycValue:
-    return _parse_cyc(obj, {})
-
-
-def _parse_cyc(obj, memo: dict) -> CycValue:
-    """`parse_cyc`, sharing through `memo` the canonical form of each
-    (conductor, parsed terms) seen before.  Every term is parsed and
-    checked on every call; only the canonicalisation is shared."""
     if isinstance(obj, bool):
         raise TypeError("booleans are not cyclotomic values")
     if isinstance(obj, int):
@@ -607,14 +632,11 @@ def _parse_cyc(obj, memo: dict) -> CycValue:
             raise ValueError(f"malformed cyclotomic value {obj!r}") from exc
         raw: dict[int, Coeff] = {}
         for ent in entries:
-            if len(ent) not in (2, 3):
+            if not isinstance(ent, (list, tuple)) or len(ent) not in (2, 3):
                 raise ValueError(f"malformed term {ent!r}")
             e = _int_field(ent, ent[0])
             raw[e] = raw.get(e, 0) + _parse_ratio(ent, *ent[1:])
-        key = (n, tuple(raw.items()))
-        if key not in memo:
-            memo[key] = CycValue(n, raw)
-        return memo[key]
+        return CycValue._canonical(n, raw)
     raise TypeError(f"cannot parse {obj!r} as a cyclotomic value")
 
 

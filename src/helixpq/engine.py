@@ -75,7 +75,6 @@ from __future__ import annotations
 
 import gc
 import itertools
-import numbers
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -90,7 +89,8 @@ from .chartab import (
     PAChain,
     check_chain_shape,
 )
-from .cyclo import divisors, prime_divisors, root_trace_table, terms_at_level
+from .cyclo import (as_integer, divisors, key_integer, prime_divisors, root_trace_table,
+                    terms_at_level)
 from .lattice import (
     DEFAULT_CAP,
     EnumerationResult,
@@ -161,7 +161,8 @@ class ConstraintSystem:
             raise EngineError(
                 f"assignment mentions unknown variables {sorted(unknown)}"
             )
-        x = [int(values.get(v, 0)) for v in self.variables]
+        x = [as_integer(values.get(v, 0), f"value of {v!r}", EngineError)
+             for v in self.variables]
         bad = []
         for r in self.rows:
             val = sum(a * xi for a, xi in zip(r.coeffs, x)) + r.const
@@ -176,18 +177,8 @@ class ConstraintSystem:
         return bad
 
 
-def _integer(x, what: str) -> int:
-    """`x` as an int, else an EngineError (a ValueError) naming `what`: a
-    bool or a float, even 2.0, is refused rather than truncated."""
-    if type(x) is int:  # the common case, without the slower ABC check
-        return x
-    if isinstance(x, bool) or not isinstance(x, numbers.Integral):
-        raise EngineError(f"{what} must be an integer, got {x!r}")
-    return int(x)
-
-
 def _unit_order(order) -> int:
-    n = _integer(order, "unit order")
+    n = as_integer(order, "unit order", EngineError)
     if n < 2:
         raise EngineError(f"unit order must be at least 2, got {n}")
     return n
@@ -204,7 +195,8 @@ def _resolve_chars(
 
 def _key_order(table: CharacterTable, key: str) -> int:
     if key.startswith(AGGREGATE_PREFIX):
-        return int(key[len(AGGREGATE_PREFIX):])
+        return key_integer(key[len(AGGREGATE_PREFIX):],
+                           f"element order of aggregated key {key!r}", EngineError)
     return table.class_by_name(key).element_order
 
 
@@ -293,14 +285,15 @@ def _fixed_levels(table, n, powers):
     A class the table lacks is left to fail where its value is read."""
     checked = {}
     for m, entry in powers.items():
-        m = _integer(m, "power level")
+        m = as_integer(m, "power level", EngineError)
         if not 1 < m < n or n % m:
             raise EngineError(
                 f"power level {m} is not a proper divisor of the unit order {n}"
             )
         checked[m] = out = {}
         for key, eps in entry.items():
-            out[key] = _integer(eps, f"partial augmentation of {key!r} at power level {m}")
+            out[key] = as_integer(
+                eps, f"partial augmentation of {key!r} at power level {m}", EngineError)
             try:
                 o = _key_order(table, key)
             except ValueError:  # no such class: reading its value says so
@@ -368,7 +361,7 @@ def _build(table, characters, order, powers, *, collapse_order, dedupe):
     # -- columns: (level, class name or aggregated "~s") ----------------------
     agg = None
     if collapse_order is not None:
-        s = _integer(collapse_order, "collapse_order")
+        s = as_integer(collapse_order, "collapse_order", EngineError)
         agg = f"{AGGREGATE_PREFIX}{s}"
         if not any(c.element_order == s for c in support[n]):
             raise EngineError(f"no classes of order {s} to collapse")
@@ -560,7 +553,7 @@ def _cap_or_default(cap: Optional[int]) -> int:
     """DEFAULT_CAP for None, else the cap, which must be nonnegative."""
     if cap is None:
         return DEFAULT_CAP
-    cap = _integer(cap, "cap")
+    cap = as_integer(cap, "cap", EngineError)
     if cap < 0:
         raise EngineError(f"cap must be nonnegative, got {cap}")
     return cap
@@ -632,7 +625,7 @@ def solve_s_constant(
     order-s classes are one unknown "~s" at the levels s and s*t,
     enumerated exactly as `solve_order` enumerates its system.
     """
-    s, t = _integer(s, "s"), _integer(t, "t")
+    s, t = as_integer(s, "s", EngineError), as_integer(t, "t", EngineError)
     cap = _cap_or_default(cap)
     if s == t or tuple(prime_divisors(s)) != (s,) or tuple(prime_divisors(t)) != (t,):
         raise EngineError(f"need two distinct primes, got s={s}, t={t}")

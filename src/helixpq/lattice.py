@@ -74,6 +74,8 @@ from fractions import Fraction
 from operator import mul
 from typing import Optional
 
+from .cyclo import as_integer
+
 Rat = Fraction
 
 DEFAULT_CAP = 10**6
@@ -96,7 +98,7 @@ class Polyhedron:
     congruences: list[tuple[tuple[int, ...], int, int]] = field(default_factory=list)
 
     def __post_init__(self):
-        self.dim = _integer(self.dim, "dim")
+        self.dim = as_integer(self.dim, "dim")
         if self.dim < 1:
             raise ValueError("dim must be at least 1")
         self.ineqs = [_int_row("inequality", row) for row in self.ineqs]
@@ -110,14 +112,6 @@ class Polyhedron:
                 raise ValueError(f"row width {len(a)} != dim {self.dim}")
             if m < 1:
                 raise ValueError(f"congruence modulus {m} < 1")
-
-
-def _integer(x, what):
-    """`x` as an int, else a ValueError naming `what`: a bool, a float (even
-    2.0) or a string is refused rather than converted."""
-    if isinstance(x, bool) or not isinstance(x, numbers.Integral):
-        raise ValueError(f"{what} must be an integer, got {x!r}")
-    return int(x)
 
 
 def _int_row(kind, row):
@@ -724,7 +718,7 @@ def enumerate_integer_points(poly: Polyhedron, cap: int | None = None) -> Enumer
       "probe" (the relaxation is unbounded and the probe windows held no
       integer point, so neither an infinite family nor emptiness is shown).
     """
-    cap = DEFAULT_CAP if cap is None else _integer(cap, "cap")
+    cap = DEFAULT_CAP if cap is None else as_integer(cap, "cap")
     if cap < 0:
         raise ValueError(f"cap must be nonnegative, got {cap}")
     ok, ineqs, eqs, congs = _tidy(poly)

@@ -29,12 +29,11 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 from .chartab import Character, CharacterTable, PAChain, render_chain
-from .cyclo import prime_divisors
+from .cyclo import as_integer, prime_divisors
 from .engine import (
     SolutionSet,
     _cap_or_default,
     _constant_value,
-    _integer,
     _resolve_chars,
     classify_chain,
     solve_order,
@@ -135,7 +134,7 @@ class PQReport:
 def _as_pair(pair) -> frozenset:
     """`pair` as a frozenset of two distinct integers, else a PQError."""
     try:
-        p, q = (_integer(x, "pair member") for x in pair)
+        p, q = (as_integer(x, "pair member") for x in pair)
     except (TypeError, ValueError):  # not iterable, not two items, not ints
         p = q = None
     if p is None or p == q:

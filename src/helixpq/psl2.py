@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .chartab import Character, CharacterTable, ConjClass
-from .cyclo import CycValue, cyc_rational, _factor, prime_divisors
+from .cyclo import CycValue, as_integer, cyc_rational, _factor, prime_divisors
 
 __all__ = ["gen_table", "Psl2Params"]
 
@@ -86,7 +86,7 @@ class Psl2Params:
 def resolve_params(family: str, q: int) -> Psl2Params:
     if family not in ("psl2", "pgl2"):
         raise ValueError(f"family must be 'psl2' or 'pgl2', got {family!r}")
-    q = int(q)
+    q = as_integer(q, "q")
     if q < 4:
         raise ValueError(f"q >= 4 required, got {q}")
     fac = _factor(q)

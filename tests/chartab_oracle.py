@@ -79,7 +79,5 @@ def parse_table_by_value(data) -> chartab.CharacterTable:
                 raise TableError(
                     f"character {ch.name!r}: bad value on class {cname!r}: {exc}"
                 ) from exc
-            except KeyError as exc:  # as parse_table words it
-                raise TableError(f"missing required key {exc}") from exc
     chartab._structural_check(table)
     return table

@@ -6,6 +6,7 @@ import json
 import random
 import sys
 from collections import Counter
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -26,11 +27,13 @@ from helixpq.chartab import (
 )
 from helixpq.cyclo import (
     PRIME_BOUND,
+    CycValue,
     cyc_rational,
     cyc_zero,
     euler_phi,
     galois_apply,
     parse_cyc,
+    rational_trace,
     root_of_unity,
 )
 from helixpq.psl2 import gen_table
@@ -535,6 +538,59 @@ def test_a_repeated_value_is_checked_again(term, detail):
     with pytest.raises(TableError) as exc:
         parse_table(data)
     assert str(exc.value) == f"character 'omega2': bad value on class '3b': {detail}"
+
+
+@pytest.mark.parametrize("term, detail", [
+    ([1, "1", 1], "term [1, '1', 1]: '1' is not an integer"),
+    ("111", "malformed term '111'"),
+    ({"a": 1, "b": 2}, "malformed term {'a': 1, 'b': 2}"),
+], ids=["string_field", "string_term", "dict_term"])
+def test_a_term_is_a_list_of_integers(term, detail):
+    # int() read the field "1" as 1 and the term "111" as [1, 1, 1]; the
+    # dict term ended in a bare "missing required key 0"
+    data = cyclic3_table()
+    data["characters"][1]["values"]["3a"] = {"conductor": 3, "terms": [term]}
+    with pytest.raises(TableError) as exc:
+        parse_table(data)
+    assert str(exc.value) == f"character 'omega': bad value on class '3a': {detail}"
+
+
+def _edited_c3(edit):
+    data = cyclic3_table()
+    edit(data)
+    return data
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: gen_table("psl2", 7.5), ValueError, "q must be an integer, got 7.5"),
+    (lambda: gen_table("psl2", Fraction(17, 2)), ValueError,
+     "q must be an integer, got Fraction(17, 2)"),
+    (lambda: CycValue(7.5, {1: 1}), ValueError, "conductor must be an integer, got 7.5"),
+    (lambda: CycValue(7, {1.9: 1}), ValueError, "exponent must be an integer, got 1.9"),
+    (lambda: rational_trace(root_of_unity(3), 6.5), ValueError,
+     "trace level must be an integer, got 6.5"),
+    (lambda: parse_table(cyclic3_table(order=Decimal("168.9"))), TableError,
+     "order must be an integer, got Decimal('168.9')"),
+    (lambda: parse_table(_edited_c3(
+        lambda t: t["classes"][1].update(element_order=Fraction(5, 2)))), TableError,
+     "class '3a': element_order must be an integer, got Fraction(5, 2)"),
+    (lambda: parse_chain({"unit_order": 6, "entries": {"2": {"2a": Fraction(3, 2)}}}),
+     TableError, "chain entries['2']['2a'] must be an integer, got Fraction(3, 2)"),
+    (lambda: parse_table(_edited_c3(
+        lambda t: t["classes"][1].update(power_maps={"2_0": "3b"}))), TableError,
+     "class '3a': power-map key must be an integer, got '2_0'"),
+    (lambda: parse_table(_edited_c3(
+        lambda t: t["classes"][1].update(power_maps={"\u0662": "3b"}))), TableError,
+     "class '3a': power-map key must be an integer, got '\u0662'"),
+], ids=["gen_table_q_float", "gen_table_q_fraction", "conductor", "exponent",
+        "trace_level", "table_order", "element_order", "chain_entry",
+        "power_map_key_underscore", "power_map_key_non_ascii"])
+def test_no_integer_argument_or_field_is_truncated(call, error, message):
+    # int() truncated each of these, or read the key "2_0" as 20 and the
+    # Arabic-Indic digit two as 2
+    with pytest.raises(error) as exc:
+        call()
+    assert str(exc.value) == message
 
 
 def test_equal_terms_at_other_conductors_stay_apart():

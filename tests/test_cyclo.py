@@ -232,6 +232,21 @@ def test_parse_rejects_non_integer_and_zero_denominator_terms(term):
         parse_cyc({"conductor": 3, "terms": [term]})
 
 
+@pytest.mark.parametrize("term, message", [
+    ([0, "1"], "term [0, '1']: '1' is not an integer"),
+    (["1", 1, 1], "term ['1', 1, 1]: '1' is not an integer"),
+    ([0, 1, Fraction(1, 1)], "term [0, 1, Fraction(1, 1)]: Fraction(1, 1) is not an integer"),
+    ("111", "malformed term '111'"),
+    ({"a": 1, "b": 2}, "malformed term {'a': 1, 'b': 2}"),
+])
+def test_parse_reads_a_term_only_as_a_list_of_integers(term, message):
+    # int() read "1" as 1 and the string "111" as the term [1, 1, 1]; a
+    # dict term ended in a bare KeyError
+    with pytest.raises(ValueError) as exc:
+        parse_cyc({"conductor": 3, "terms": [term]})
+    assert str(exc.value) == message
+
+
 @pytest.mark.parametrize("obj", [[1, 0], [1.5, 2], [1, True], "1/0"])
 def test_parse_rejects_bad_rationals(obj):
     with pytest.raises(ValueError, match="term"):

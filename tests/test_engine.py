@@ -732,6 +732,27 @@ def test_integer_arguments_refuse_floats_and_bools(call, error, message):
         call(gen_table("psl2", 7))
 
 
+def test_chain_values_are_not_truncated_or_read_as_booleans(psl2_7):
+    # check_point read 1.7 as 1, and verify_chain passed a chain whose
+    # augmentation True summed to 1
+    system = build_system(psl2_7, ["st"], 2)
+    with pytest.raises(EngineError, match=r"^value of '2a' must be an integer, got 1\.7$"):
+        system.check_point({"2a": 1.7})
+    with pytest.raises(TableError,
+                       match=r"^level 2: augmentation of '2a' must be an integer, got True$"):
+        verify_chain(psl2_7, ["st"], PAChain(2, {2: {"2a": True}}))
+
+
+@pytest.mark.parametrize("key", ["~ 3", "~3.0", "~3_0", "~٣", "~"])
+def test_an_aggregated_key_names_its_order_in_ascii_digits(psl2_7, key):
+    # int() read "~ 3" as "~3" and "~3_0" as "~30", and ended "~3.0" in a
+    # bare ValueError
+    with pytest.raises(EngineError, match=rf"^element order of aggregated key "
+                                          rf"{re.escape(repr(key))} must be an integer"):
+        build_system(psl2_7, ["st"], 6, {2: {"2a": 1}, 3: {key: 1}})
+    assert build_system(psl2_7, ["st"], 6, {2: {"2a": 1}, 3: {"~3": 1}}).rows
+
+
 def test_verify_checks_aggregated_chains_as_solved(psl2_16):
     # every character constant on the two order-5 classes
     chars = ["triv", "st", "chi_5"] + [f"theta_{i}" for i in range(1, 9)]
