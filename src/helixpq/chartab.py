@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional
+from types import MappingProxyType
+from typing import Iterable, Mapping, NamedTuple, Optional
 
 from .cyclo import (
     Coeff,
@@ -57,36 +57,40 @@ class TableError(ValueError):
     """Malformed or inconsistent character-table data."""
 
 
-@dataclass(frozen=True)
-class ConjClass:
+class ConjClass(NamedTuple):
     name: str
     element_order: int
     size: Optional[int] = None
-    power_maps: Mapping[int, str] = field(default_factory=dict)
+    power_maps: Mapping[int, str] = MappingProxyType({})  # shared, hence read-only
 
 
-@dataclass
-class Character:
+class Character(NamedTuple):
     name: str
     degree: int
     values: dict[str, CycValue]
     characteristic: int = 0  # 0 = ordinary, prime p = Brauer character mod p
 
 
-@dataclass
 class CharacterTable:
-    group_name: str
-    classes: list[ConjClass]
-    characters: list[Character]
-    order: Optional[int] = None
-    completeness: str = "full"
-    notes: Optional[str] = None
+    __hash__ = None  # unhashable: == compares its fields, which are mutable
 
-    def __post_init__(self):
-        self.classes = sorted(self.classes, key=lambda c: (c.element_order, c.name))
+    def __init__(self, group_name: str, classes: list[ConjClass], characters: list[Character],
+                 order: Optional[int] = None, completeness: str = "full",
+                 notes: Optional[str] = None):
+        self.group_name, self.characters = group_name, characters
+        self.order, self.completeness, self.notes = order, completeness, notes
+        self.classes = sorted(classes, key=lambda c: (c.element_order, c.name))
         self._by_name = {c.name: c for c in self.classes}
         if len(self._by_name) != len(self.classes):
             raise TableError(f"duplicate class names in table {self.group_name!r}")
+
+    def __eq__(self, other):  # _by_name is equal when the classes are
+        return vars(self) == vars(other) if other.__class__ is self.__class__ else NotImplemented
+
+    def __repr__(self) -> str:
+        return (f"CharacterTable(group_name={self.group_name!r}, classes={self.classes!r}, "
+                f"characters={self.characters!r}, order={self.order!r}, "
+                f"completeness={self.completeness!r}, notes={self.notes!r})")
 
     # -- lookups -------------------------------------------------------------
 
@@ -366,8 +370,7 @@ def render_table(table: CharacterTable) -> dict:
 # validation
 
 
-@dataclass
-class ValidationReport:
+class ValidationReport(NamedTuple):
     ok: bool
     checks_run: list[str]
     problems: list[str]

@@ -89,13 +89,16 @@ def as_integer(x, what: str, error: type[ValueError] = ValueError) -> int:
     raise error(f"{what} must be an integer, got {x!r}")
 
 
+def _is_decimal(text: str, signed: bool = True) -> bool:
+    """Whether `text` is ASCII digits, after one optional sign when `signed`."""
+    digits = text[1:] if signed and text[:1] in ("+", "-") else text
+    return digits.isascii() and digits.isdigit()
+
+
 def key_integer(key, what: str, error: type[ValueError] = ValueError) -> int:
-    """A mapping key as an int, else `error` naming `what`: a string of
-    ASCII digits, optionally signed, or a key `as_integer` accepts."""
-    if isinstance(key, str):
-        digits = key[1:] if key[:1] in ("+", "-") else key
-        if digits.isascii() and digits.isdigit():
-            return int(key)
+    """A mapping key as an int: a string `_is_decimal` accepts, else as `as_integer` reads it."""
+    if isinstance(key, str) and _is_decimal(key):
+        return int(key)
     return as_integer(key, what, error)
 
 
@@ -617,11 +620,11 @@ def parse_cyc(obj) -> CycValue:
         raise TypeError("booleans are not cyclotomic values")
     if isinstance(obj, int):
         return cyc_rational(obj)
-    if isinstance(obj, str):
-        try:
-            return cyc_rational(Rat(obj))
-        except ZeroDivisionError:
-            raise ValueError(f"term {obj!r} has a zero denominator") from None
+    if isinstance(obj, str):  # "a" or "a/b" in ASCII digits, with a signed and b not
+        num, slash, den = obj.partition("/")
+        if _is_decimal(num) and (not slash or _is_decimal(den, signed=False)):
+            return cyc_rational(_parse_ratio(obj, int(num), int(den) if slash else 1))
+        raise ValueError(f"value {obj!r} is not written as a or a/b in ASCII digits")
     if isinstance(obj, (list, tuple)) and len(obj) == 2:
         return cyc_rational(_parse_ratio(obj, obj[0], obj[1]))
     if isinstance(obj, dict):

@@ -77,10 +77,10 @@ import gc
 import itertools
 import re
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from operator import itemgetter
-from typing import Mapping, Optional, Sequence, Union
+from types import MappingProxyType
+from typing import Mapping, NamedTuple, Optional, Sequence, Union
 
 from .chartab import (
     AGGREGATE_PREFIX,
@@ -116,8 +116,7 @@ class EngineError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Row:
+class Row(NamedTuple):
     """One integer constraint: coeffs . x + const  (>= 0 | == 0 | == 0 mod modulus)."""
 
     coeffs: tuple[int, ...]
@@ -127,14 +126,13 @@ class Row:
     provenance: str
 
 
-@dataclass
-class ConstraintSystem:
+class ConstraintSystem(NamedTuple):
     table_name: str
     unit_order: int
     variables: tuple[str, ...]
     rows: list[Row]
     character_names: tuple[str, ...]
-    congruence_mode: dict[int, str] = field(default_factory=dict)
+    congruence_mode: Mapping[int, str] = MappingProxyType({})
 
     def polyhedron(self) -> Polyhedron:
         ineqs, eqs, congs = [], [], []
@@ -536,8 +534,7 @@ def _power_rows(table, columns, m, p, sub, tag):
 # order solving
 
 
-@dataclass
-class SolutionSet:
+class SolutionSet(NamedTuple):
     table_name: str
     unit_order: int
     status: str  # "finite" | "infinite" | "capped"
@@ -701,8 +698,7 @@ def _solve_system(system: ConstraintSystem, *, cap: int, strategy: str) -> Solut
 # chain checking
 
 
-@dataclass
-class VerifyReport:
+class VerifyReport(NamedTuple):
     ok: bool
     rows_checked: int
     failures: list[tuple[int, str]]  # (level, "provenance: value v")

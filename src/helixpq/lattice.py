@@ -69,10 +69,9 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
-from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
-from typing import Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .cyclo import as_integer
 
@@ -90,20 +89,19 @@ __all__ = [
 ]
 
 
-@dataclass
 class Polyhedron:
-    dim: int
-    ineqs: list[tuple[tuple[int, ...], int]] = field(default_factory=list)
-    eqs: list[tuple[tuple[int, ...], int]] = field(default_factory=list)
-    congruences: list[tuple[tuple[int, ...], int, int]] = field(default_factory=list)
+    """The rows above, checked and held as fresh lists of int tuples."""
 
-    def __post_init__(self):
-        self.dim = as_integer(self.dim, "dim")
+    __hash__ = None  # unhashable: == compares its fields, which are mutable
+
+    def __init__(self, dim: int, ineqs: Iterable[tuple] = (), eqs: Iterable[tuple] = (),
+                 congruences: Iterable[tuple] = ()):
+        self.dim = as_integer(dim, "dim")
         if self.dim < 1:
             raise ValueError("dim must be at least 1")
-        self.ineqs = [_int_row("inequality", row) for row in self.ineqs]
-        self.eqs = [_int_row("equality", row) for row in self.eqs]
-        self.congruences = [_int_row("congruence", row) for row in self.congruences]
+        self.ineqs = [_int_row("inequality", row) for row in ineqs]
+        self.eqs = [_int_row("equality", row) for row in eqs]
+        self.congruences = [_int_row("congruence", row) for row in congruences]
         for a, _ in itertools.chain(self.ineqs, self.eqs):
             if len(a) != self.dim:
                 raise ValueError(f"row width {len(a)} != dim {self.dim}")
@@ -112,6 +110,13 @@ class Polyhedron:
                 raise ValueError(f"row width {len(a)} != dim {self.dim}")
             if m < 1:
                 raise ValueError(f"congruence modulus {m} < 1")
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if other.__class__ is self.__class__ else NotImplemented
+
+    def __repr__(self) -> str:
+        return (f"Polyhedron(dim={self.dim!r}, ineqs={self.ineqs!r}, eqs={self.eqs!r}, "
+                f"congruences={self.congruences!r})")
 
 
 def _int_row(kind, row):
@@ -126,8 +131,7 @@ def _int_row(kind, row):
     return (tuple(map(int, a)), *map(int, rest))
 
 
-@dataclass
-class EnumerationResult:
+class EnumerationResult(NamedTuple):
     status: str  # "finite" | "infinite" | "capped"
     points: list[tuple[int, ...]]
     ray: Optional[tuple[int, ...]] = None

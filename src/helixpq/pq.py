@@ -25,8 +25,7 @@ surviving pairs report the exact character set used.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 from .chartab import Character, CharacterTable, PAChain, render_chain
 from .cyclo import as_integer, prime_divisors
@@ -59,8 +58,7 @@ class PQError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class PrimeGraph:
+class PrimeGraph(NamedTuple):
     vertices: frozenset
     edges: frozenset  # of frozenset pairs
 
@@ -98,8 +96,7 @@ def prime_graph(table: CharacterTable, *, assume_coverage: bool = False) -> Prim
     return PrimeGraph(vertices=frozenset(vertices), edges=frozenset(edges))
 
 
-@dataclass
-class PairReport:
+class PairReport(NamedTuple):
     p: int
     q: int
     outcome: str  # "ruled_out" | "undecided" | "infinite" | "error"
@@ -113,8 +110,7 @@ class PairReport:
     status: Optional[str] = None  # the solve's SolutionSet.status; None on error
 
 
-@dataclass
-class PQReport:
+class PQReport(NamedTuple):
     group_name: str
     graph: PrimeGraph
     pairs: tuple[PairReport, ...]

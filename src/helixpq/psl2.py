@@ -40,8 +40,8 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .chartab import Character, CharacterTable, ConjClass
 from .cyclo import CycValue, as_integer, cyc_rational, _factor, prime_divisors
@@ -49,8 +49,7 @@ from .cyclo import CycValue, as_integer, cyc_rational, _factor, prime_divisors
 __all__ = ["gen_table", "Psl2Params"]
 
 
-@dataclass(frozen=True)
-class Psl2Params:
+class Psl2Params(NamedTuple):
     family: str  # "psl2" | "pgl2"
     q: int
     p: int
@@ -100,8 +99,7 @@ def resolve_params(family: str, q: int) -> Psl2Params:
 # class layout
 
 
-@dataclass(frozen=True)
-class _Spec:
+class _Spec(NamedTuple):
     kind: str  # "id" | "uni" | "split" | "nonsplit"
     param: int
     element_order: int

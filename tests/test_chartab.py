@@ -555,6 +555,30 @@ def test_a_term_is_a_list_of_integers(term, detail):
     assert str(exc.value) == f"character 'omega': bad value on class '3a': {detail}"
 
 
+@pytest.mark.parametrize("text", [" 2 ", "\u0662", "2_0", "0.5", "1e3", "1/-2"])
+def test_a_string_value_is_a_ratio_in_ascii_digits(text):
+    # Fraction read " 2 ", the Arabic-Indic digit two, "2_0", "0.5" and
+    # "1e3" as 2, 2, 20, 1/2 and 1000
+    data = cyclic3_table()
+    data["characters"][1]["values"]["3a"] = text
+    with pytest.raises(TableError) as exc:
+        parse_table(data)
+    assert str(exc.value) == (f"character 'omega': bad value on class '3a': "
+                              f"value {text!r} is not written as a or a/b in ASCII digits")
+
+
+def test_a_string_value_reads_as_a_signed_ratio():
+    data = cyclic3_table()
+    data["characters"][1]["values"]["3a"] = "-3/4"
+    value = parse_table(data).character_by_name("omega").values["3a"]
+    assert value == cyc_rational(Fraction(-3, 4))
+    data["characters"][1]["values"]["3a"] = "1/0"
+    with pytest.raises(TableError) as exc:
+        parse_table(data)
+    assert str(exc.value) == ("character 'omega': bad value on class '3a': "
+                              "term '1/0' has a zero denominator")
+
+
 def _edited_c3(edit):
     data = cyclic3_table()
     edit(data)

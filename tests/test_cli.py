@@ -4,6 +4,7 @@ import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -589,6 +590,17 @@ def test_package_imports_without_sympy():
     code = f"import sys, {modules}; sys.exit('sympy' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr or "sympy was imported"
+
+
+def test_package_imports_without_dataclasses():
+    # the records are NamedTuples and plain classes; dataclasses would pull
+    # in inspect, ast, dis and tokenize, and generate code for each record
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = (f"import sys; sys.path.insert(0, {src!r}); "
+            "import helixpq.chartab, helixpq.datasets, helixpq.engine, helixpq.pq, helixpq.psl2; "
+            "sys.exit('dataclasses' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr or "dataclasses was imported"
 
 
 def test_huge_order_is_an_error_not_a_hang():

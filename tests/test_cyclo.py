@@ -253,6 +253,22 @@ def test_parse_rejects_bad_rationals(obj):
         parse_cyc(obj)
 
 
+@pytest.mark.parametrize("text", [" 2 ", "\u0662", "2_0", "0.5", "1e3", "1/-2",
+                                  "", "/2", "1/", "1/2/3", "+-1"])
+def test_a_string_value_is_read_only_as_a_or_a_over_b(text):
+    # Fraction read the first five as 2, 2, 20, 1/2 and 1000
+    with pytest.raises(ValueError) as exc:
+        parse_cyc(text)
+    assert str(exc.value) == f"value {text!r} is not written as a or a/b in ASCII digits"
+
+
+@pytest.mark.parametrize("text, value", [
+    ("2", 2), ("-3/4", Fraction(-3, 4)), ("+6/4", Fraction(3, 2)), ("007", 7), ("-0/5", 0),
+])
+def test_a_string_value_reads_as_its_ratio(text, value):
+    assert parse_cyc(text) == cyc_rational(value)
+
+
 def test_conductor_past_the_index_range_is_refused():
     # building Phi_n for the reduction ended in an OverflowError
     with pytest.raises(ValueError, match=f"conductor {10**30} is too large"):
