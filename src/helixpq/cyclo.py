@@ -48,6 +48,8 @@ import numbers
 import sys
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress
+from operator import mul
 from typing import Iterable, Mapping, Union
 
 Rat = Fraction
@@ -106,8 +108,17 @@ def key_integer(key, what: str, error: type[ValueError] = ValueError) -> int:
 # elementary number theory, cached
 
 
-_SMALL_PRIMES = tuple(p for p in range(2, 1000)
-                      if all(p % d for d in range(2, math.isqrt(p) + 1)))
+def _primes_below(n: int) -> tuple[int, ...]:
+    """The primes below n, by the sieve of Eratosthenes."""
+    sieve = bytearray([1]) * n
+    sieve[:2] = bytes(2)
+    for p in range(2, math.isqrt(n - 1) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, n, p)))
+    return tuple(compress(range(n), sieve))
+
+
+_SMALL_PRIMES = _primes_below(1000)
 # strong tests to the first 13 prime bases decide primality exactly below
 # this bound (Sorenson and Webster, Math. Comp. 86 (2017) 985-1003)
 _MR_BASES = _SMALL_PRIMES[:13]
@@ -300,8 +311,21 @@ def _root_trace(n: int, j: int) -> int:
 @lru_cache(maxsize=None)
 def root_trace_table(n: int) -> tuple[int, ...]:
     """The traces `_root_trace(n, j)` for j = 0..n-1, as one tuple: row
-    construction in the constraint engine reads them in a tight loop."""
-    return tuple(_root_trace(n, j) for j in range(n))
+    construction in the constraint engine reads them in a tight loop.
+
+    The Ramanujan sum is multiplicative in n, so each entry is the product
+    over p^a || n of c_{p^a}(j): phi(p^a) when p^a | j, -p^(a-1) when only
+    p^(a-1) | j, and 0 otherwise.  Each factor has period p^a, so the table
+    is built one prime power at a time, from that factor's period repeated."""
+    table = [1] * n
+    for p, a in _factor(n):
+        q = p**a
+        low = q // p
+        period = [0] * q
+        period[::low] = [-low] * p
+        period[0] = q - low
+        table = list(map(mul, table, period * (n // q)))
+    return tuple(table)
 
 
 # ---------------------------------------------------------------------------

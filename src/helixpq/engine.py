@@ -78,7 +78,7 @@ import itertools
 import re
 from contextlib import contextmanager
 from functools import lru_cache, partial
-from operator import itemgetter
+from operator import itemgetter, mul
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Optional, Sequence, Union
 
@@ -163,7 +163,7 @@ class ConstraintSystem(NamedTuple):
              for v in self.variables]
         bad = []
         for r in self.rows:
-            val = sum(a * xi for a, xi in zip(r.coeffs, x)) + r.const
+            val = sum(map(mul, r.coeffs, x)) + r.const
             if r.kind == "ge":
                 ok = val >= 0
             elif r.kind == "eq":

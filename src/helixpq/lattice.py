@@ -62,6 +62,16 @@ reference counting alone frees it.
 A congruence whose constant the gcd of its modulus and coefficients does not
 divide, and congruences that clash modulo the gcd of two moduli, are
 rejected before any search.
+
+The presolve (`_int_row`, `_tidy` with `_tightest`, `_column_groups`,
+`_project` and `_bounds`' `_substitute`) does its per-row work in C-level
+passes: a row's entry types are read into one set, a coefficient vector is
+reduced by `map(m.__rmod__, a)` and divided by `map(g.__rfloordiv__, a)`, a
+substitution is one `map(sub, ...)`, and the columns are read off the rows
+by one `zip(*rows)` transpose.  It skips the work that would change nothing: a row whose gcd is 1 is its
+own key and is not divided, a congruence is compared modulo its own modulus
+as it is, and the tidied rows go to the bounds and the search unprojected
+when no two columns merge.
 """
 
 from __future__ import annotations
@@ -70,7 +80,7 @@ import itertools
 import math
 import numbers
 from fractions import Fraction
-from operator import mul
+from operator import mul, sub
 from typing import Iterable, NamedTuple, Optional
 
 from .cyclo import as_integer
@@ -80,6 +90,8 @@ Rat = Fraction
 DEFAULT_CAP = 10**6
 _NODE_BUDGET = 5_000_000
 _PROBE_WINDOWS = (16, 256, 4096, 65536)
+
+_INT = {int}  # the entry type of a row that is taken as it is
 
 __all__ = [
     "Polyhedron",
@@ -122,9 +134,10 @@ class Polyhedron:
 def _int_row(kind, row):
     """The row with int entries; ValueError when one is not an integer (a
     float is not, as in `cyclo.parse_cyc`).  A tuple row of plain ints, as
-    the engine builds them, is returned as it is."""
+    the engine builds them, is returned as it is: its entries' types are
+    read into one set, with no copy of the row."""
     a, *rest = row
-    if type(row) is tuple and type(a) is tuple and all(type(x) is int for x in (*a, *rest)):
+    if type(row) is tuple and type(a) is tuple and {*map(type, a), *map(type, rest)} <= _INT:
         return row
     if not all(isinstance(x, numbers.Rational) and x.denominator == 1 for x in (*a, *rest)):
         raise ValueError(f"{kind} row {row!r} has a non-integer entry")
@@ -296,48 +309,53 @@ def _tidy(poly: Polyhedron):
     m and its coefficients has no integer point; two whose left-hand sides
     agree modulo g must agree in their constants modulo g, for each g > 1
     that is the gcd of two moduli present (one modulus with itself included,
-    so g = m).
+    so g = m).  A row whose gcd is 1, or whose modulus is g, is already in
+    the reduced form it is compared in, so it is read as it is.
     """
     ineqs = _tightest(poly.ineqs)
     if ineqs is None:
         return False, [], [], []
 
     eqs: dict = {}  # key -> the first equality with that key
-    for a, c in poly.eqs:
-        if not any(a):
+    zero = (0,) * poly.dim
+    for row in poly.eqs:
+        a, c = row
+        g = math.gcd(*a)
+        if not g:
             if c != 0:
                 return False, [], [], []
             continue
-        g = math.gcd(*a)
         if c % g:
             return False, [], [], []
-        if next(x for x in a if x) < 0:
+        if a < zero:  # the first nonzero coefficient is negative
             g = -g
-        eqs.setdefault((tuple(x // g for x in a), c // g), (a, c))
+        eqs.setdefault(row if g == 1 else (tuple(map(g.__rfloordiv__, a)), c // g), row)
 
     congs = []
-    seenc = set()
     for a, c, m in poly.congruences:
         if m == 1:
             continue
-        ra = tuple(x % m for x in a)
-        rc = c % m
-        # a.x takes exactly the multiples of gcd(m, a) modulo m
-        if rc % math.gcd(m, *ra):
+        a = tuple(map(m.__rmod__, a))
+        c %= m
+        # a.x takes exactly the multiples of gcd(m, a) modulo m, and that
+        # gcd is m when every coefficient is 0 mod m
+        g = math.gcd(m, *a)
+        if c % g:
             return False, [], [], []
-        if not any(ra):
-            continue
-        if (ra, rc, m) not in seenc:
-            seenc.add((ra, rc, m))
-            congs.append((ra, rc, m))
+        if g < m:
+            congs.append((a, c, m))
+    congs = list(dict.fromkeys(congs))
     # g divides both moduli, so one left-hand side mod g has one residue
     pairs = itertools.combinations_with_replacement({m for _, _, m in congs}, 2)
     for g in {math.gcd(m1, m2) for m1, m2 in pairs} - {1}:
         residues: dict[tuple[int, ...], int] = {}
         for a, c, m in congs:
-            if m % g == 0:
-                key = tuple(x % g for x in a)
-                if residues.setdefault(key, c % g) != c % g:
+            if m == g:
+                if residues.setdefault(a, c) != c:
+                    return False, [], [], []
+            elif m % g == 0:
+                r = c % g
+                if residues.setdefault(tuple(map(g.__rmod__, a)), r) != r:
                     return False, [], [], []
     return True, ineqs, list(eqs.values()), congs
 
@@ -345,18 +363,20 @@ def _tidy(poly: Polyhedron):
 def _tightest(ineqs):
     """The inequalities with each set of proportional coefficient vectors
     merged into its tightest row, in the order of first occurrence, and the
-    zero rows dropped; None when a zero row reads c >= 0 with c < 0."""
+    zero rows dropped; None when a zero row reads c >= 0 with c < 0.  A row
+    whose gcd is 1 is its own key."""
     best: dict = {}  # key -> (c, g, row); the tightest has the least c/g
-    for a, c in ineqs:
-        if not any(a):
+    for row in ineqs:
+        a, c = row
+        g = math.gcd(*a)
+        if not g:
             if c < 0:
                 return None
             continue
-        g = math.gcd(*a)
-        key = tuple(x // g for x in a)
+        key = a if g == 1 else tuple(map(g.__rfloordiv__, a))
         cur = best.get(key)
         if cur is None or c * cur[1] < cur[0] * g:
-            best[key] = (c, g, (a, c))
+            best[key] = (c, g, row)
     return [row for _, _, row in best.values()]
 
 
@@ -690,22 +710,23 @@ def _dfs_enumerate(dim, ineqs, eqs, congs, lo, hi, cap, budget: _Budget):
 
 
 def _column_groups(dim, ineqs, eqs, congs) -> list[list[int]]:
+    """The columns grouped by their entries in every row, each group in
+    increasing order and the groups by their first column.  The congruences
+    are reduced mod m, as `_tidy` returns them, so a column is read off the
+    rows by one transpose."""
+    rows = [row[0] for row in itertools.chain(ineqs, eqs, congs)]
     sigs: dict[tuple, list[int]] = {}
-    for j in range(dim):
-        sig = (
-            tuple(a[j] for a, _ in ineqs),
-            tuple(a[j] for a, _ in eqs),
-            tuple(a[j] % m for a, _, m in congs),
-        )
-        sigs.setdefault(sig, []).append(j)
-    return sorted(sigs.values(), key=lambda g: g[0])
+    for j, col in enumerate(zip(*rows) if rows else [()] * dim):
+        sigs.setdefault(col, []).append(j)
+    return list(sigs.values())
 
 
 def _project(groups, ineqs, eqs, congs):
+    """The rows on the first column of each group."""
     reps = [g[0] for g in groups]
-    pineqs = [(tuple(a[r] for r in reps), c) for a, c in ineqs]
-    peqs = [(tuple(a[r] for r in reps), c) for a, c in eqs]
-    pcongs = [(tuple(a[r] for r in reps), c, m) for a, c, m in congs]
+    pineqs = [(tuple(map(a.__getitem__, reps)), c) for a, c in ineqs]
+    peqs = [(tuple(map(a.__getitem__, reps)), c) for a, c in eqs]
+    pcongs = [(tuple(map(a.__getitem__, reps)), c, m) for a, c, m in congs]
     return pineqs, peqs, pcongs
 
 
@@ -731,10 +752,11 @@ def enumerate_integer_points(poly: Polyhedron, cap: int | None = None) -> Enumer
 
     groups = _column_groups(poly.dim, ineqs, eqs, congs)
     merged = len(groups) < poly.dim
-    pineqs, peqs, pcongs = _project(groups, ineqs, eqs, congs)
+    if merged:
+        ineqs, eqs, congs = _project(groups, ineqs, eqs, congs)
     k = len(groups)
 
-    bounds = _bounds(k, pineqs, peqs)
+    bounds = _bounds(k, ineqs, eqs)
     if bounds == "infeasible":
         return EnumerationResult("finite", [])
     lo, hi, ray = bounds
@@ -754,9 +776,9 @@ def enumerate_integer_points(poly: Polyhedron, cap: int | None = None) -> Enumer
             whi = [w if h is None else min(h, w) for h in hi]
             if any(a > b for a, b in zip(wlo, whi)):
                 continue
-            if _dfs_enumerate(k, pineqs, peqs, pcongs, wlo, whi, 0, budget)[0]:
+            if _dfs_enumerate(k, ineqs, eqs, congs, wlo, whi, 0, budget)[0]:
                 # scaled by the lcm of the moduli, on each group's first column
-                step = math.lcm(*(m for _, _, m in pcongs))
+                step = math.lcm(*(m for _, _, m in congs))
                 lifted = [0] * poly.dim
                 for g, x in zip(groups, ray):
                     lifted[g[0]] = x * step
@@ -769,7 +791,7 @@ def enumerate_integer_points(poly: Polyhedron, cap: int | None = None) -> Enumer
     # with merged columns one point settles it: any solution of the reduced
     # system lifts in infinitely many ways through a group of size >= 2
     # (x_i - x_j is unconstrained there)
-    pts, exhausted = _dfs_enumerate(k, pineqs, peqs, pcongs, lo, hi,
+    pts, exhausted = _dfs_enumerate(k, ineqs, eqs, congs, lo, hi,
                                     0 if merged else cap, budget)
     if merged and pts:
         big = next(g for g in groups if len(g) > 1)
@@ -856,10 +878,10 @@ def _bounds(dim, ineqs, eqs):
         ineqs = _substitute(ineqs, e, c, p)
         coords = _substitute(coords, e, c, p)
     kept = sorted(kept)
-    reduced = _tightest([(tuple(a[j] for j in kept), c) for a, c in ineqs])
+    reduced = _tightest([(tuple(map(a.__getitem__, kept)), c) for a, c in ineqs])
     if reduced is None:
         return "infeasible"
-    coords = [(tuple(w[j] for j in kept), t, den) for w, t, den in coords]
+    coords = [(tuple(map(w.__getitem__, kept)), t, den) for w, t, den in coords]
     bounds = _bounds_raw(len(kept), reduced, coords)
     if bounds == "infeasible" or bounds[2] is None:
         return bounds
@@ -876,21 +898,25 @@ def _substitute(rows, e, c, p):
     a_p != 0 becomes |e_p| times itself less a_p*sign(e_p) times (e, c, 0,
     ...), so a_p becomes 0, an inequality a.x + b >= 0 keeps its direction
     and a trailing denominator is scaled by |e_p|; then it is divided by the
-    gcd of its entries.  When |e_p| = 1 the scaling is skipped; the gcd
-    division is not, as the row may still gain a common factor."""
+    gcd of its entries when that is above 1.  When |e_p| = 1 the scaling is
+    skipped; the gcd division is not, as the row may still gain a common
+    factor.  A row with a_p = 0 is returned as it is."""
     f = abs(e[p])
     out = []
-    for a, b, *rest in rows:
-        s = a[p] if e[p] > 0 else -a[p]
+    for row in rows:
+        s = row[0][p] if e[p] > 0 else -row[0][p]
         if s:
+            a, b, *rest = row
             if f == 1:
-                a = [x - s * y for x, y in zip(a, e)]
+                a = tuple(map(sub, a, map(s.__mul__, e)))
                 b -= s * c
             else:
-                a = [f * x - s * y for x, y in zip(a, e)]
+                a = tuple(map(sub, map(f.__mul__, a), map(s.__mul__, e)))
                 b = f * b - s * c
                 rest = [f * x for x in rest]
-            g = math.gcd(*a, b, *rest) or 1
-            a, b, rest = tuple(x // g for x in a), b // g, [x // g for x in rest]
-        out.append((a, b, *rest))
+            g = math.gcd(*a, b, *rest)
+            if g > 1:
+                a, b, rest = tuple(map(g.__rfloordiv__, a)), b // g, [x // g for x in rest]
+            row = (a, b, *rest)
+        out.append(row)
     return out

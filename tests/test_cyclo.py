@@ -189,6 +189,24 @@ def test_root_trace_table_smallest_cases():
     assert root_trace_table(2) == (1, -1)
 
 
+def test_root_trace_table_is_the_closed_form_trace_up_to_1200():
+    # the table is built as a product of prime-power Ramanujan sums; each
+    # entry is the closed-form trace of zeta_n^j, read one at a time
+    for n in range(1, 1201):
+        assert root_trace_table(n) == tuple(cyclo._root_trace(n, j) for j in range(n)), n
+
+
+def test_small_primes_are_pinned():
+    # the sieve gives what trial division by 2..sqrt(p) gives
+    import math
+
+    assert cyclo._SMALL_PRIMES == tuple(
+        p for p in range(2, 1000) if all(p % d for d in range(2, math.isqrt(p) + 1)))
+    assert len(cyclo._SMALL_PRIMES) == 168
+    assert cyclo._SMALL_PRIMES[:5] == (2, 3, 5, 7, 11) and cyclo._SMALL_PRIMES[-1] == 997
+    assert cyclo._MR_BASES == (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 # --- Galois action ----------------------------------------------------------
 
 def test_galois_requires_unit_exponent():

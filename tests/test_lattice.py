@@ -22,7 +22,8 @@ from helixpq.lattice import (
 from helixpq.pq import pq_check
 from helixpq.psl2 import gen_table
 from engine_oracle import screen_differential
-from lattice_oracle import oracle_enumerate, unit_coords
+from lattice_oracle import (oracle_enumerate, pq_systems, presolve_differential,
+                            unit_coords)
 
 
 def test_box_bounds_exact():
@@ -895,3 +896,51 @@ def test_presolve_finds_an_equality_that_reduces_to_a_nonzero_constant(monkeypat
     assert lattice._bounds_raw(2, lattice._inequalities(ineqs, eqs), unit_coords(2)) == "infeasible"
     poly = Polyhedron(dim=2, eqs=[((1, 1), -1), ((2, 2), -4)])
     assert lattice._bounds(poly.dim, poly.ineqs, poly.eqs) == "infeasible"
+
+
+# --- the presolve stages against their references ----------------------------
+# `_int_row`, `_tidy` with `_tightest`, `_column_groups`, `_project` and
+# `_bounds`' `_substitute` read rows in C-level passes and skip the work
+# that changes nothing; each must return the rows its reference in
+# tests/lattice_oracle.py returns, in the same order.
+
+
+@pytest.mark.parametrize("seed", [20261019, 1])
+def test_presolve_stages_match_their_references_on_random_systems(seed):
+    for dim, ineqs, eqs in _random_lp_systems(seed, 600):
+        # the first three inequalities again as congruences modulo 2, 3 and
+        # 4, so that moduli share a gcd above 1 with themselves and others
+        congs = [(a, c, 2 + i) for i, (a, c) in enumerate(ineqs[:3])]
+        # the same rows written as lists and Fractions take _int_row's
+        # converting path
+        slow = ([(list(a), Fraction(c)) for a, c in ineqs],
+                [(list(a), Fraction(c)) for a, c in eqs],
+                [(list(a), Fraction(c), Fraction(m)) for a, c, m in congs])
+        for rows in ((ineqs, eqs, []), (ineqs, eqs, congs), slow):
+            assert presolve_differential(dim, *rows) == [], (dim, rows)
+
+
+def test_presolve_stages_match_their_references_on_screen_systems():
+    systems = [rows for family, q in SCREEN_TABLES for rows in pq_systems(gen_table(family, q))]
+    assert len(systems) == 39
+    for rows in systems:
+        assert presolve_differential(*rows) == [], rows
+
+
+def test_presolve_projects_only_when_columns_merge(monkeypatch):
+    # x_0 and x_2 agree in every row, x_2's congruence coefficient only
+    # modulo 4: the groups are [0, 2] and [1], and _project runs; with a box
+    # on x_2 alone it is told apart, and the tidied rows go on unprojected
+    merged = (3, [((1, 2, 1), 0), ((-1, -1, -1), 6)], [((2, 1, 2), -4)], [((3, 1, 7), 1, 4)])
+    plain = (3, merged[1] + [((0, 0, 1), 0), ((0, 0, -1), 2)], merged[2], merged[3])
+    _, *tidied = lattice._tidy(Polyhedron(*merged))
+    assert lattice._column_groups(3, *tidied) == [[0, 2], [1]]
+    assert presolve_differential(*merged) == []
+    assert presolve_differential(*plain) == []
+    projections = _count_calls(monkeypatch, "_project")
+    assert enumerate_integer_points(Polyhedron(*merged)).status == "infinite"
+    assert projections == [1]
+    res = enumerate_integer_points(Polyhedron(*plain))
+    assert projections == [1]
+    assert res.status == "finite" and res.points
+    assert res.points == oracle_enumerate(Polyhedron(*plain), [(-10, 10)] * 3)
